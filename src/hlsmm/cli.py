@@ -85,8 +85,7 @@ def _load_dataset(args, for_training: bool = False) -> Dataset:
     if not args.manifest and not args.data:
         raise InvalidArgumentError("one of --data or --manifest is required")
     if args.manifest:
-        manifest = datamod.DatasetManifest.from_json(
-            open(args.manifest, encoding="utf-8").read())
+        manifest = datamod.DatasetManifest.from_file(args.manifest)
         if manifest.format == "csv":
             ds = datamod.load_csv(manifest.path, manifest.label_column,
                                   reshape=manifest.reshape)

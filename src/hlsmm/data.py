@@ -62,11 +62,21 @@ class DatasetManifest:
             raise InvalidArgumentError("split ratio must lie in (0, 1)")
 
     @classmethod
+    def from_file(cls, path) -> "DatasetManifest":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: cannot read manifest: {exc}") from exc
+        return cls.from_json(text)
+
+    @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict) or not raw.get("path"):
+            raise DataError('manifest must be a JSON object with a non-empty "path"')
         split = raw.get("split")
         return cls(
             format=raw.get("format", "csv"),
@@ -118,14 +128,15 @@ def load_csv(path, label_column: int = 0,
     """Load a numeric CSV with one sample per row.
 
     Raises :class:`DataError` naming the offending line for ragged rows,
-    unparseable numbers, unknown label encodings, or a reshape that does not
-    match the feature count.
+    unparseable or non-finite numbers, and raises it for unknown label
+    encodings or a reshape that does not match the feature count.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"{path}: no such file")
     rows: list[list[float]] = []
     raw_labels: list[float] = []
+    line_numbers: list[int] = []
     width: int | None = None
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -151,10 +162,15 @@ def load_csv(path, label_column: int = 0,
             raw_labels.append(numbers[label_column])
             del numbers[label_column % width]
             rows.append(numbers)
+            line_numbers.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    ys = _map_labels(raw_labels, str(path))
     features = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(raw_labels)
+    if not finite.all():
+        line_no = line_numbers[int(np.argmin(finite))]
+        raise DataError(f"{path}, line {line_no}: non-finite value")
+    ys = _map_labels(raw_labels, str(path))
     d = features.shape[1]
     if reshape is not None:
         p, q = reshape
@@ -183,7 +199,7 @@ def save_smm1(data: Dataset, path) -> None:
 
 def load_smm1(path, name: str | None = None) -> Dataset:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"{path}: no such file")
     blob = path.read_bytes()
     if len(blob) < 32 or blob[:4] != _SMM1_MAGIC:
@@ -203,8 +219,11 @@ def load_smm1(path, name: str | None = None) -> Dataset:
     if not np.isin(ys, (-1, 1)).all():
         raise DataError(f"{path}: labels must be -1 or +1")
     xs = np.frombuffer(blob, dtype="<f8", count=m * p * q, offset=32 + m)
-    return Dataset(xs=xs.reshape(m, p, q).copy(), ys=ys.copy(),
-                   name=name or path.stem, provenance=f"smm1 {path}")
+    try:
+        return Dataset(xs=xs.reshape(m, p, q).copy(), ys=ys.copy(),
+                       name=name or path.stem, provenance=f"smm1 {path}")
+    except InvalidArgumentError as exc:  # non-finite features
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def normalize_per_sample(data: Dataset) -> Dataset:

@@ -48,9 +48,16 @@ class FitResult:
 class _Problem:
     """Arrays reused across iterations for one (dataset, sigma) pair.
 
-    F stacks y_i * vec(X_i) row-wise, so that
-      margins   v = 1 - (F w + b y)
-      gradient  sum_i (z_i - v_i) y_i X_i = unflatten(F.T (z - v))
+    Every block reads an iterate W through its scores s = X vec(W), with X
+    the (m, p*q) design; the caller computes them once per W and passes them on:
+      margins    v = 1 - y (s + b)
+      gradient   W + 2 sigma unflatten(X.T (y (z - v)))
+      curvature  ||G||^2 + 2 sigma ||X vec(G)||^2 along a direction G
+    y is +-1, so multiplying by it only flips signs, which is exact in
+    floating point: these products equal those of the signed design
+    y_i vec(X_i) bit for bit without storing it.  With the scores cached an
+    iteration reads the design three times (gradient, Cauchy step, candidate
+    scores), plus once more per backtracking halving.
     """
 
     def __init__(self, data: Dataset, sigma: float):
@@ -60,32 +67,36 @@ class _Problem:
         self.m = data.m
         self.X = data.xs.reshape(data.m, -1)
         self.ys = data.ys.astype(np.float64)
-        self.F = self.ys[:, None] * self.X
         # Trace bound on the Lipschitz constant of grad h.
         self.lipschitz = 1.0 + 2.0 * self.sigma * float(np.dot(self.X.ravel(), self.X.ravel()))
 
-    def margins(self, w: np.ndarray, b: float) -> np.ndarray:
-        return 1.0 - (self.F @ w.ravel() + b * self.ys)
+    def scores(self, w: np.ndarray) -> np.ndarray:
+        """<W, X_i> for every sample: the one pass over the data per iterate."""
+        return self.X @ w.ravel()
 
-    def smooth(self, w: np.ndarray, z: np.ndarray, b: float) -> float:
+    def margins(self, s: np.ndarray, b: float) -> np.ndarray:
+        return 1.0 - self.ys * (s + b)
+
+    def smooth(self, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float) -> float:
         """h(W) = 1/2 ||W||^2 + sigma ||z - v(W, b)||^2 (loss term excluded)."""
-        gap = z - self.margins(w, b)
+        gap = z - self.margins(s, b)
         return 0.5 * float(np.dot(w.ravel(), w.ravel())) + self.sigma * float(gap @ gap)
 
-    def objective(self, w: np.ndarray, z: np.ndarray, b: float, beta: float) -> float:
-        return self.smooth(w, z, b) + beta * heaviside_count(z)
+    def objective(self, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float,
+                  beta: float) -> float:
+        return self.smooth(w, s, z, b) + beta * heaviside_count(z)
 
-    def gradient(self, w: np.ndarray, z: np.ndarray, b: float) -> np.ndarray:
-        gap = z - self.margins(w, b)
-        return w + 2.0 * self.sigma * (self.F.T @ gap).reshape(self.shape)
+    def gradient(self, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float) -> np.ndarray:
+        gap = z - self.margins(s, b)
+        return w + 2.0 * self.sigma * (self.X.T @ (self.ys * gap)).reshape(self.shape)
 
     def cauchy_step(self, grad: np.ndarray) -> float:
         """Exact minimizer of alpha -> h(W - alpha grad); h is quadratic in W."""
         gn2 = float(np.dot(grad.ravel(), grad.ravel()))
         if gn2 == 0.0:
             return 1.0 / self.lipschitz
-        fg = self.F @ grad.ravel()
-        curvature = gn2 + 2.0 * self.sigma * float(fg @ fg)
+        xg = self.X @ grad.ravel()
+        curvature = gn2 + 2.0 * self.sigma * float(xg @ xg)
         if not np.isfinite(curvature) or curvature <= 0.0:
             return 1.0 / self.lipschitz
         return gn2 / curvature
@@ -107,17 +118,19 @@ def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
         )
     if z.shape[0] != data.m:
         raise InvalidArgumentError("slack length does not match sample count")
-    return _Problem(data, sigma).gradient(w, z, float(b))
+    problem = _Problem(data, sigma)
+    return problem.gradient(w, problem.scores(w), z, float(b))
 
 
-def _w_step(problem: _Problem, w: np.ndarray, z: np.ndarray, b: float,
-            hp: Hyperparams, iteration: int) -> tuple[np.ndarray, int]:
-    """One accepted projected-gradient step; returns (new_w, halvings used).
+def _w_step(problem: _Problem, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float,
+            hp: Hyperparams, iteration: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """One accepted projected-gradient step from W with scores s.
 
-    Falls back to new_w = w (a stall) when no step passes the decrease test
-    within ``max_halvings``.
+    Returns (new_w, its scores, halvings used, stalled).  The block stalls
+    when no step passes the decrease test within ``max_halvings``; it then
+    keeps new_w = w.
     """
-    grad = problem.gradient(w, z, b)
+    grad = problem.gradient(w, s, z, b)
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in W block", iteration)
     policy = hp.step
@@ -125,30 +138,32 @@ def _w_step(problem: _Problem, w: np.ndarray, z: np.ndarray, b: float,
         alpha = policy.alpha0 if policy.alpha0 is not None else (
             1.0 / (problem.lipschitz + hp.tau1))
         try:
-            return project_rank(w - alpha * grad, hp.rank), 0
+            candidate = project_rank(w - alpha * grad, hp.rank)
         except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
             raise NumericalError(f"rank projection failed: {exc}", iteration) from exc
+        return candidate, problem.scores(candidate), 0, False
 
     alpha = policy.alpha0 if policy.alpha0 is not None else problem.cauchy_step(grad)
-    h_ref = problem.smooth(w, z, b)
+    h_ref = problem.smooth(w, s, z, b)
     for halvings in range(policy.max_halvings + 1):
         try:
             candidate = project_rank(w - alpha * grad, hp.rank)
         except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
             raise NumericalError(f"rank projection failed: {exc}", iteration) from exc
+        s_candidate = problem.scores(candidate)
         step = candidate - w
-        decrease_ok = (problem.smooth(candidate, z, b)
+        decrease_ok = (problem.smooth(candidate, s_candidate, z, b)
                        + 0.5 * hp.tau1 * float(np.dot(step.ravel(), step.ravel()))
                        <= h_ref)
         if decrease_ok:
-            return candidate, halvings
+            return candidate, s_candidate, halvings, False
         alpha *= policy.shrink
-    return w, policy.max_halvings  # stalled block: keep the previous iterate
+    return w, s, policy.max_halvings, True  # stalled block: keep the previous iterate
 
 
-def _z_step(problem: _Problem, w_new: np.ndarray, z: np.ndarray, b: float,
+def _z_step(problem: _Problem, s_new: np.ndarray, z: np.ndarray, b: float,
             hp: Hyperparams) -> np.ndarray:
-    v = problem.margins(w_new, b)
+    v = problem.margins(s_new, b)
     sigma, tau2, beta = hp.sigma, hp.tau2, hp.beta
     if hp.z_update == "exact":
         # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
@@ -164,12 +179,12 @@ def _z_step(problem: _Problem, w_new: np.ndarray, z: np.ndarray, b: float,
     return np.where((center > 0) & (center <= threshold), 0.0, center)
 
 
-def _b_step(problem: _Problem, w_new: np.ndarray, z_new: np.ndarray, b: float,
+def _b_step(problem: _Problem, s_new: np.ndarray, z_new: np.ndarray, b: float,
             hp: Hyperparams) -> float:
-    # First-order condition of  sigma ||z - 1 + A(W) + b y||^2 + tau3/2 (b - b^k)^2.
+    # First-order condition of  sigma ||z - 1 + A(W) + b y||^2 + tau3/2 (b - b^k)^2,
+    # with s_new = A(W) the scores <W, X_i> of the new W.
     sigma, tau3 = hp.sigma, hp.tau3
-    scores = problem.X @ w_new.ravel()  # <W, X_i>
-    residual_no_b = float(problem.ys @ (z_new - 1.0)) + float(scores.sum())
+    residual_no_b = float(problem.ys @ (z_new - 1.0)) + float(s_new.sum())
     return (tau3 * b - 2.0 * sigma * residual_no_b) / (2.0 * sigma * problem.m + tau3)
 
 
@@ -177,27 +192,32 @@ def update_w(state: ModelState, data: Dataset, hp: Hyperparams) -> tuple[np.ndar
     """Public one-shot W update; see the module docstring for the scheme."""
     hp.validate_for_shape(*data.sample_shape)
     problem = _Problem(data, hp.sigma)
-    return _w_step(problem, state.w, state.z, state.b, hp, state.iter)
+    w_new, _, halvings, _ = _w_step(problem, state.w, problem.scores(state.w),
+                                    state.z, state.b, hp, state.iter)
+    return w_new, halvings
 
 
 def update_z(state: ModelState, data: Dataset, hp: Hyperparams) -> np.ndarray:
     """Exact (or paper-mode) slack update, assuming ``state.w`` is the new W."""
     problem = _Problem(data, hp.sigma)
-    return _z_step(problem, state.w, state.z, state.b, hp)
+    return _z_step(problem, problem.scores(state.w), state.z, state.b, hp)
 
 
 def update_b(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     """Closed-form bias update, assuming W and z are already updated."""
     problem = _Problem(data, hp.sigma)
-    return _b_step(problem, state.w, state.z, state.b, hp)
+    return _b_step(problem, problem.scores(state.w), state.z, state.b, hp)
 
 
 def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitResult:
     """Run the three-block scheme until the step/objective tolerances or maxit.
 
     Stops when ||W_new - W||_F / max(1, ||W||_F) <= tol_step and the objective
-    change is at most tol_obj.  The returned model always satisfies
-    rank(W) <= hp.rank; the trace objective is non-increasing (exact z mode).
+    change is at most tol_obj.  The status is then "converged", or "stalled"
+    when the W block of that last iteration found no acceptable step (W did
+    not move because it could not, not because it is stationary); otherwise
+    "max_iter".  The returned model always satisfies rank(W) <= hp.rank; the
+    trace objective is non-increasing (exact z mode).
 
     Raises
     ------
@@ -221,7 +241,8 @@ def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitRe
 
     problem = _Problem(data, hp.sigma)
     w, z, b = state.w.copy(), state.z.copy(), state.b
-    g = problem.objective(w, z, b, hp.beta)
+    s = problem.scores(w)
+    g = problem.objective(w, s, z, b, hp.beta)
     tau_min = min(hp.tau1, hp.tau2, hp.tau3)
     enforce_descent = hp.z_update == "exact"
 
@@ -233,13 +254,13 @@ def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitRe
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
         with np.errstate(over="ignore", invalid="ignore"):
-            w_new, halvings = _w_step(problem, w, z, b, hp, k)
-            z_new = _z_step(problem, w_new, z, b, hp)
-            b_new = _b_step(problem, w_new, z_new, b, hp)
+            w_new, s_new, halvings, stalled = _w_step(problem, w, s, z, b, hp, k)
+            z_new = _z_step(problem, s_new, z, b, hp)
+            b_new = _b_step(problem, s_new, z_new, b, hp)
             if not (np.isfinite(w_new).all() and np.isfinite(z_new).all()
                     and np.isfinite(b_new)):
                 raise NumericalError("iterate became non-finite", k)
-            g_new = problem.objective(w_new, z_new, b_new, hp.beta)
+            g_new = problem.objective(w_new, s_new, z_new, b_new, hp.beta)
         if not np.isfinite(g_new):
             raise NumericalError("objective became non-finite", k)
 
@@ -259,10 +280,10 @@ def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitRe
         trace.append(g_new, dw, dz, db, halvings)
         w_norm = float(np.linalg.norm(w))
         stop = (dw / max(1.0, w_norm) <= hp.tol_step) and (abs(g_new - g) <= hp.tol_obj)
-        w, z, b, g = w_new, z_new, b_new, g_new
+        w, s, z, b, g = w_new, s_new, z_new, b_new, g_new
         iterations = k
         if stop:
-            trace.status = "converged"
+            trace.status = "stalled" if stalled else "converged"
             break
     else:
         trace.status = "max_iter"

@@ -43,6 +43,26 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,0.5,0.25\n-1,nan,2.0\n")
+        code = main(["train", "--data", str(path), "--rank", "1"])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_missing_manifest_is_data_error(self, tmp_path, capsys):
+        code = main(["train", "--manifest", str(tmp_path / "absent.json"),
+                     "--rank", "1"])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_manifest_without_path_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "csv"}))
+        code = main(["train", "--manifest", str(manifest), "--rank", "1"])
+        assert code == 3
+        assert "path" in capsys.readouterr().err
+
     def test_bad_hyperparameter_is_usage_error(self, smm1_file, capsys):
         path, _ = smm1_file
         code = main(["train", "--data", str(path), "--format", "smm1",

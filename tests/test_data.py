@@ -51,6 +51,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 2"):
             load_csv(path, label_column=0)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1,2,3\n-1,4,5\n1,{cell},6\n")
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            load_csv(path, label_column=0)
+
+    def test_non_finite_label_names_line(self, tmp_path):
+        path = tmp_path / "nanlabel.csv"
+        path.write_text("1,2,3\nnan,4,5\n")
+        with pytest.raises(DataError, match="line 2: non-finite"):
+            load_csv(path, label_column=0)
+
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="no such file"):
+            load_csv(tmp_path)
+
     def test_label_encodings(self, tmp_path):
         for raw, expected in (("0\n1\n", [-1, 1]), ("1\n2\n", [1, -1]),
                               ("-1\n1\n", [-1, 1])):
@@ -124,6 +141,16 @@ class TestSmm1:
         save_smm1(data, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
+            load_smm1(path)
+
+    def test_non_finite_features_are_data_error(self, tmp_path):
+        data = random_dataset(74, m=3, p=2, q=2)
+        path = tmp_path / "nan.smm1"
+        save_smm1(data, path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="finite"):
             load_smm1(path)
 
     def test_empty_dataset_rejected(self, tmp_path):
@@ -296,6 +323,15 @@ class TestManifest:
     def test_rejects_bad_json(self):
         with pytest.raises(DataError):
             DatasetManifest.from_json("{not json")
+
+    @pytest.mark.parametrize("text", ['{"format": "csv"}', '{"path": ""}', '["d.csv"]'])
+    def test_rejects_missing_path(self, text):
+        with pytest.raises(DataError, match="path"):
+            DatasetManifest.from_json(text)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read manifest"):
+            DatasetManifest.from_file(tmp_path / "absent.json")
 
 
 class TestSyntheticGenerator:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -21,6 +23,7 @@ from hlsmm import (
     update_w,
     update_z,
 )
+from hlsmm.solver import _Problem, _w_step
 
 from conftest import make_rng, random_dataset
 
@@ -350,3 +353,74 @@ class TestFit:
                           z=np.zeros(data.m))  # full-rank start, bound is 2
         with pytest.raises(InvalidArgumentError, match="rank"):
             fit(data, default_hp, init=init)
+
+
+class TestStall:
+    def test_stalled_w_block_not_reported_converged(self, synthetic, default_hp):
+        # alpha0 = 1e6 overshoots so far that two halvings never pass the
+        # decrease test: W stops moving because it cannot, not at a solution.
+        data, _, _ = synthetic
+        hp = default_hp.with_(step=StepPolicy(alpha0=1e6, max_halvings=2))
+        result = fit(data, hp)
+        assert result.trace.status == "stalled"
+        assert not result.converged
+        assert result.trace.halvings[-1] == 2
+
+    def test_acceptance_on_last_halving_is_not_a_stall(self, synthetic, default_hp):
+        # With max_halvings = 0 every accepted step uses "all" halvings; only
+        # the explicit flag tells it apart from a stall.
+        data, _, _ = synthetic
+        hp = default_hp.with_(step=StepPolicy(alpha0=1e-3, max_halvings=0))
+        problem = _Problem(data, hp.sigma)
+        w = np.zeros(data.sample_shape)
+        new_w, scores, halvings, stalled = _w_step(
+            problem, w, problem.scores(w), np.zeros(data.m), 0.0, hp, 1)
+        assert (halvings, stalled) == (0, False)
+        assert not np.array_equal(new_w, w)
+        np.testing.assert_array_equal(scores, problem.scores(new_w))
+
+
+class TestProblemKernel:
+    """The cached-score kernel against the signed design F = y_i vec(X_i).
+
+    Multiplying by y = +-1 is exact, so the products must agree bit for bit.
+    """
+
+    @pytest.mark.parametrize("seed,m,p,q", [(61, 7, 3, 2), (62, 40, 5, 6),
+                                            (63, 300, 7, 9), (64, 1000, 28, 28)])
+    def test_matches_signed_design_exactly(self, seed, m, p, q):
+        data = random_dataset(seed, m=m, p=p, q=q)
+        gen = make_rng(seed + 1000)
+        w = gen.standard_normal((p, q))
+        z = gen.standard_normal(m)
+        b = float(gen.standard_normal())
+        sigma = 0.37
+        X = data.xs.reshape(m, -1)
+        ys = data.ys.astype(np.float64)
+        F = ys[:, None] * X
+
+        problem = _Problem(data, sigma)
+        s = problem.scores(w)
+        v = 1.0 - (F @ w.ravel() + b * ys)
+        np.testing.assert_array_equal(problem.margins(s, b), v)
+
+        expected_grad = w + 2.0 * sigma * (F.T @ (z - v)).reshape(p, q)
+        grad = problem.gradient(w, s, z, b)
+        np.testing.assert_array_equal(grad, expected_grad)
+
+        gn2 = float(np.dot(grad.ravel(), grad.ravel()))
+        fg = F @ grad.ravel()
+        assert problem.cauchy_step(grad) == gn2 / (gn2 + 2.0 * sigma * float(fg @ fg))
+
+    def test_fit_allocates_no_dataset_sized_copy(self):
+        # ~4.6 MB design; the kernel must work on it in place, allocating only
+        # per-sample vectors and p-by-q matrices.
+        data = random_dataset(65, m=4000, p=12, q=12)
+        hp = Hyperparams(beta=0.1, sigma=0.1, rank=2, maxit=5)
+        tracemalloc.start()
+        try:
+            fit(data, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.xs.nbytes / 10
