@@ -19,7 +19,8 @@ from . import data as datamod
 from . import experiments as exp
 from .errors import DataError, InvalidArgumentError, NumericalError
 from .kkt import kkt_report
-from .model import Dataset, Hyperparams, ModelState, StepPolicy, margin_residuals, prox_heaviside
+from .model import (Dataset, Hyperparams, ModelState, StepPolicy, margin_residuals,
+                    predict_batch, prox_heaviside)
 from .modelfile import load_model, save_model
 from .solver import fit
 
@@ -85,29 +86,26 @@ def _load_dataset(args, for_training: bool = False) -> Dataset:
     if not args.manifest and not args.data:
         raise InvalidArgumentError("one of --data or --manifest is required")
     if args.manifest:
-        manifest = datamod.DatasetManifest.from_file(args.manifest)
-        if manifest.format == "csv":
-            ds = datamod.load_csv(manifest.path, manifest.label_column,
-                                  reshape=manifest.reshape)
-        else:
-            ds = datamod.load_smm1(manifest.path)
-        if manifest.normalization == "per_sample_zscore":
-            ds = datamod.normalize_per_sample(ds)
+        manifest, has_header = datamod.DatasetManifest.from_file(args.manifest), False
     else:
-        reshape = tuple(args.reshape) if args.reshape else None
-        if args.format == "csv":
-            ds = datamod.load_csv(args.data, args.label_column, reshape=reshape,
-                                  has_header=args.has_header)
-        else:
-            ds = datamod.load_smm1(args.data)
-            if reshape:
-                p, q = reshape
-                if p * q != ds.p * ds.q:
-                    raise DataError(f"reshape {p}x{q} does not match "
-                                    f"{ds.p}x{ds.q} samples")
-                ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q), f"reshape ({p},{q})")
-        if args.normalize == "per-sample":
-            ds = datamod.normalize_per_sample(ds)
+        manifest = datamod.DatasetManifest(
+            format=args.format, path=args.data, label_column=args.label_column,
+            reshape=tuple(args.reshape) if args.reshape else None,
+            normalization="per_sample_zscore" if args.normalize == "per-sample" else "none")
+        has_header = args.has_header
+    if manifest.format == "csv":
+        ds = datamod.load_csv(manifest.path, manifest.label_column,
+                              reshape=manifest.reshape, has_header=has_header)
+    else:
+        ds = datamod.load_smm1(manifest.path)
+        if manifest.reshape:
+            p, q = manifest.reshape
+            if p * q != ds.p * ds.q:
+                raise DataError(f"reshape {p}x{q} does not match "
+                                f"{ds.p}x{ds.q} samples")
+            ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q), f"reshape ({p},{q})")
+    if manifest.normalization == "per_sample_zscore":
+        ds = datamod.normalize_per_sample(ds)
     if for_training:
         pos, neg = ds.labels_present()
         if not (pos and neg):
@@ -154,8 +152,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _load_dataset(args)
     _check_model_shape(model, ds)
-    scores = ds.xs.reshape(ds.m, -1) @ model.w.ravel() + model.b
-    for label in np.where(scores > 0, 1, -1):
+    for label in predict_batch(model.w, model.b, ds):
         print(int(label))
     return 0
 
@@ -311,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid-tau", type=_float_list, default=[1e-4, 1e-3, 1e-2])
     p_sweep.add_argument("--out-csv", default=None)
     p_sweep.add_argument("--out-model", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="reserved; cells run sequentially for determinism")
 
     p_noise = sub.add_parser("noise-bench", help="noise robustness sweep", formatter_class=formatter)
     p_noise.set_defaults(func=_cmd_noise_bench)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,23 +34,14 @@ _SMM1_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    ratio: float
-    stratified: bool = True
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
     """Declarative description of how to load and prepare one dataset."""
 
     format: str                      # "csv" | "smm1"
     path: str
-    shape: tuple[int, int] | str = "vector"
     reshape: tuple[int, int] | None = None
     label_column: int = 0            # csv only
     normalization: str = "none"      # "none" | "per_sample_zscore"
-    split: SplitSpec | None = None
 
     def __post_init__(self):
         if self.format not in ("csv", "smm1"):
@@ -58,8 +49,6 @@ class DatasetManifest:
         if self.normalization not in ("none", "per_sample_zscore"):
             raise InvalidArgumentError(
                 f"unknown normalization {self.normalization!r}")
-        if self.split is not None and not 0.0 < self.split.ratio < 1.0:
-            raise InvalidArgumentError("split ratio must lie in (0, 1)")
 
     @classmethod
     def from_file(cls, path) -> "DatasetManifest":
@@ -77,32 +66,26 @@ class DatasetManifest:
             raise DataError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict) or not raw.get("path"):
             raise DataError('manifest must be a JSON object with a non-empty "path"')
-        split = raw.get("split")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DataError(f"manifest has unknown keys {unknown}; allowed: "
+                            f"{', '.join(f.name for f in fields(cls))}")
         return cls(
             format=raw.get("format", "csv"),
             path=raw.get("path", ""),
-            shape=tuple(raw["shape"]) if isinstance(raw.get("shape"), list) else raw.get("shape", "vector"),
             reshape=tuple(raw["reshape"]) if raw.get("reshape") else None,
             label_column=int(raw.get("label_column", 0)),
             normalization=raw.get("normalization", "none"),
-            split=SplitSpec(ratio=float(split["ratio"]),
-                            stratified=bool(split.get("stratified", True)),
-                            seed=int(split.get("seed", 0))) if split else None,
         )
 
     def to_json(self) -> str:
-        raw: dict = {
+        raw = {
             "format": self.format,
             "path": self.path,
-            "shape": list(self.shape) if isinstance(self.shape, tuple) else self.shape,
             "reshape": list(self.reshape) if self.reshape else None,
             "label_column": self.label_column,
             "normalization": self.normalization,
         }
-        if self.split is not None:
-            raw["split"] = {"ratio": self.split.ratio,
-                            "stratified": self.split.stratified,
-                            "seed": self.split.seed}
         return json.dumps(raw, indent=2, sort_keys=True)
 
 

@@ -1,5 +1,9 @@
 """Experiment harness: accuracy metrics, grid search, noise sweeps, exports.
 
+The held-out grid, the CV grid and the (rank, beta) surface share one
+fit-and-score loop, ``_sweep``; the noise sweep fits once and scores many
+corrupted test sets, so it keeps its own.
+
 Sweep tables are assembled in deterministic configuration order regardless of
 how long individual fits take, and CSV exports contain no timing columns, so
 two runs with identical inputs and seeds produce byte-identical files.
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +24,8 @@ from .errors import InvalidArgumentError, NumericalError
 from .model import Dataset, Hyperparams, ModelState, SolverTrace, predict_batch
 from .solver import fit
 
-NOISE_KINDS = ("gaussian", "salt_pepper")
+_NOISE = {"gaussian": add_gaussian_noise, "salt_pepper": add_salt_pepper_noise}
+NOISE_KINDS = tuple(_NOISE)
 
 
 @dataclass(frozen=True)
@@ -143,27 +149,46 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _selection_key(row: SweepRow):
-    hp = row.hyperparams
-    return (-row.metrics.accuracy, hp.rank, hp.beta, hp.sigma,
-            hp.tau1, hp.tau2, hp.tau3)
+def _best(result: SweepResult) -> Hyperparams | None:
+    """The winner by :func:`grid_search`'s rule, or None when no row succeeded."""
+    def key(row: SweepRow):
+        hp = row.hyperparams
+        return (-row.metrics.accuracy, hp.rank, hp.beta, hp.sigma,
+                hp.tau1, hp.tau2, hp.tau3)
+
+    winners = result.successful()
+    return min(winners, key=key).hyperparams if winners else None
 
 
-def _fit_eval(train: Dataset, validation: Dataset, hp: Hyperparams,
-              index: int) -> SweepRow:
-    try:
-        result = fit(train, hp)
-        metrics = evaluate(result.model, validation)
-        return SweepRow(index=index, hyperparams=hp, noise_kind=None,
-                        noise_level=None, noise_seed=None, metrics=metrics,
-                        wall_time=result.wall_time,
-                        final_objective=result.trace.objective[-1],
-                        iterations=result.model.iter, status=result.trace.status)
-    except (InvalidArgumentError, NumericalError) as exc:
-        return SweepRow(index=index, hyperparams=hp, noise_kind=None,
-                        noise_level=None, noise_seed=None, metrics=None,
-                        wall_time=0.0, final_objective=None, iterations=None,
-                        status="failed", error=str(exc))
+def _sweep(configurations, pairs) -> SweepResult:
+    """One row per configuration, its counts pooled over the pairs of ``pairs()``.
+
+    ``pairs()`` yields (training set, callable returning the validation set),
+    built lazily so that one fold is held during a fit.  A row sums the pairs'
+    iterations and keeps the last pair's objective and status; a fit that
+    raises on any pair makes a failed row carrying the message.
+    """
+    rows = []
+    for index, hp in enumerate(configurations):
+        pooled, wall, iterations = Metrics(0, 0, 0, 0), 0.0, 0
+        try:
+            for train, validation in pairs():
+                result = fit(train, hp)
+                pooled = pooled + evaluate(result.model, validation())
+                wall += result.wall_time
+                iterations += result.model.iter
+        except (InvalidArgumentError, NumericalError) as exc:
+            rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=None,
+                                 noise_level=None, noise_seed=None, metrics=None,
+                                 wall_time=wall, final_objective=None,
+                                 iterations=None, status="failed", error=str(exc)))
+            continue
+        rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=None,
+                             noise_level=None, noise_seed=None, metrics=pooled,
+                             wall_time=wall,
+                             final_objective=result.trace.objective[-1],
+                             iterations=iterations, status=result.trace.status))
+    return SweepResult(rows=rows)
 
 
 def grid_search(train: Dataset, validation: Dataset, grid: HyperparamGrid,
@@ -177,12 +202,8 @@ def grid_search(train: Dataset, validation: Dataset, grid: HyperparamGrid,
     remaining parameters in ascending lexicographic order.  Returns
     (best hyperparams or None when nothing succeeded, full table).
     """
-    rows = [_fit_eval(train, validation, hp, i)
-            for i, hp in enumerate(grid.configurations(base))]
-    result = SweepResult(rows=rows)
-    winners = result.successful()
-    best = min(winners, key=_selection_key).hyperparams if winners else None
-    return best, result
+    result = _sweep(grid.configurations(base), lambda: [(train, lambda: validation)])
+    return _best(result), result
 
 
 def _stratified_folds(data: Dataset, folds: int, seed: int) -> list[np.ndarray]:
@@ -202,56 +223,22 @@ def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
     """Cross-validated variant of :func:`grid_search`.
 
     Each configuration is scored by the pooled confusion counts over a
-    deterministic stratified k-fold partition of ``train``.
+    deterministic stratified k-fold partition of ``train``; rows have status "cv".
     """
     if folds < 2:
         raise InvalidArgumentError("need at least 2 folds")
     train.require_both_labels()
     fold_idx = _stratified_folds(train, folds, seed)
-    rows: list[SweepRow] = []
-    for i, hp in enumerate(grid.configurations(base)):
-        pooled = Metrics(0, 0, 0, 0)
-        wall = 0.0
-        error = None
-        final_obj = None
-        iters = 0
+
+    def pairs():
         for held_out in fold_idx:
             keep = np.setdiff1d(np.arange(train.m), held_out)
-            try:
-                part = train.subset(keep, "cv-train")
-                part.require_both_labels()
-                result = fit(part, hp)
-                pooled = pooled + evaluate(result.model,
-                                           train.subset(held_out, "cv-val"))
-                wall += result.wall_time
-                final_obj = result.trace.objective[-1]
-                iters += result.model.iter
-            except (InvalidArgumentError, NumericalError) as exc:
-                error = str(exc)
-                break
-        if error is None:
-            rows.append(SweepRow(index=i, hyperparams=hp, noise_kind=None,
-                                 noise_level=None, noise_seed=None,
-                                 metrics=pooled, wall_time=wall,
-                                 final_objective=final_obj, iterations=iters,
-                                 status="cv"))
-        else:
-            rows.append(SweepRow(index=i, hyperparams=hp, noise_kind=None,
-                                 noise_level=None, noise_seed=None, metrics=None,
-                                 wall_time=wall, final_objective=None,
-                                 iterations=None, status="failed", error=error))
-    result = SweepResult(rows=rows)
-    winners = result.successful()
-    best = min(winners, key=_selection_key).hyperparams if winners else None
-    return best, result
+            yield (train.subset(keep, "cv-train"),
+                   partial(train.subset, held_out, "cv-val"))
 
-
-def _corrupt(test: Dataset, kind: str, level: float, seed: int) -> Dataset:
-    if kind == "gaussian":
-        return add_gaussian_noise(test, level, seed)
-    if kind == "salt_pepper":
-        return add_salt_pepper_noise(test, level, seed)
-    raise InvalidArgumentError(f"unknown noise kind {kind!r}")
+    result = _sweep(grid.configurations(base), pairs)
+    result.rows = [replace(row, status="cv") if row.ok else row for row in result.rows]
+    return _best(result), result
 
 
 def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
@@ -275,7 +262,7 @@ def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
     index = 0
     for level in levels:
         for seed in seeds:
-            corrupted = _corrupt(test, kind, level, seed)
+            corrupted = _NOISE[kind](test, level, seed)
             metrics = evaluate(fitted.model, corrupted)
             rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=kind,
                                  noise_level=level, noise_seed=seed,
@@ -304,16 +291,11 @@ def sensitivity_grid(train: Dataset, test: Dataset, hp_base: Hyperparams,
     beta_values = list(beta_values)
     if not r_values or not beta_values:
         raise InvalidArgumentError("value lists must be non-empty")
-    surface = np.full((len(r_values), len(beta_values)), np.nan)
-    for i, rank in enumerate(r_values):
-        for j, beta in enumerate(beta_values):
-            hp = replace(hp_base, rank=int(rank), beta=float(beta))
-            try:
-                result = fit(train, hp)
-                surface[i, j] = evaluate(result.model, test).accuracy
-            except (InvalidArgumentError, NumericalError):
-                pass  # cell stays NaN (failure marker)
-    return surface
+    configurations = [replace(hp_base, rank=int(rank), beta=float(beta))
+                      for rank in r_values for beta in beta_values]
+    result = _sweep(configurations, lambda: [(train, lambda: test)])
+    accuracy = [row.metrics.accuracy if row.ok else np.nan for row in result.rows]
+    return np.array(accuracy).reshape(len(r_values), len(beta_values))
 
 
 def write_sensitivity_csv(surface: np.ndarray, r_values, beta_values, path) -> None:

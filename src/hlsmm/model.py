@@ -277,8 +277,7 @@ def margin_residuals(w, b: float, data: Dataset) -> np.ndarray:
         raise InvalidArgumentError(
             f"w shape {w.shape} does not match sample shape {data.sample_shape}"
         )
-    scores = data.xs.reshape(data.m, -1) @ w.ravel() + float(b)
-    return 1.0 - data.ys * scores
+    return 1.0 - data.ys * decision_scores(w, b, data.xs)
 
 
 def heaviside_count(z) -> int:

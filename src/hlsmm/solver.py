@@ -17,6 +17,7 @@ asserted at runtime (exact z mode); violation raises NumericalError.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -67,8 +68,11 @@ class _Problem:
         self.m = data.m
         self.X = data.xs.reshape(data.m, -1)
         self.ys = data.ys.astype(np.float64)
-        # Trace bound on the Lipschitz constant of grad h.
-        self.lipschitz = 1.0 + 2.0 * self.sigma * float(np.dot(self.X.ravel(), self.X.ravel()))
+
+    @functools.cached_property
+    def lipschitz(self) -> float:
+        """Trace bound on the Lipschitz constant of grad h (one data pass, on first use)."""
+        return 1.0 + 2.0 * self.sigma * float(np.dot(self.X.ravel(), self.X.ravel()))
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """<W, X_i> for every sample: the one pass over the data per iterate."""

@@ -63,6 +63,26 @@ class TestExitCodes:
         assert code == 3
         assert "path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["split", "shape", "lable_column"])
+    def test_manifest_unknown_key_is_data_error(self, smm1_file, tmp_path,
+                                                capsys, key):
+        path, _ = smm1_file
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "smm1", "path": str(path),
+                                        key: {"ratio": 0.5}}))
+        code = main(["train", "--manifest", str(manifest), "--rank", "2"])
+        assert code == 3
+        assert repr(key) in capsys.readouterr().err
+
+    def test_removed_jobs_flag_is_usage_error(self, smm1_file, capsys):
+        path, _ = smm1_file
+        code = main(["sweep", "--data", str(path), "--format", "smm1",
+                     "--grid-beta", "0.1", "--grid-sigma", "0.1",
+                     "--grid-rank", "2", "--grid-tau", "1e-3", "--maxit", "1",
+                     "--jobs", "1"])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_bad_hyperparameter_is_usage_error(self, smm1_file, capsys):
         path, _ = smm1_file
         code = main(["train", "--data", str(path), "--format", "smm1",
@@ -251,6 +271,18 @@ class TestManifest:
                      "--rank", "2", "--maxit", "5"])
         assert code == 0
         capsys.readouterr()
+
+    def test_smm1_manifest_reshape_applied(self, smm1_file, tmp_path, capsys):
+        path, _ = smm1_file  # 8x6 samples
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "smm1", "path": str(path),
+                                        "reshape": [6, 8]}))
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--manifest", str(manifest), "--rank", "2",
+                     "--maxit", "5", "--out", str(model_path)])
+        assert code == 0
+        capsys.readouterr()
+        assert load_model(model_path).w.shape == (6, 8)
 
     def test_cv_sweep_mode_labeled(self, smm1_file, capsys):
         path, _ = smm1_file

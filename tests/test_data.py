@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -310,7 +313,7 @@ class TestSaltPepperNoise:
 
 class TestManifest:
     def test_json_round_trip(self):
-        manifest = DatasetManifest(format="csv", path="d.csv", shape="vector",
+        manifest = DatasetManifest(format="csv", path="d.csv",
                                    reshape=(3, 19), label_column=0,
                                    normalization="per_sample_zscore")
         parsed = DatasetManifest.from_json(manifest.to_json())
@@ -332,6 +335,16 @@ class TestManifest:
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read manifest"):
             DatasetManifest.from_file(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("key,value", [
+        ("split", {"ratio": 0.7, "stratified": True, "seed": 1}),
+        ("shape", [3, 19]),
+        ("normalisation", "per_sample_zscore"),  # misspelt
+    ])
+    def test_rejects_unknown_key(self, key, value):
+        text = json.dumps({"path": "d.csv", key: value})
+        with pytest.raises(DataError, match=re.escape(f"unknown keys ['{key}']")):
+            DatasetManifest.from_json(text)
 
 
 class TestSyntheticGenerator:

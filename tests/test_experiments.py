@@ -4,6 +4,8 @@ import pytest
 from hlsmm import (
     Dataset,
     HyperparamGrid,
+    InvalidArgumentError,
+    Metrics,
     ModelState,
     evaluate,
     export_convergence_trace,
@@ -15,7 +17,7 @@ from hlsmm import (
     sensitivity_grid,
     split,
 )
-from hlsmm.experiments import write_sweep_csv, write_sensitivity_csv
+from hlsmm.experiments import _stratified_folds, write_sweep_csv, write_sensitivity_csv
 
 from conftest import make_rng, random_dataset
 
@@ -133,6 +135,66 @@ class TestGridSearch:
         reported = max(row.metrics.accuracy for row in table.rows if row.ok)
         refit = evaluate(fit(train, best).model, validation)
         assert refit.accuracy == pytest.approx(reported)
+
+
+def reference_rows(configurations, pairs):
+    """Fit and score each configuration on every pair, written out by hand.
+
+    One tuple per configuration: (hyperparams, pooled metrics, summed
+    iterations, last pair's objective, last pair's status, error).
+    """
+    rows = []
+    for hp in configurations:
+        pooled, iterations = Metrics(0, 0, 0, 0), 0
+        try:
+            for train, validation in pairs:
+                result = fit(train, hp)
+                pooled = pooled + evaluate(result.model, validation)
+                iterations += result.model.iter
+        except InvalidArgumentError as exc:
+            rows.append((hp, None, None, None, "failed", str(exc)))
+            continue
+        rows.append((hp, pooled, iterations, result.trace.objective[-1],
+                     result.trace.status, None))
+    return rows
+
+
+def table_rows(table):
+    return [(row.hyperparams, row.metrics, row.iterations, row.final_objective,
+             row.status, row.error) for row in table.rows]
+
+
+class TestSweepEngine:
+    # 8x6 samples: rank 6 is infeasible, so each grid has a failed cell.
+    GRID = HyperparamGrid(beta=(0.1, 0.5), sigma=(0.1,), rank=(2, 6),
+                          tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
+
+    def test_grid_search_rows_match_reference(self, synthetic, default_hp):
+        data, _, _ = synthetic
+        train, validation = split(data, 0.7, seed=1)
+        _, table = grid_search(train, validation, self.GRID, default_hp)
+        expected = reference_rows(self.GRID.configurations(default_hp),
+                                  [(train, validation)])
+        assert table_rows(table) == expected
+        assert [row.index for row in table.rows] == list(range(4))
+        assert [row.ok for row in table.rows] == [True, False, True, False]
+        assert all(row.status in ("converged", "max_iter")
+                   for row in table.rows if row.ok)
+
+    def test_cv_rows_pool_folds_like_reference(self, synthetic, default_hp):
+        data, _, _ = synthetic
+        train, _ = split(data, 0.7, seed=1)
+        _, table = grid_search_cv(train, self.GRID, default_hp, folds=3, seed=5)
+        pairs = [(train.subset(np.setdiff1d(np.arange(train.m), held_out), "fit"),
+                  train.subset(held_out, "score"))
+                 for held_out in _stratified_folds(train, 3, 5)]
+        expected = [row[:4] + ("cv" if row[5] is None else "failed", row[5])
+                    for row in reference_rows(self.GRID.configurations(default_hp),
+                                              pairs)]
+        assert table_rows(table) == expected
+        assert [row.ok for row in table.rows] == [True, False, True, False]
+        assert "rank" in table.rows[1].error
+        assert all(row.metrics.total == train.m for row in table.rows if row.ok)
 
 
 class TestNoiseSweep:

@@ -17,12 +17,14 @@ from hlsmm import (
     make_lowrank_separable,
     margin_residuals,
     penalized_objective,
+    project_rank,
     prox_heaviside,
     svd,
     update_b,
     update_w,
     update_z,
 )
+from hlsmm import solver
 from hlsmm.solver import _Problem, _w_step
 
 from conftest import make_rng, random_dataset
@@ -411,6 +413,35 @@ class TestProblemKernel:
         gn2 = float(np.dot(grad.ravel(), grad.ravel()))
         fg = F @ grad.ravel()
         assert problem.cauchy_step(grad) == gn2 / (gn2 + 2.0 * sigma * float(fg @ fg))
+
+    def test_backtracking_fit_never_computes_lipschitz_bound(self, synthetic,
+                                                             default_hp, monkeypatch):
+        problems = []
+
+        class Recording(_Problem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                problems.append(self)
+
+        monkeypatch.setattr(solver, "_Problem", Recording)
+        result = fit(synthetic[0], default_hp)
+        assert result.converged and len(problems) == 1
+        assert "lipschitz" not in problems[0].__dict__
+
+    def test_default_fixed_step_is_inverse_trace_bound(self):
+        data = random_dataset(66, m=30, p=4, q=3)
+        gen = make_rng(67)
+        hp = Hyperparams(beta=0.1, sigma=0.2, rank=1, tau1=0.05,
+                         step=StepPolicy(kind="fixed"))
+        w = np.outer(gen.standard_normal(4), gen.standard_normal(3))
+        state = ModelState(w=w, b=0.1, z=gen.standard_normal(30))
+        new_w, halvings = update_w(state, data, hp)
+        X = data.xs.reshape(data.m, -1)
+        alpha = 1.0 / (1.0 + 2.0 * hp.sigma * float(np.dot(X.ravel(), X.ravel()))
+                       + hp.tau1)
+        grad = grad_h(w, state.z, state.b, data, hp.sigma)
+        np.testing.assert_array_equal(new_w, project_rank(w - alpha * grad, hp.rank))
+        assert halvings == 0
 
     def test_fit_allocates_no_dataset_sized_copy(self):
         # ~4.6 MB design; the kernel must work on it in place, allocating only
