@@ -60,23 +60,39 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
+        """Parse a manifest; any ill-formed or ill-typed value is a DataError."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or not raw.get("path"):
+        if (not isinstance(raw, dict) or not raw.get("path")
+                or not isinstance(raw["path"], str)):
             raise DataError('manifest must be a JSON object with a non-empty "path"')
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise DataError(f"manifest has unknown keys {unknown}; allowed: "
                             f"{', '.join(f.name for f in fields(cls))}")
-        return cls(
-            format=raw.get("format", "csv"),
-            path=raw.get("path", ""),
-            reshape=tuple(raw["reshape"]) if raw.get("reshape") else None,
-            label_column=int(raw.get("label_column", 0)),
-            normalization=raw.get("normalization", "none"),
-        )
+
+        def is_int(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        reshape = raw.get("reshape")
+        if reshape is not None and not (
+                isinstance(reshape, list) and len(reshape) == 2
+                and all(is_int(n) and n > 0 for n in reshape)):
+            raise DataError(f"manifest reshape must be two positive integers, "
+                            f"got {reshape!r}")
+        label_column = raw.get("label_column", 0)
+        if not is_int(label_column):
+            raise DataError(f"manifest label_column must be an integer, "
+                            f"got {label_column!r}")
+        try:
+            return cls(format=raw.get("format", "csv"), path=raw["path"],
+                       reshape=tuple(reshape) if reshape else None,
+                       label_column=label_column,
+                       normalization=raw.get("normalization", "none"))
+        except InvalidArgumentError as exc:
+            raise DataError(f"manifest: {exc}") from exc
 
     def to_json(self) -> str:
         raw = {

@@ -1,28 +1,27 @@
 """Experiment harness: accuracy metrics, grid search, noise sweeps, exports.
 
 The held-out grid, the CV grid and the (rank, beta) surface share one
-fit-and-score loop, ``_sweep``; the noise sweep fits once and scores many
-corrupted test sets, so it keeps its own.
+fit-and-score loop, ``_sweep``, which fits all configurations of a training
+set as the lanes of :func:`~hlsmm.solver.fit_many`; the noise sweep fits once
+and scores many corrupted test sets, so it keeps its own.
 
-Sweep tables are assembled in deterministic configuration order regardless of
-how long individual fits take, and CSV exports contain no timing columns, so
+Sweep tables are assembled in deterministic configuration order whatever the
+order in which lanes finish, and CSV exports contain no timing columns, so
 two runs with identical inputs and seeds produce byte-identical files.
-Wall-clock time is kept on the in-memory rows only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .data import add_gaussian_noise, add_salt_pepper_noise
-from .errors import InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError
 from .model import Dataset, Hyperparams, ModelState, SolverTrace, predict_batch
-from .solver import fit
+from .solver import FitResult, fit, fit_many
 
 _NOISE = {"gaussian": add_gaussian_noise, "salt_pepper": add_salt_pepper_noise}
 NOISE_KINDS = tuple(_NOISE)
@@ -102,7 +101,6 @@ class SweepRow:
     noise_level: float | None
     noise_seed: int | None
     metrics: Metrics | None
-    wall_time: float
     final_objective: float | None
     iterations: int | None
     status: str
@@ -161,33 +159,43 @@ def _best(result: SweepResult) -> Hyperparams | None:
 
 
 def _sweep(configurations, pairs) -> SweepResult:
-    """One row per configuration, its counts pooled over the pairs of ``pairs()``.
+    """One row per configuration, its counts pooled over the (training, validation) pairs.
 
-    ``pairs()`` yields (training set, callable returning the validation set),
-    built lazily so that one fold is held during a fit.  A row sums the pairs'
-    iterations and keeps the last pair's objective and status; a fit that
-    raises on any pair makes a failed row carrying the message.
+    ``pairs`` yields the pairs one at a time, so that one fold is held at a
+    time.  Each training set fits every configuration still without an error
+    as one :func:`fit_many` call, and each model is scored as its lane stops.
+    A row sums the pairs' iterations and keeps the last pair's objective and
+    status; a fit that raises on any pair makes a failed row carrying the
+    message, and that configuration is not fitted on later pairs.
     """
+    configurations = list(configurations)
+    pooled = [Metrics(0, 0, 0, 0)] * len(configurations)
+    iterations = [0] * len(configurations)
+    last: list[tuple | None] = [None] * len(configurations)  # (objective, status)
+    errors: list[str | None] = [None] * len(configurations)
+    for train, validation in pairs:
+        live = [index for index, error in enumerate(errors) if error is None]
+        for lane, outcome in fit_many(train, [configurations[i] for i in live]):
+            index = live[lane]
+            if not isinstance(outcome, FitResult):
+                errors[index] = str(outcome)
+                continue
+            pooled[index] = pooled[index] + evaluate(outcome.model, validation)
+            iterations[index] += outcome.model.iter
+            last[index] = (outcome.trace.objective[-1], outcome.trace.status)
     rows = []
     for index, hp in enumerate(configurations):
-        pooled, wall, iterations = Metrics(0, 0, 0, 0), 0.0, 0
-        try:
-            for train, validation in pairs():
-                result = fit(train, hp)
-                pooled = pooled + evaluate(result.model, validation())
-                wall += result.wall_time
-                iterations += result.model.iter
-        except (InvalidArgumentError, NumericalError) as exc:
+        if errors[index] is not None:
             rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=None,
                                  noise_level=None, noise_seed=None, metrics=None,
-                                 wall_time=wall, final_objective=None,
-                                 iterations=None, status="failed", error=str(exc)))
+                                 final_objective=None, iterations=None,
+                                 status="failed", error=errors[index]))
             continue
         rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=None,
-                             noise_level=None, noise_seed=None, metrics=pooled,
-                             wall_time=wall,
-                             final_objective=result.trace.objective[-1],
-                             iterations=iterations, status=result.trace.status))
+                             noise_level=None, noise_seed=None,
+                             metrics=pooled[index],
+                             final_objective=last[index][0],
+                             iterations=iterations[index], status=last[index][1]))
     return SweepResult(rows=rows)
 
 
@@ -202,7 +210,7 @@ def grid_search(train: Dataset, validation: Dataset, grid: HyperparamGrid,
     remaining parameters in ascending lexicographic order.  Returns
     (best hyperparams or None when nothing succeeded, full table).
     """
-    result = _sweep(grid.configurations(base), lambda: [(train, lambda: validation)])
+    result = _sweep(grid.configurations(base), [(train, validation)])
     return _best(result), result
 
 
@@ -217,6 +225,18 @@ def _stratified_folds(data: Dataset, folds: int, seed: int) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == j) for j in range(folds)]
 
 
+def _cv_splits(data: Dataset, folds: int, seed: int):
+    """(training indices, held-out indices) of each fold, both ascending.
+
+    The training indices are the held-out fold's complement, taken with a
+    boolean mask.
+    """
+    for held_out in _stratified_folds(data, folds, seed):
+        keep = np.ones(data.m, dtype=bool)
+        keep[held_out] = False
+        yield np.flatnonzero(keep), held_out
+
+
 def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
                    folds: int = 3, seed: int = 0
                    ) -> tuple[Hyperparams | None, SweepResult]:
@@ -228,14 +248,9 @@ def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
     if folds < 2:
         raise InvalidArgumentError("need at least 2 folds")
     train.require_both_labels()
-    fold_idx = _stratified_folds(train, folds, seed)
 
-    def pairs():
-        for held_out in fold_idx:
-            keep = np.setdiff1d(np.arange(train.m), held_out)
-            yield (train.subset(keep, "cv-train"),
-                   partial(train.subset, held_out, "cv-val"))
-
+    pairs = ((train.subset(keep, "cv-train"), train.subset(held_out, "cv-val"))
+             for keep, held_out in _cv_splits(train, folds, seed))
     result = _sweep(grid.configurations(base), pairs)
     result.rows = [replace(row, status="cv") if row.ok else row for row in result.rows]
     return _best(result), result
@@ -266,7 +281,7 @@ def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
             metrics = evaluate(fitted.model, corrupted)
             rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=kind,
                                  noise_level=level, noise_seed=seed,
-                                 metrics=metrics, wall_time=fitted.wall_time,
+                                 metrics=metrics,
                                  final_objective=fitted.trace.objective[-1],
                                  iterations=fitted.model.iter,
                                  status=fitted.trace.status))
@@ -293,7 +308,7 @@ def sensitivity_grid(train: Dataset, test: Dataset, hp_base: Hyperparams,
         raise InvalidArgumentError("value lists must be non-empty")
     configurations = [replace(hp_base, rank=int(rank), beta=float(beta))
                       for rank in r_values for beta in beta_values]
-    result = _sweep(configurations, lambda: [(train, lambda: test)])
+    result = _sweep(configurations, [(train, test)])
     accuracy = [row.metrics.accuracy if row.ok else np.nan for row in result.rows]
     return np.array(accuracy).reshape(len(r_values), len(beta_values))
 

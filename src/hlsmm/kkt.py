@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import projection_ambiguous, svd
-from .model import Dataset, Hyperparams, ModelState, margin_residuals
+from .model import Dataset, Hyperparams, ModelState, decision_scores, margin_residuals
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def apply_operator(w, data: Dataset) -> np.ndarray:
         raise InvalidArgumentError(
             f"w shape {w.shape} does not match sample shape {data.sample_shape}"
         )
-    return -data.ys * (data.xs.reshape(data.m, -1) @ w.ravel())
+    # A bias of -0.0 adds nothing to any score, a zero's sign included.
+    return -data.ys * decision_scores(w, -0.0, data.xs)
 
 
 def apply_adjoint(lam, data: Dataset) -> np.ndarray:

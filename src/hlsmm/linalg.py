@@ -21,10 +21,11 @@ ZERO_TOL_REL = 1e-12
 AMBIGUITY_TOL_REL = 1e-10
 
 
-def _as_matrix(w, name: str = "w") -> np.ndarray:
+def _as_matrix(w, name: str = "w", stack: bool = False) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise InvalidArgumentError(f"{name} must be a 2-D matrix, got ndim={w.ndim}")
+    if not (w.ndim == 2 or stack and w.ndim == 3):
+        kinds = "a 2-D matrix or a (K, p, q) stack" if stack else "a 2-D matrix"
+        raise InvalidArgumentError(f"{name} must be {kinds}, got ndim={w.ndim}")
     if not np.isfinite(w).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return w
@@ -108,11 +109,14 @@ def project_rank(w, r: int) -> np.ndarray:
     (Eckart-Young).  When ``sigma_r == sigma_{r+1}`` the projection is
     set-valued; this routine returns the member selected by the LAPACK
     ordering of the factors (see :func:`projection_ambiguous`).
+
+    A (K, p, q) stack is projected matrix by matrix with one batched SVD;
+    each result equals the projection of that matrix alone bit for bit.
     """
-    w = _as_matrix(w)
-    r = _check_rank_bound(r, *w.shape)
+    w = _as_matrix(w, stack=True)
+    r = _check_rank_bound(r, *w.shape[-2:])
     u, s, vh = np.linalg.svd(w, full_matrices=False)
-    return (u[:, :r] * s[:r]) @ vh[:r]
+    return (u[..., :r] * s[..., None, :r]) @ vh[..., :r, :]
 
 
 def projection_ambiguous(w, r: int, rel_tol: float = AMBIGUITY_TOL_REL) -> bool:

@@ -258,14 +258,6 @@ class SolverTrace:
     halvings: list[int] = field(default_factory=list)
     status: str = "max_iter"
 
-    def append(self, objective: float, w_step: float, z_step: float,
-               b_step: float, halvings: int) -> None:
-        self.objective.append(float(objective))
-        self.w_step.append(float(w_step))
-        self.z_step.append(float(z_step))
-        self.b_step.append(float(b_step))
-        self.halvings.append(int(halvings))
-
     def __len__(self) -> int:
         return len(self.objective)
 

@@ -13,6 +13,11 @@ The z and b blocks minimize their subproblems exactly, so together with the
 W acceptance test every iteration decreases the objective by at least
 min(tau1, tau2, tau3)/2 times the squared block steps.  That inequality is
 asserted at runtime (exact z mode); violation raises NumericalError.
+
+One kernel runs K configurations of one dataset ("lanes") in lockstep: the
+iterates are stacked along a leading lane axis, every product is taken lane
+by lane, and a lane that stops or fails leaves the batch.  :func:`fit` is
+the one-lane case; :func:`fit_many` serves sweeps.
 """
 
 from __future__ import annotations
@@ -23,18 +28,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import HlsmmError, InvalidArgumentError, NumericalError
 from .linalg import project_rank, svd
-from .model import Dataset, Hyperparams, ModelState, SolverTrace, heaviside_count
+from .model import Dataset, Hyperparams, ModelState, SolverTrace
 
 # Slack allowed on the monotone-objective and sufficient-decrease assertions.
 MONOTONE_SLACK = 1e-10
 DECREASE_SLACK = 1e-9
 
+# Working memory of one lockstep batch, in float64 values.  A lane holds
+# about four m-vectors at once (scores, slack, trial scores, a temporary)
+# and five trace columns of up to maxit + 1 entries, so a batch takes
+# BATCH_FLOATS // (4 m + 5 (maxit + 1)) lanes, at least one.
+BATCH_FLOATS = 1 << 16
+
 
 @dataclass(frozen=True)
 class FitResult:
-    """Output of :func:`fit`: final iterate, per-iteration trace, echo of inputs."""
+    """Output of :func:`fit`: final iterate, per-iteration trace, echo of inputs.
+
+    ``wall_time`` runs from the start of the call until this lane stopped;
+    lanes of one :func:`fit_many` batch share their time.
+    """
 
     model: ModelState
     trace: SolverTrace
@@ -46,64 +61,123 @@ class FitResult:
         return self.trace.status == "converged"
 
 
-class _Problem:
-    """Arrays reused across iterations for one (dataset, sigma) pair.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of (K, n) stacks; ``b`` may be one shared n-vector.
 
-    Every block reads an iterate W through its scores s = X vec(W), with X
-    the (m, p*q) design; the caller computes them once per W and passes them on:
-      margins    v = 1 - y (s + b)
-      gradient   W + 2 sigma unflatten(X.T (y (z - v)))
+    (K, 1, n) @ (K, n, 1) is one dot product per row, the same call that a
+    product of two vectors makes.
+    """
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _sq_norms(w: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix of a (K, p, q) stack."""
+    flat = w.reshape(len(w), -1)
+    return _dots(flat, flat)
+
+
+class _Problem:
+    """The design shared by the lanes of a lockstep batch.
+
+    Lane k's iterate is row k of a (K, p, q) stack W.  Every block reads it
+    through its scores S = X vec(W), with X the (m, p*q) design; the caller
+    computes them once per W and passes them on:
+      margins    V = 1 - y (S + b)
+      gradient   W + 2 sigma unflatten(X.T (y (Z - V)))
       curvature  ||G||^2 + 2 sigma ||X vec(G)||^2 along a direction G
     y is +-1, so multiplying by it only flips signs, which is exact in
     floating point: these products equal those of the signed design
-    y_i vec(X_i) bit for bit without storing it.  With the scores cached an
-    iteration reads the design three times (gradient, Cauchy step, candidate
+    y_i vec(X_i) bit for bit without storing it.  ``X @ W[..., None]`` and
+    ``X.T @ G[..., None]`` broadcast the design into one matrix-vector
+    product per lane, so a lane's numbers are those of a one-lane run
+    whatever the other lanes hold.  With the scores cached an iteration
+    reads the design three times per lane (gradient, Cauchy step, candidate
     scores), plus once more per backtracking halving.
     """
 
-    def __init__(self, data: Dataset, sigma: float):
-        self.data = data
-        self.sigma = float(sigma)
-        self.shape = data.sample_shape
+    def __init__(self, data: Dataset):
         self.m = data.m
         self.X = data.xs.reshape(data.m, -1)
         self.ys = data.ys.astype(np.float64)
 
     @functools.cached_property
-    def lipschitz(self) -> float:
-        """Trace bound on the Lipschitz constant of grad h (one data pass, on first use)."""
-        return 1.0 + 2.0 * self.sigma * float(np.dot(self.X.ravel(), self.X.ravel()))
+    def sq_norm(self) -> float:
+        """||X||_F^2, the data term of the trace bound (one data pass, on first use)."""
+        return float(np.dot(self.X.ravel(), self.X.ravel()))
+
+    def lipschitz(self, sigma: np.ndarray) -> np.ndarray:
+        """Trace bound 1 + 2 sigma ||X||_F^2 on the Lipschitz constant of grad h."""
+        return 1.0 + 2.0 * sigma * self.sq_norm
 
     def scores(self, w: np.ndarray) -> np.ndarray:
-        """<W, X_i> for every sample: the one pass over the data per iterate."""
-        return self.X @ w.ravel()
+        """<W_k, X_i> for every lane and sample: one pass over the data per iterate."""
+        return (self.X @ w.reshape(len(w), -1, 1))[..., 0]
 
-    def margins(self, s: np.ndarray, b: float) -> np.ndarray:
-        return 1.0 - self.ys * (s + b)
+    def margins(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+        v = s + b[:, None]
+        v *= self.ys
+        return np.subtract(1.0, v, out=v)
 
-    def smooth(self, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float) -> float:
-        """h(W) = 1/2 ||W||^2 + sigma ||z - v(W, b)||^2 (loss term excluded)."""
-        gap = z - self.margins(s, b)
-        return 0.5 * float(np.dot(w.ravel(), w.ravel())) + self.sigma * float(gap @ gap)
+    def gap(self, s: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Z - V(W, b), the coupling residual."""
+        v = self.margins(s, b)
+        return np.subtract(z, v, out=v)
 
-    def objective(self, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float,
-                  beta: float) -> float:
-        return self.smooth(w, s, z, b) + beta * heaviside_count(z)
+    def smooth(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """h(W) = 1/2 ||W||^2 + sigma ||Z - V||^2 per lane (loss term excluded)."""
+        return 0.5 * _sq_norms(w) + sigma * _dots(gap, gap)
 
-    def gradient(self, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float) -> np.ndarray:
-        gap = z - self.margins(s, b)
-        return w + 2.0 * self.sigma * (self.X.T @ (self.ys * gap)).reshape(self.shape)
+    def objective(self, w, s, z, b, sigma, beta) -> np.ndarray:
+        return (self.smooth(w, self.gap(s, z, b), sigma)
+                + beta * np.count_nonzero(z > 0, axis=1))
 
-    def cauchy_step(self, grad: np.ndarray) -> float:
-        """Exact minimizer of alpha -> h(W - alpha grad); h is quadratic in W."""
-        gn2 = float(np.dot(grad.ravel(), grad.ravel()))
-        if gn2 == 0.0:
-            return 1.0 / self.lipschitz
-        xg = self.X @ grad.ravel()
-        curvature = gn2 + 2.0 * self.sigma * float(xg @ xg)
-        if not np.isfinite(curvature) or curvature <= 0.0:
-            return 1.0 / self.lipschitz
-        return gn2 / curvature
+    def gradient(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        pull = (self.X.T @ (self.ys * gap)[..., None]).reshape(w.shape)
+        return w + (2.0 * sigma)[:, None, None] * pull
+
+    def cauchy_step(self, grad: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """Exact minimizer of alpha -> h(W - alpha grad) per lane; h is quadratic in W.
+
+        Falls back to the inverse trace bound where the gradient vanishes or
+        the curvature is not a positive number.
+        """
+        gn2 = _sq_norms(grad)
+        xg = self.scores(grad)
+        curvature = gn2 + 2.0 * sigma * _dots(xg, xg)
+        fallback = (gn2 == 0.0) | ~np.isfinite(curvature) | (curvature <= 0.0)
+        if not fallback.any():
+            return gn2 / curvature
+        alpha = 1.0 / self.lipschitz(sigma)
+        return np.divide(gn2, curvature, out=alpha, where=~fallback)
+
+
+class _Lanes:
+    """Per-lane hyperparameters of a lockstep batch, as (K,) arrays.
+
+    The lanes share the rank bound, the step policy and the z mode.
+    """
+
+    def __init__(self, configurations):
+        self.configurations = list(configurations)
+        first = self.configurations[0]
+        self.rank, self.step, self.z_update = first.rank, first.step, first.z_update
+
+        def column(name):
+            return np.array([getattr(hp, name) for hp in self.configurations],
+                            dtype=np.float64)
+
+        self.beta, self.sigma = column("beta"), column("sigma")
+        self.tau1, self.tau2, self.tau3 = column("tau1"), column("tau2"), column("tau3")
+        self.tau_min = np.minimum(np.minimum(self.tau1, self.tau2), self.tau3)
+        self.tol_step, self.tol_obj = column("tol_step"), column("tol_obj")
+        # As floats any int bound fits; one above 2**53 rounds, but is never reached.
+        self.maxit = column("maxit")
+
+    def __len__(self) -> int:
+        return len(self.configurations)
+
+    def take(self, rows) -> "_Lanes":
+        return _Lanes(self.configurations[row] for row in rows)
 
 
 def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
@@ -122,95 +196,293 @@ def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
         )
     if z.shape[0] != data.m:
         raise InvalidArgumentError("slack length does not match sample count")
-    problem = _Problem(data, sigma)
-    return problem.gradient(w, problem.scores(w), z, float(b))
+    problem = _Problem(data)
+    gap = problem.gap(problem.scores(w[None]), z[None], np.array([float(b)]))
+    return problem.gradient(w[None], gap, np.array([float(sigma)]))[0]
 
 
-def _w_step(problem: _Problem, w: np.ndarray, s: np.ndarray, z: np.ndarray, b: float,
-            hp: Hyperparams, iteration: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """One accepted projected-gradient step from W with scores s.
+def _project(v: np.ndarray, rank: int, rows: np.ndarray, errors: dict,
+             iteration: int) -> np.ndarray:
+    """Rank projection of a stack whose matrix j belongs to lane ``rows[j]``.
 
-    Returns (new_w, its scores, halvings used, stalled).  The block stalls
-    when no step passes the decrease test within ``max_halvings``; it then
-    keeps new_w = w.
+    When the batched projection fails, each matrix is projected alone, so a
+    failure is charged to its own lane (in ``errors``) and not to the batch.
     """
-    grad = problem.gradient(w, s, z, b)
-    if not np.isfinite(grad).all():
-        raise NumericalError("non-finite gradient in W block", iteration)
-    policy = hp.step
+    try:
+        return project_rank(v, rank)
+    except (InvalidArgumentError, np.linalg.LinAlgError):
+        pass
+    out = v.copy()
+    for j, row in enumerate(rows):
+        try:
+            out[j] = project_rank(v[j], rank)
+        except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
+            error = NumericalError(f"rank projection failed: {exc}", iteration)
+            error.__cause__ = exc
+            errors.setdefault(row, error)
+    return out
+
+
+def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
+            z: np.ndarray, b: np.ndarray, iteration: int):
+    """One accepted projected-gradient step per lane from W with scores S.
+
+    Returns (new W, its scores, halvings used, stalled, errors).  A lane
+    stalls when no step passes the decrease test within ``max_halvings``; it
+    then keeps its W.  Backtracking halves only the lanes that failed the
+    test.  ``errors`` maps each row whose step failed to its NumericalError;
+    the other arrays hold no result for that row.
+    """
+    gap = problem.gap(s, z, b)
+    grad = problem.gradient(w, gap, lanes.sigma)
+    count = len(w)
+    finite = np.isfinite(grad).all(axis=(1, 2))
+    errors = {row: NumericalError("non-finite gradient in W block", iteration)
+              for row in np.flatnonzero(~finite)}
+    halvings = np.zeros(count, dtype=np.int64)
+    stalled = np.zeros(count, dtype=bool)
+    policy = lanes.step
     if policy.kind == "fixed":
-        alpha = policy.alpha0 if policy.alpha0 is not None else (
-            1.0 / (problem.lipschitz + hp.tau1))
-        try:
-            candidate = project_rank(w - alpha * grad, hp.rank)
-        except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"rank projection failed: {exc}", iteration) from exc
-        return candidate, problem.scores(candidate), 0, False
+        alpha = (np.full(count, policy.alpha0) if policy.alpha0 is not None
+                 else 1.0 / (problem.lipschitz(lanes.sigma) + lanes.tau1))
+        new_w = _project(w - alpha[:, None, None] * grad, lanes.rank,
+                         np.arange(count), errors, iteration)
+        return new_w, problem.scores(new_w), halvings, stalled, errors
 
-    alpha = policy.alpha0 if policy.alpha0 is not None else problem.cauchy_step(grad)
-    h_ref = problem.smooth(w, s, z, b)
-    for halvings in range(policy.max_halvings + 1):
-        try:
-            candidate = project_rank(w - alpha * grad, hp.rank)
-        except (InvalidArgumentError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"rank projection failed: {exc}", iteration) from exc
+    alpha = (np.full(count, policy.alpha0) if policy.alpha0 is not None
+             else problem.cauchy_step(grad, lanes.sigma))
+    h_ref = problem.smooth(w, gap, lanes.sigma)
+    del gap
+    stalled[:] = True
+    pending = np.flatnonzero(finite)
+    # A first trial on every lane writes its arrays straight into the result;
+    # later trials overwrite the rows they accept.
+    new_w, new_s = (None, None) if pending.size == count else (w.copy(), s.copy())
+    for trial in range(policy.max_halvings + 1):
+        if not pending.size:
+            break
+        rows = slice(None) if pending.size == count else pending
+        candidate = _project(w[rows] - alpha[rows, None, None] * grad[rows],
+                             lanes.rank, pending, errors, iteration)
         s_candidate = problem.scores(candidate)
-        step = candidate - w
-        decrease_ok = (problem.smooth(candidate, s_candidate, z, b)
-                       + 0.5 * hp.tau1 * float(np.dot(step.ravel(), step.ravel()))
-                       <= h_ref)
-        if decrease_ok:
-            return candidate, s_candidate, halvings, False
-        alpha *= policy.shrink
-    return w, s, policy.max_halvings, True  # stalled block: keep the previous iterate
+        step = candidate - w[rows]
+        ok = (problem.smooth(candidate, problem.gap(s_candidate, z[rows], b[rows]),
+                             lanes.sigma[rows])
+              + 0.5 * lanes.tau1[rows] * _sq_norms(step)
+              <= h_ref[rows])
+        live = ~np.isin(pending, list(errors)) if errors else np.ones(pending.size, bool)
+        ok &= live
+        if new_w is None:
+            new_w, new_s = candidate, s_candidate
+        else:
+            new_w[pending[ok]] = candidate[ok]
+            new_s[pending[ok]] = s_candidate[ok]
+        halvings[pending[ok]] = trial
+        stalled[pending[ok]] = False
+        pending = pending[~ok & live]
+        alpha[pending] *= policy.shrink
+    # Stalled lanes keep their iterate.
+    new_w[pending] = w[pending]
+    new_s[pending] = s[pending]
+    halvings[pending] = policy.max_halvings
+    return new_w, new_s, halvings, stalled, errors
 
 
-def _z_step(problem: _Problem, s_new: np.ndarray, z: np.ndarray, b: float,
-            hp: Hyperparams) -> np.ndarray:
-    v = problem.margins(s_new, b)
-    sigma, tau2, beta = hp.sigma, hp.tau2, hp.beta
-    if hp.z_update == "exact":
+def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
+            b: np.ndarray) -> np.ndarray:
+    sigma, tau2, beta = lanes.sigma[:, None], lanes.tau2[:, None], lanes.beta[:, None]
+    center = problem.margins(s_new, b)
+    center *= 2.0 * sigma
+    center += tau2 * z
+    if lanes.z_update == "exact":
         # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
         # complete the square (curvature 2 sigma + tau2), then hard-threshold.
-        center = (2.0 * sigma * v + tau2 * z) / (2.0 * sigma + tau2)
+        center /= 2.0 * sigma + tau2
         threshold = np.sqrt(2.0 * beta / (2.0 * sigma + tau2))
     else:
         # Constants as printed in the source algorithm; kept for comparison.
         # Not the subproblem minimizer: the center weights sum to more than one
         # and the threshold is wider, so no descent guarantee applies.
-        center = (2.0 * sigma * v + tau2 * z) / (sigma + tau2)
+        center /= sigma + tau2
         threshold = np.sqrt(4.0 * beta / (sigma + tau2))
-    return np.where((center > 0) & (center <= threshold), 0.0, center)
+    center[(center > 0) & (center <= threshold)] = 0.0
+    return center
 
 
-def _b_step(problem: _Problem, s_new: np.ndarray, z_new: np.ndarray, b: float,
-            hp: Hyperparams) -> float:
+def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarray,
+            b: np.ndarray) -> np.ndarray:
     # First-order condition of  sigma ||z - 1 + A(W) + b y||^2 + tau3/2 (b - b^k)^2,
     # with s_new = A(W) the scores <W, X_i> of the new W.
-    sigma, tau3 = hp.sigma, hp.tau3
-    residual_no_b = float(problem.ys @ (z_new - 1.0)) + float(s_new.sum())
+    sigma, tau3 = lanes.sigma, lanes.tau3
+    residual_no_b = _dots(z_new - 1.0, problem.ys) + s_new.sum(axis=1)
     return (tau3 * b - 2.0 * sigma * residual_no_b) / (2.0 * sigma * problem.m + tau3)
+
+
+def _one_lane(state: ModelState, data: Dataset, hp: Hyperparams):
+    problem = _Problem(data)
+    w, z, b = state.w[None], state.z[None], np.array([state.b])
+    return problem, _Lanes([hp]), w, problem.scores(w), z, b
 
 
 def update_w(state: ModelState, data: Dataset, hp: Hyperparams) -> tuple[np.ndarray, int]:
     """Public one-shot W update; see the module docstring for the scheme."""
     hp.validate_for_shape(*data.sample_shape)
-    problem = _Problem(data, hp.sigma)
-    w_new, _, halvings, _ = _w_step(problem, state.w, problem.scores(state.w),
-                                    state.z, state.b, hp, state.iter)
-    return w_new, halvings
+    problem, lanes, w, s, z, b = _one_lane(state, data, hp)
+    w_new, _, halvings, _, errors = _w_step(problem, lanes, w, s, z, b, state.iter)
+    if errors:
+        raise errors[0]
+    return w_new[0], int(halvings[0])
 
 
 def update_z(state: ModelState, data: Dataset, hp: Hyperparams) -> np.ndarray:
     """Exact (or paper-mode) slack update, assuming ``state.w`` is the new W."""
-    problem = _Problem(data, hp.sigma)
-    return _z_step(problem, problem.scores(state.w), state.z, state.b, hp)
+    problem, lanes, _, s, z, b = _one_lane(state, data, hp)
+    return _z_step(problem, lanes, s, z, b)[0]
 
 
 def update_b(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     """Closed-form bias update, assuming W and z are already updated."""
-    problem = _Problem(data, hp.sigma)
-    return _b_step(problem, problem.scores(state.w), state.z, state.b, hp)
+    problem, lanes, _, s, z, b = _one_lane(state, data, hp)
+    return float(_b_step(problem, lanes, s, z, b)[0])
+
+
+def _check_start(data: Dataset, hp: Hyperparams, init: ModelState | None) -> None:
+    data.require_both_labels()
+    hp.validate_for_shape(*data.sample_shape)
+    if init is None:
+        return
+    if init.w.shape != data.sample_shape or init.z.shape[0] != data.m:
+        raise InvalidArgumentError("init state does not match dataset shapes")
+    if svd(init.w).rank > hp.rank:
+        # A stalled W block keeps the previous iterate, so feasibility of the
+        # returned model requires a feasible start.
+        raise InvalidArgumentError(
+            f"init weight matrix has rank {svd(init.w).rank} > bound {hp.rank}")
+
+
+def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: float):
+    """Run one batch of lanes from ``start``; yield (row, outcome) as each lane stops.
+
+    The outcome is a :class:`FitResult` or the lane's NumericalError.  Every
+    check of the one-lane scheme runs on every lane, in the same order: the
+    first that fails ends that lane and no other.
+    """
+    count = len(lanes)
+    ids = np.arange(count)
+    w = np.repeat(start.w[None], count, axis=0)
+    z = np.repeat(start.z[None], count, axis=0)
+    b = np.full(count, start.b)
+    s = problem.scores(w)
+    g = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
+    # Trace columns (objective, W, z and b step norms, halvings) by lane and
+    # iteration; the iteration axis doubles when full, up to maxit + 1.
+    history = np.empty((5, count, min(int(lanes.maxit.max()), 63) + 1))
+    history[:, :, 0] = 0.0
+    history[0, :, 0] = g
+
+    k = 0
+    stops: dict = {}
+    while True:
+        for row in np.flatnonzero(lanes.maxit <= k):
+            stops.setdefault(row, "max_iter")
+        if stops:
+            for row, stop in stops.items():
+                if isinstance(stop, NumericalError):
+                    yield ids[row], stop
+                    continue
+                *floats, halvings = history[:, row, :k + 1].tolist()
+                trace = SolverTrace(*floats, [int(h) for h in halvings], status=stop)
+                final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
+                yield ids[row], FitResult(
+                    model=final, trace=trace, hyperparams_echo=lanes.configurations[row],
+                    wall_time=time.perf_counter() - t_start)
+            keep = [row for row in range(len(ids)) if row not in stops]
+            if not keep:
+                return
+            w, s, z, b, g = w[keep], s[keep], z[keep], b[keep], g[keep]
+            ids, history, lanes = ids[keep], history[:, keep], lanes.take(keep)
+            stops = {}
+
+        k += 1
+        # Overflow warnings are silenced: divergence (possible in the
+        # paper-mode z-update) is caught by the finiteness guards below.
+        # The previous scores and slack are dropped as soon as they are used.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_new, s, halvings, stalled, errors = _w_step(problem, lanes, w, s, z, b, k)
+            z_old, z = z, _z_step(problem, lanes, s, z, b)
+            b_new = _b_step(problem, lanes, s, z, b)
+            np.subtract(z, z_old, out=z_old)
+            dz = np.sqrt(_dots(z_old, z_old))
+            del z_old
+            finite = (np.isfinite(w_new).all(axis=(1, 2)) & np.isfinite(z).all(axis=1)
+                      & np.isfinite(b_new))
+            g_new = problem.objective(w_new, s, z, b_new, lanes.sigma, lanes.beta)
+            dw = np.sqrt(_sq_norms(w_new - w))
+            db = np.abs(b_new - b)
+            w_norm = np.sqrt(_sq_norms(w))
+            # The checks in the order of the one-lane scheme; a lane keeps its
+            # first failure.
+            checks = [(~finite, lambda row: "iterate became non-finite"),
+                      (~np.isfinite(g_new), lambda row: "objective became non-finite")]
+            if lanes.z_update == "exact":
+                decrease = g - g_new
+                required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)
+                checks += [
+                    (g_new > g + MONOTONE_SLACK, lambda row: (
+                        f"objective increased from {g[row]:.6e} to {g_new[row]:.6e}")),
+                    (decrease < required - DECREASE_SLACK, lambda row: (
+                        f"sufficient decrease violated: {decrease[row]:.3e} < "
+                        f"{required[row]:.3e}"))]
+        for failed, message in checks:
+            if failed.any():
+                for row in np.flatnonzero(failed):
+                    errors.setdefault(row, NumericalError(message(row), k))
+
+        if k == history.shape[2]:
+            history = np.concatenate((history, np.empty_like(history)), axis=2)
+        history[:, :, k] = (g_new, dw, dz, db, halvings)
+        stop = ((dw / np.maximum(1.0, w_norm) <= lanes.tol_step)
+                & (np.abs(g_new - g) <= lanes.tol_obj))
+        stops = errors
+        if stop.any():
+            for row in np.flatnonzero(stop):
+                stops.setdefault(row, "stalled" if stalled[row] else "converged")
+        w, b, g = w_new, b_new, g_new
+
+
+def fit_many(data: Dataset, configurations, init: ModelState | None = None):
+    """Fit every configuration on ``data``, as the lanes of lockstep batches.
+
+    Yields (position in ``configurations``, outcome) as each lane stops, in
+    no fixed order; the outcome is the :class:`FitResult` of
+    ``fit(data, hp, init)``, equal to it bit for bit, or the
+    InvalidArgumentError or NumericalError that call raises.  A lane's
+    failure leaves the other lanes unchanged.  Lanes sharing the rank bound,
+    step policy and z mode run together, as many per batch as
+    ``BATCH_FLOATS`` allows.
+    """
+    t_start = time.perf_counter()
+    configurations = list(configurations)
+    groups: dict = {}
+    for index, hp in enumerate(configurations):
+        try:
+            _check_start(data, hp, init)
+        except InvalidArgumentError as exc:
+            yield index, exc
+            continue
+        groups.setdefault((hp.rank, hp.step, hp.z_update), []).append(index)
+    if not groups:
+        return
+    problem = _Problem(data)
+    start = init if init is not None else ModelState.initial(data)
+    for indices in groups.values():
+        maxit = max(configurations[index].maxit for index in indices)
+        width = max(1, BATCH_FLOATS // (4 * data.m + 5 * (maxit + 1)))
+        for first in range(0, len(indices), width):
+            batch = indices[first:first + width]
+            lanes = _Lanes(configurations[index] for index in batch)
+            for row, outcome in _lockstep(problem, lanes, start, t_start):
+                yield batch[row], outcome
 
 
 def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitResult:
@@ -230,68 +502,7 @@ def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitRe
     NumericalError
         Non-finite values or a broken descent inequality, with the iteration.
     """
-    t_start = time.perf_counter()
-    data.require_both_labels()
-    hp.validate_for_shape(*data.sample_shape)
-
-    state = init if init is not None else ModelState.initial(data)
-    if state.w.shape != data.sample_shape or state.z.shape[0] != data.m:
-        raise InvalidArgumentError("init state does not match dataset shapes")
-    if init is not None and svd(state.w).rank > hp.rank:
-        # A stalled W block keeps the previous iterate, so feasibility of the
-        # returned model requires a feasible start.
-        raise InvalidArgumentError(
-            f"init weight matrix has rank {svd(state.w).rank} > bound {hp.rank}")
-
-    problem = _Problem(data, hp.sigma)
-    w, z, b = state.w.copy(), state.z.copy(), state.b
-    s = problem.scores(w)
-    g = problem.objective(w, s, z, b, hp.beta)
-    tau_min = min(hp.tau1, hp.tau2, hp.tau3)
-    enforce_descent = hp.z_update == "exact"
-
-    trace = SolverTrace()
-    trace.append(g, 0.0, 0.0, 0.0, 0)
-
-    iterations = 0
-    for k in range(1, hp.maxit + 1):
-        # Overflow warnings are silenced: divergence (possible in the
-        # paper-mode z-update) is caught by the finiteness guards below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_new, s_new, halvings, stalled = _w_step(problem, w, s, z, b, hp, k)
-            z_new = _z_step(problem, s_new, z, b, hp)
-            b_new = _b_step(problem, s_new, z_new, b, hp)
-            if not (np.isfinite(w_new).all() and np.isfinite(z_new).all()
-                    and np.isfinite(b_new)):
-                raise NumericalError("iterate became non-finite", k)
-            g_new = problem.objective(w_new, s_new, z_new, b_new, hp.beta)
-        if not np.isfinite(g_new):
-            raise NumericalError("objective became non-finite", k)
-
-        dw = float(np.linalg.norm(w_new - w))
-        dz = float(np.linalg.norm(z_new - z))
-        db = abs(b_new - b)
-        if enforce_descent:
-            if g_new > g + MONOTONE_SLACK:
-                raise NumericalError(
-                    f"objective increased from {g:.6e} to {g_new:.6e}", k)
-            decrease = g - g_new
-            required = 0.5 * tau_min * (dw * dw + dz * dz + db * db)
-            if decrease < required - DECREASE_SLACK:
-                raise NumericalError(
-                    f"sufficient decrease violated: {decrease:.3e} < {required:.3e}", k)
-
-        trace.append(g_new, dw, dz, db, halvings)
-        w_norm = float(np.linalg.norm(w))
-        stop = (dw / max(1.0, w_norm) <= hp.tol_step) and (abs(g_new - g) <= hp.tol_obj)
-        w, s, z, b, g = w_new, s_new, z_new, b_new, g_new
-        iterations = k
-        if stop:
-            trace.status = "stalled" if stalled else "converged"
-            break
-    else:
-        trace.status = "max_iter"
-
-    final = ModelState(w=w, b=b, z=z, iter=iterations)
-    return FitResult(model=final, trace=trace,
-                     hyperparams_echo=hp, wall_time=time.perf_counter() - t_start)
+    [(_, outcome)] = fit_many(data, [hp], init)
+    if isinstance(outcome, HlsmmError):
+        raise outcome
+    return outcome

@@ -74,6 +74,20 @@ class TestExitCodes:
         assert code == 3
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("label_column", "abc"), ("reshape", [3]), ("format", "parquet"),
+        ("normalization", "l2"),
+    ])
+    def test_manifest_ill_typed_value_is_data_error(self, smm1_file, tmp_path,
+                                                    capsys, key, value):
+        path, _ = smm1_file
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"path": str(path), key: value}))
+        code = main(["train", "--manifest", str(manifest), "--rank", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and key in err
+
     def test_removed_jobs_flag_is_usage_error(self, smm1_file, capsys):
         path, _ = smm1_file
         code = main(["sweep", "--data", str(path), "--format", "smm1",

@@ -346,6 +346,21 @@ class TestManifest:
         with pytest.raises(DataError, match=re.escape(f"unknown keys ['{key}']")):
             DatasetManifest.from_json(text)
 
+    @pytest.mark.parametrize("key,value", [
+        ("label_column", "abc"), ("label_column", 1.5), ("label_column", True),
+        ("reshape", [3]), ("reshape", [3, 0]), ("reshape", [3, "19"]),
+        ("reshape", "3x19"), ("format", "parquet"), ("format", 5),
+        ("normalization", "l2"),
+    ])
+    def test_rejects_ill_typed_value(self, key, value):
+        text = json.dumps({"path": "d.csv", key: value})
+        with pytest.raises(DataError, match=key):
+            DatasetManifest.from_json(text)
+
+    def test_rejects_non_string_path(self):
+        with pytest.raises(DataError, match="path"):
+            DatasetManifest.from_json(json.dumps({"path": ["d.csv"]}))
+
 
 class TestSyntheticGenerator:
     def test_margins_and_labels_consistent(self):

@@ -17,7 +17,12 @@ from hlsmm import (
     sensitivity_grid,
     split,
 )
-from hlsmm.experiments import _stratified_folds, write_sweep_csv, write_sensitivity_csv
+from hlsmm.experiments import (
+    _cv_splits,
+    _stratified_folds,
+    write_sensitivity_csv,
+    write_sweep_csv,
+)
 
 from conftest import make_rng, random_dataset
 
@@ -195,6 +200,18 @@ class TestSweepEngine:
         assert [row.ok for row in table.rows] == [True, False, True, False]
         assert "rank" in table.rows[1].error
         assert all(row.metrics.total == train.m for row in table.rows if row.ok)
+
+    @pytest.mark.parametrize("m,folds,seed", [(7, 2, 1), (30, 3, 0), (31, 4, 5),
+                                              (200, 3, 7)])
+    def test_cv_training_indices_match_setdiff_reference(self, m, folds, seed):
+        data = random_dataset(seed, m=m)
+        splits = list(_cv_splits(data, folds, seed))
+        reference = _stratified_folds(data, folds, seed)
+        assert len(splits) == len(reference) == folds
+        for (keep, held_out), expected_held_out in zip(splits, reference):
+            np.testing.assert_array_equal(held_out, expected_held_out)
+            np.testing.assert_array_equal(
+                keep, np.setdiff1d(np.arange(m), expected_held_out))
 
 
 class TestNoiseSweep:

@@ -43,6 +43,16 @@ class TestAdjoint:
         np.testing.assert_allclose(
             v, 1.0 + apply_operator(w, data) - b * data.ys, rtol=1e-12)
 
+    def test_operator_is_signed_product_bit_for_bit(self):
+        # A zero matrix gives products of either sign of zero; the operator
+        # must keep them, as the plain product -y_i <W, X_i> does.
+        data = random_dataset(55, m=40, p=3, q=4)
+        gen = make_rng(56)
+        X = data.xs.reshape(data.m, -1)
+        for w in (np.zeros(data.sample_shape), gen.standard_normal(data.sample_shape)):
+            expected = -data.ys * (X @ w.ravel())
+            assert apply_operator(w, data).tobytes() == expected.tobytes()
+
 
 class TestEstimateMultiplier:
     def test_feasible_point_gives_zero(self):

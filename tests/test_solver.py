@@ -25,7 +25,7 @@ from hlsmm import (
     update_z,
 )
 from hlsmm import solver
-from hlsmm.solver import _Problem, _w_step
+from hlsmm.solver import _Lanes, _Problem, _w_step
 
 from conftest import make_rng, random_dataset
 
@@ -373,11 +373,12 @@ class TestStall:
         # the explicit flag tells it apart from a stall.
         data, _, _ = synthetic
         hp = default_hp.with_(step=StepPolicy(alpha0=1e-3, max_halvings=0))
-        problem = _Problem(data, hp.sigma)
-        w = np.zeros(data.sample_shape)
-        new_w, scores, halvings, stalled = _w_step(
-            problem, w, problem.scores(w), np.zeros(data.m), 0.0, hp, 1)
-        assert (halvings, stalled) == (0, False)
+        problem = _Problem(data)
+        w = np.zeros((1, *data.sample_shape))
+        new_w, scores, halvings, stalled, errors = _w_step(
+            problem, _Lanes([hp]), w, problem.scores(w), np.zeros((1, data.m)),
+            np.zeros(1), 1)
+        assert (halvings[0], stalled[0], errors) == (0, False, {})
         assert not np.array_equal(new_w, w)
         np.testing.assert_array_equal(scores, problem.scores(new_w))
 
@@ -385,7 +386,8 @@ class TestStall:
 class TestProblemKernel:
     """The cached-score kernel against the signed design F = y_i vec(X_i).
 
-    Multiplying by y = +-1 is exact, so the products must agree bit for bit.
+    Multiplying by y = +-1 is exact, so the products must agree bit for bit,
+    lane by lane of a stack.
     """
 
     @pytest.mark.parametrize("seed,m,p,q", [(61, 7, 3, 2), (62, 40, 5, 6),
@@ -393,26 +395,29 @@ class TestProblemKernel:
     def test_matches_signed_design_exactly(self, seed, m, p, q):
         data = random_dataset(seed, m=m, p=p, q=q)
         gen = make_rng(seed + 1000)
-        w = gen.standard_normal((p, q))
-        z = gen.standard_normal(m)
-        b = float(gen.standard_normal())
-        sigma = 0.37
+        w = gen.standard_normal((2, p, q))
+        z = gen.standard_normal((2, m))
+        b = gen.standard_normal(2)
+        sigma = np.array([0.37, 2.5])
         X = data.xs.reshape(m, -1)
         ys = data.ys.astype(np.float64)
         F = ys[:, None] * X
 
-        problem = _Problem(data, sigma)
+        problem = _Problem(data)
         s = problem.scores(w)
-        v = 1.0 - (F @ w.ravel() + b * ys)
-        np.testing.assert_array_equal(problem.margins(s, b), v)
+        margins = problem.margins(s, b)
+        grad = problem.gradient(w, problem.gap(s, z, b), sigma)
+        alpha = problem.cauchy_step(grad, sigma)
+        for k in range(2):
+            v = 1.0 - (F @ w[k].ravel() + b[k] * ys)
+            np.testing.assert_array_equal(margins[k], v)
 
-        expected_grad = w + 2.0 * sigma * (F.T @ (z - v)).reshape(p, q)
-        grad = problem.gradient(w, s, z, b)
-        np.testing.assert_array_equal(grad, expected_grad)
+            expected_grad = w[k] + 2.0 * sigma[k] * (F.T @ (z[k] - v)).reshape(p, q)
+            np.testing.assert_array_equal(grad[k], expected_grad)
 
-        gn2 = float(np.dot(grad.ravel(), grad.ravel()))
-        fg = F @ grad.ravel()
-        assert problem.cauchy_step(grad) == gn2 / (gn2 + 2.0 * sigma * float(fg @ fg))
+            gn2 = float(np.dot(grad[k].ravel(), grad[k].ravel()))
+            fg = F @ grad[k].ravel()
+            assert alpha[k] == gn2 / (gn2 + 2.0 * sigma[k] * float(fg @ fg))
 
     def test_backtracking_fit_never_computes_lipschitz_bound(self, synthetic,
                                                              default_hp, monkeypatch):
@@ -426,7 +431,7 @@ class TestProblemKernel:
         monkeypatch.setattr(solver, "_Problem", Recording)
         result = fit(synthetic[0], default_hp)
         assert result.converged and len(problems) == 1
-        assert "lipschitz" not in problems[0].__dict__
+        assert "sq_norm" not in problems[0].__dict__
 
     def test_default_fixed_step_is_inverse_trace_bound(self):
         data = random_dataset(66, m=30, p=4, q=3)
