@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -49,6 +50,9 @@ class DatasetManifest:
         if self.normalization not in ("none", "per_sample_zscore"):
             raise InvalidArgumentError(
                 f"unknown normalization {self.normalization!r}")
+        if self.reshape is not None and min(self.reshape) < 1:
+            raise InvalidArgumentError(
+                f"reshape must be two positive integers, got {self.reshape}")
 
     @classmethod
     def from_file(cls, path) -> "DatasetManifest":
@@ -146,6 +150,9 @@ def load_csv(path, label_column: int = 0,
                 continue
             if width is None:
                 width = len(row)
+                if width < 2:
+                    raise DataError(f"{path}, line {line_no}: no feature "
+                                    "columns besides the label")
                 if not -width <= label_column < width:
                     raise DataError(
                         f"{path}: label column {label_column} out of range "
@@ -173,7 +180,7 @@ def load_csv(path, label_column: int = 0,
     d = features.shape[1]
     if reshape is not None:
         p, q = reshape
-        if p * q != d:
+        if p < 1 or q < 1 or p * q != d:
             raise DataError(
                 f"{path}: reshape {p}x{q} = {p * q} does not match "
                 f"{d} features per row")
@@ -187,40 +194,56 @@ def load_csv(path, label_column: int = 0,
 
 
 def save_smm1(data: Dataset, path) -> None:
-    """Write the binary SMM1 container; byte-deterministic for a given dataset."""
-    path = Path(path)
-    header = _SMM1_MAGIC + struct.pack("<I", _SMM1_VERSION)
-    header += struct.pack("<QQQ", data.m, data.p, data.q)
-    labels = data.ys.astype("<i1").tobytes()
-    payload = np.ascontiguousarray(data.xs, dtype="<f8").tobytes()
-    path.write_bytes(header + labels + payload)
+    """Write the binary SMM1 container; byte-deterministic for a given dataset.
+
+    The header, the labels and the feature array go to the file one after
+    the other, so no second copy of the payload is built in memory.
+    """
+    with Path(path).open("wb") as handle:
+        handle.write(_SMM1_MAGIC + struct.pack("<IQQQ", _SMM1_VERSION,
+                                               data.m, data.p, data.q))
+        handle.write(data.ys)
+        handle.write(np.ascontiguousarray(data.xs, dtype="<f8"))
 
 
 def load_smm1(path, name: str | None = None) -> Dataset:
+    """Read an SMM1 file straight into the arrays of the returned dataset.
+
+    The header and the exact file size are checked before anything is
+    allocated, so a corrupt count cannot request a huge array.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such file")
-    blob = path.read_bytes()
-    if len(blob) < 32 or blob[:4] != _SMM1_MAGIC:
-        raise DataError(f"{path}: not an SMM1 file (bad magic)")
-    version, = struct.unpack_from("<I", blob, 4)
-    if version != _SMM1_VERSION:
-        raise DataError(f"{path}: unsupported SMM1 version {version}")
-    m, p, q = struct.unpack_from("<QQQ", blob, 8)
-    if m == 0:
-        raise DataError(f"{path}: empty dataset (m = 0)")
-    expected = 32 + m + 8 * m * p * q
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: truncated or oversized payload "
-            f"({len(blob)} bytes, expected {expected})")
-    ys = np.frombuffer(blob, dtype="<i1", count=m, offset=32)
+    with path.open("rb") as handle:
+        header = handle.read(32)
+        if header[:4] != _SMM1_MAGIC:
+            raise DataError(f"{path}: not an SMM1 file (bad magic)")
+        if len(header) < 32:
+            raise DataError(f"{path}: truncated header "
+                            f"({len(header)} bytes, expected 32)")
+        version, m, p, q = struct.unpack_from("<IQQQ", header, 4)
+        if version != _SMM1_VERSION:
+            raise DataError(f"{path}: unsupported SMM1 version {version}")
+        if m == 0:
+            raise DataError(f"{path}: empty dataset (m = 0)")
+        if p == 0 or q == 0:
+            raise DataError(f"{path}: empty samples ({p}x{q})")
+        size = os.fstat(handle.fileno()).st_size
+        expected = 32 + m + 8 * m * p * q
+        if size != expected:
+            raise DataError(
+                f"{path}: truncated or oversized payload "
+                f"({size} bytes, expected {expected})")
+        ys = np.empty(m, dtype="<i1")
+        xs = np.empty((m, p, q), dtype="<f8")
+        if handle.readinto(ys) + handle.readinto(xs) != expected - 32:
+            raise DataError(f"{path}: file changed while it was read")
     if not np.isin(ys, (-1, 1)).all():
         raise DataError(f"{path}: labels must be -1 or +1")
-    xs = np.frombuffer(blob, dtype="<f8", count=m * p * q, offset=32 + m)
     try:
-        return Dataset(xs=xs.reshape(m, p, q).copy(), ys=ys.copy(),
-                       name=name or path.stem, provenance=f"smm1 {path}")
+        return Dataset(xs=xs, ys=ys, name=name or path.stem,
+                       provenance=f"smm1 {path}")
     except InvalidArgumentError as exc:  # non-finite features
         raise DataError(f"{path}: {exc}") from exc
 

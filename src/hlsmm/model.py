@@ -58,8 +58,9 @@ class Dataset:
     def __post_init__(self):
         xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.float64))
         ys = np.asarray(self.ys, dtype=np.int8).ravel()
-        if xs.ndim != 3 or xs.shape[0] == 0:
-            raise InvalidArgumentError("dataset needs a non-empty (m, p, q) feature array")
+        if xs.ndim != 3 or 0 in xs.shape:
+            raise InvalidArgumentError(
+                "dataset needs an (m, p, q) feature array with m, p, q >= 1")
         if ys.shape[0] != xs.shape[0]:
             raise InvalidArgumentError("label count does not match sample count")
         if not np.isfinite(xs).all():

@@ -49,7 +49,7 @@ def _hp_to_dict(hp: Hyperparams) -> dict:
 
 
 def _hp_from_dict(raw: dict) -> Hyperparams:
-    step = raw.get("step", {})
+    step = _object(raw.get("step", {}), "step")
     return Hyperparams(
         beta=raw["beta"], sigma=raw["sigma"], rank=int(raw["rank"]),
         tau1=raw["tau1"], tau2=raw["tau2"], tau3=raw["tau3"],
@@ -60,6 +60,19 @@ def _hp_from_dict(raw: dict) -> Hyperparams:
                         max_halvings=int(step.get("max_halvings", 30))),
         z_update=raw.get("z_update", "exact"), seed=int(raw.get("seed", 0)),
     )
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be a JSON object")
+    return value
+
+
+def _typed(value, kinds, key: str):
+    """``value`` if it is an instance of ``kinds`` (a bool is no number), else TypeError."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise TypeError(f"{key} has the wrong type: {value!r}")
+    return value
 
 
 def save_model(path, w: np.ndarray, b: float, hp: Hyperparams,
@@ -81,32 +94,42 @@ def save_model(path, w: np.ndarray, b: float, hp: Hyperparams,
 
 
 def load_model(path) -> LoadedModel:
+    """Read a model file; any ill-formed, ill-typed or non-finite value is a DataError."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"{path}: no such file")
     try:
-        document = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        document = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: not a valid model file: {exc}") from exc
+    if not isinstance(document, dict):
+        raise DataError(f"{path}: not a valid model file: not a JSON object")
     if document.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format version")
     try:
-        p, q = int(document["p"]), int(document["q"])
+        p, q, rank_bound = (_typed(document[key], int, key)
+                            for key in ("p", "q", "rank_bound"))
+        b = float(_typed(document["b"], (int, float), "b"))
         blob = base64.b64decode(document["w_b64"])
         digest = document["w_sha256"]
-        provenance = document.get("provenance", {})
-        hp = _hp_from_dict(document["hyperparams"])
-        b = float(document["b"])
-    except (KeyError, ValueError, TypeError) as exc:
+        hp = _hp_from_dict(_object(document["hyperparams"], "hyperparams"))
+        provenance = _object(document.get("provenance", {}), "provenance")
+        dataset_name = _typed(provenance.get("dataset", ""), str, "dataset")
+        seed = _typed(provenance.get("seed", 0), int, "seed")
+        build = _typed(provenance.get("build", ""), str, "build")
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed model file (missing {exc})") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
+    if p < 1 or q < 1:
+        raise DataError(f"{path}: weight shape {p}x{q} is not at least 1x1")
     if len(blob) != p * q * 8:
         raise DataError(f"{path}: weight payload has {len(blob)} bytes, "
                         f"expected {p * q * 8}")
     if hashlib.sha256(blob).hexdigest() != digest:
         raise DataError(f"{path}: weight digest mismatch (corrupted file)")
     w = np.frombuffer(blob, dtype="<f8").reshape(p, q).copy()
-    return LoadedModel(w=w, b=b, rank_bound=int(document["rank_bound"]),
-                       hyperparams=hp,
-                       dataset_name=provenance.get("dataset", ""),
-                       seed=int(provenance.get("seed", 0)),
-                       build=provenance.get("build", ""))
+    if not (np.isfinite(w).all() and np.isfinite(b)):
+        raise DataError(f"{path}: weights and bias must be finite")
+    return LoadedModel(w=w, b=b, rank_bound=rank_bound, hyperparams=hp,
+                       dataset_name=dataset_name, seed=seed, build=build)

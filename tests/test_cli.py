@@ -50,6 +50,20 @@ class TestExitCodes:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_label_only_csv_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("1\n-1\n")
+        assert main(["train", "--data", str(path), "--rank", "1"]) == 3
+        assert "no feature columns" in capsys.readouterr().err
+
+    def test_non_positive_reshape_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("1,2,3\n-1,4,5\n")
+        code = main(["train", "--data", str(path), "--reshape", "-1", "-2",
+                     "--rank", "1"])
+        assert code == 2
+        assert "reshape" in capsys.readouterr().err
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "absent.json"),
                      "--rank", "1"])

@@ -1,5 +1,7 @@
 import json
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +109,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", 0)
 
+    def test_label_column_only_is_data_error(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("1\n-1\n")
+        with pytest.raises(DataError, match="line 1: no feature columns"):
+            load_csv(path, 0)
+
+    @pytest.mark.parametrize("shape", [(-1, -2), (0, 2), (2, 0)])
+    def test_non_positive_reshape_is_data_error(self, tmp_path, shape):
+        path = tmp_path / "t.csv"
+        path.write_text("1,1,2\n-1,3,4\n")
+        with pytest.raises(DataError, match="reshape"):
+            load_csv(path, 0, reshape=shape)
+
+    def test_manifest_rejects_non_positive_reshape(self):
+        with pytest.raises(InvalidArgumentError, match="reshape"):
+            DatasetManifest(format="csv", path="x.csv", reshape=(-1, -2))
+
 
 class TestSmm1:
     def test_single_sample_round_trip(self, tmp_path):
@@ -157,11 +176,66 @@ class TestSmm1:
             load_smm1(path)
 
     def test_empty_dataset_rejected(self, tmp_path):
-        import struct
         path = tmp_path / "empty.smm1"
         path.write_bytes(b"SMM1" + struct.pack("<I", 1) + struct.pack("<QQQ", 0, 2, 2))
         with pytest.raises(DataError, match="empty"):
             load_smm1(path)
+
+    @pytest.mark.parametrize("p, q", [(0, 3), (3, 0)])
+    def test_empty_samples_rejected(self, tmp_path, p, q):
+        path = tmp_path / "flat.smm1"
+        path.write_bytes(b"SMM1" + struct.pack("<IQQQ", 1, 2, p, q) + b"\x01\xff")
+        with pytest.raises(DataError, match=f"empty samples \\({p}x{q}\\)"):
+            load_smm1(path)
+
+    @pytest.mark.parametrize("size", [4, 12, 31])
+    def test_short_file_with_magic_is_truncated_header(self, tmp_path, size):
+        path = tmp_path / "short.smm1"
+        path.write_bytes((b"SMM1" + struct.pack("<IQQQ", 1, 1, 1, 1))[:size])
+        with pytest.raises(DataError, match=f"truncated header \\({size} bytes"):
+            load_smm1(path)
+
+    def test_bad_version(self, tmp_path):
+        path = tmp_path / "v2.smm1"
+        path.write_bytes(b"SMM1" + struct.pack("<IQQQ", 2, 1, 1, 1) + bytes(9))
+        with pytest.raises(DataError, match="version 2"):
+            load_smm1(path)
+
+    def test_bad_label(self, tmp_path):
+        path = tmp_path / "label.smm1"
+        path.write_bytes(b"SMM1" + struct.pack("<IQQQ", 1, 1, 1, 1) + b"\x00"
+                         + bytes(8))
+        with pytest.raises(DataError, match="labels must be -1 or \\+1"):
+            load_smm1(path)
+
+
+class TestSmm1Memory:
+    """Loading holds about one payload, saving no copy of it (2000 x 28 x 28)."""
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        data = random_dataset(75, m=2000, p=28, q=28)
+        path = tmp_path_factory.mktemp("big") / "big.smm1"
+        save_smm1(data, path)
+        return data, path
+
+    @staticmethod
+    def peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak_is_about_one_payload(self, big):
+        data, path = big
+        assert self.peak_bytes(lambda: load_smm1(path)) < 1.25 * data.xs.nbytes
+
+    def test_save_peak_holds_no_payload_copy(self, big, tmp_path):
+        data, _ = big
+        peak = self.peak_bytes(lambda: save_smm1(data, tmp_path / "copy.smm1"))
+        assert peak < 0.25 * data.xs.nbytes
 
 
 class TestNormalization:

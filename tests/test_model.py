@@ -202,6 +202,11 @@ class TestDomainTypes:
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.zeros((0, 1, 1)), ys=np.array([]))
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0)])
+    def test_dataset_rejects_empty_samples(self, shape):
+        with pytest.raises(InvalidArgumentError, match="p, q >= 1"):
+            Dataset(xs=np.zeros(shape), ys=np.array([1, -1]))
+
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.array([[[np.inf]]]), ys=np.array([1]))
