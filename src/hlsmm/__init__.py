@@ -10,7 +10,6 @@ from .linalg import SvdFactors, fro_inner, project_rank, projection_ambiguous, s
 from .model import (
     Dataset,
     Hyperparams,
-    MatrixSample,
     ModelState,
     SolverTrace,
     StepPolicy,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError", "HlsmmError", "InvalidArgumentError", "NumericalError",
     "SvdFactors", "fro_inner", "project_rank", "projection_ambiguous", "svd",
-    "Dataset", "Hyperparams", "MatrixSample", "ModelState", "SolverTrace",
+    "Dataset", "Hyperparams", "ModelState", "SolverTrace",
     "StepPolicy", "decision_scores", "heaviside_count", "margin_residuals",
     "penalized_objective", "predict", "predict_batch", "prox_heaviside",
     "FitResult", "fit", "grad_h", "update_b", "update_w", "update_z",

@@ -30,7 +30,11 @@ _EXIT_NUMERIC = 4
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("HLSMM_SEED", "0"))
+    text = os.environ.get("HLSMM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"HLSMM_SEED must be an integer, got {text!r}") from None
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +73,10 @@ def _add_hyper_args(parser: argparse.ArgumentParser) -> None:
 
 def _parse_step(text: str) -> StepPolicy:
     kind, _, alpha = text.partition(":")
-    alpha0 = float(alpha) if alpha else None
+    try:
+        alpha0 = float(alpha) if alpha else None
+    except ValueError:
+        raise InvalidArgumentError(f"--step step size must be a number, got {alpha!r}") from None
     return StepPolicy(kind=kind, alpha0=alpha0)
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .model import Dataset
+from .model import Dataset, decision_scores
 
 _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
@@ -382,7 +382,7 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
     count = 0
     while count < m:
         x = rng.standard_normal((p, q))
-        score = float(np.dot(w_star.ravel(), x.ravel())) + bias
+        score = float(decision_scores(w_star, bias, x[None])[0])
         if abs(score) < margin:
             continue
         xs[count] = x

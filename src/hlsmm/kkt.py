@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import projection_ambiguous, svd
+from .linalg import SvdFactors, _ambiguous, svd
 from .model import Dataset, Hyperparams, ModelState, decision_scores, margin_residuals
 
 
@@ -39,9 +39,6 @@ class KktReport:
     rank_bound: int
     rank_deficient: bool
     projection_ambiguous: bool
-
-    def max_stationarity_residual(self) -> float:
-        return max(self.w_residual, self.z_residual, self.b_residual)
 
     def to_dict(self) -> dict:
         return {
@@ -83,14 +80,20 @@ def apply_adjoint(lam, data: Dataset) -> np.ndarray:
     return (weights @ data.xs.reshape(data.m, -1)).reshape(data.sample_shape)
 
 
-def estimate_multiplier(state: ModelState, data: Dataset, sigma: float) -> np.ndarray:
-    """Penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
+def _multiplier_and_gap(state: ModelState, data: Dataset, sigma: float):
+    """(lambda, z - v) from one margin pass; lambda = -2 sigma (z - v)."""
     if not sigma > 0:
         raise InvalidArgumentError("sigma must be positive")
     v = margin_residuals(state.w, state.b, data)
     if state.z.shape[0] != data.m:
         raise InvalidArgumentError("slack length does not match sample count")
-    return -2.0 * sigma * (state.z - v)
+    gap = state.z - v
+    return -2.0 * sigma * gap, gap
+
+
+def estimate_multiplier(state: ModelState, data: Dataset, sigma: float) -> np.ndarray:
+    """Penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
+    return _multiplier_and_gap(state, data, sigma)[0]
 
 
 def z_stationarity(z, lam, beta: float, tol: float = 0.0) -> float:
@@ -125,8 +128,11 @@ def w_stationarity(state: ModelState, lam, data: Dataset, r: int) -> float:
     """
     if not r >= 1:
         raise InvalidArgumentError("rank bound must be >= 1")
-    g_matrix = state.w + apply_adjoint(lam, data)
-    factors = svd(state.w)
+    return _cone_residual(state.w + apply_adjoint(lam, data), svd(state.w), r)
+
+
+def _cone_residual(g_matrix: np.ndarray, factors: SvdFactors, r: int) -> float:
+    """||G - P(G)||_F, P the projection onto the normal cone at the W of ``factors``."""
     if factors.rank == r:
         u_perp = factors.u_gamma_perp
         v_perp = factors.v_gamma_perp
@@ -139,24 +145,22 @@ def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,
                tol: float = 1e-9) -> KktReport:
     """Assemble all residuals for one iterate.
 
-    ``tol`` is the zero-classification cutoff for slack entries in the
-    z-stationarity test.
+    One margin pass gives the multiplier and the coupling gap, and one SVD of
+    W gives the rank, the normal-cone residual and the ambiguity flag; the
+    adjoint A*(lambda) is one more pass over the data.  ``tol`` is the
+    zero-classification cutoff for slack entries in the z-stationarity test.
     """
-    lam = estimate_multiplier(state, data, hp.sigma)
-    v = margin_residuals(state.w, state.b, data)
-    gap = state.z - v
+    lam, gap = _multiplier_and_gap(state, data, hp.sigma)
     factors = svd(state.w)
     return KktReport(
         lam=lam,
-        w_residual=w_stationarity(state, lam, data, hp.rank),
+        w_residual=_cone_residual(state.w + apply_adjoint(lam, data), factors, hp.rank),
         z_residual=z_stationarity(state.z, lam, hp.beta, tol),
         b_residual=abs(2.0 * hp.sigma * float(data.ys @ gap)),
         feasibility_residual=float(np.linalg.norm(gap)),
         rank_at_solution=factors.rank,
         rank_bound=hp.rank,
         rank_deficient=factors.rank < hp.rank,
-        projection_ambiguous=(
-            projection_ambiguous(state.w, hp.rank)
-            if 1 <= hp.rank < min(*data.sample_shape) else False
-        ),
+        projection_ambiguous=(hp.rank < min(data.sample_shape)
+                              and _ambiguous(factors.sigma, hp.rank)),
     )

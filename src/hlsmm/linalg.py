@@ -127,7 +127,11 @@ def projection_ambiguous(w, r: int, rel_tol: float = AMBIGUITY_TOL_REL) -> bool:
     """
     w = _as_matrix(w)
     r = _check_rank_bound(r, *w.shape)
-    s = np.linalg.svd(w, compute_uv=False)
+    return _ambiguous(np.linalg.svd(w, compute_uv=False), r, rel_tol)
+
+
+def _ambiguous(s: np.ndarray, r: int, rel_tol: float = AMBIGUITY_TOL_REL) -> bool:
+    """The test of :func:`projection_ambiguous` on non-increasing singular values."""
     if s[0] == 0.0:
         return False  # zero matrix projects to itself, uniquely
     return bool(s[r - 1] - s[r] <= rel_tol * s[0])

@@ -14,31 +14,11 @@ penalty; ``sigma`` weights the coupling ``z ~ v``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import fro_inner
-
-
-@dataclass(frozen=True)
-class MatrixSample:
-    """One labeled observation: a p-by-q feature matrix and a label in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 2:
-            raise InvalidArgumentError("sample features must form a 2-D matrix")
-        if not np.isfinite(x).all():
-            raise InvalidArgumentError("sample features must be finite")
-        if self.y not in (-1, 1):
-            raise InvalidArgumentError(f"label must be -1 or +1, got {self.y!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
 
 
 @dataclass(frozen=True)
@@ -72,18 +52,6 @@ class Dataset:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @classmethod
-    def from_samples(cls, samples, name: str = "", provenance: str = "") -> "Dataset":
-        samples = [s if isinstance(s, MatrixSample) else MatrixSample(*s) for s in samples]
-        if not samples:
-            raise InvalidArgumentError("dataset must contain at least one sample")
-        shape = samples[0].x.shape
-        if any(s.x.shape != shape for s in samples):
-            raise InvalidArgumentError("all samples must share the same (p, q) shape")
-        xs = np.stack([s.x for s in samples])
-        ys = np.array([s.y for s in samples], dtype=np.int8)
-        return cls(xs=xs, ys=ys, name=name, provenance=provenance)
-
     @property
     def m(self) -> int:
         return self.xs.shape[0]
@@ -100,14 +68,8 @@ class Dataset:
     def sample_shape(self) -> tuple[int, int]:
         return self.xs.shape[1], self.xs.shape[2]
 
-    def sample(self, i: int) -> MatrixSample:
-        return MatrixSample(x=self.xs[i].copy(), y=int(self.ys[i]))
-
     def __len__(self) -> int:
         return self.m
-
-    def __iter__(self) -> Iterator[MatrixSample]:
-        return (self.sample(i) for i in range(self.m))
 
     def labels_present(self) -> tuple[bool, bool]:
         """(has +1, has -1)."""
@@ -153,8 +115,8 @@ class StepPolicy:
     def __post_init__(self):
         if self.kind not in ("backtracking", "fixed"):
             raise InvalidArgumentError(f"unknown step policy {self.kind!r}")
-        if self.alpha0 is not None and not self.alpha0 > 0:
-            raise InvalidArgumentError("alpha0 must be positive")
+        if self.alpha0 is not None and not 0 < self.alpha0 < np.inf:
+            raise InvalidArgumentError("alpha0 must be positive and finite")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidArgumentError("shrink must lie in (0, 1)")
         if self.max_halvings < 0:
@@ -188,8 +150,8 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"):
-            if not getattr(self, name) > 0:
-                raise InvalidArgumentError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidArgumentError(f"{name} must be positive and finite")
         if not (isinstance(self.rank, (int, np.integer)) and self.rank >= 1):
             raise InvalidArgumentError("rank must be a positive integer")
         if self.maxit < 0:
@@ -263,6 +225,31 @@ class SolverTrace:
         return len(self.objective)
 
 
+def _scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<W_k, X_i> for an (m, p*q) design and a (K, p, q) stack W, as (K, m).
+
+    One matrix-vector product per matrix of the stack, so row k equals the
+    scores of W_k alone bit for bit, whatever the other rows hold.
+    """
+    return (x @ w.reshape(len(w), -1, 1))[..., 0]
+
+
+def _margins(s: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """V = 1 - y (S + b) for (K, m) scores and (K,) biases, in one new array."""
+    v = s + b[:, None]
+    v *= ys
+    return np.subtract(1.0, v, out=v)
+
+
+def _hard_threshold(x: np.ndarray, gamma) -> np.ndarray:
+    """Zero the entries of ``x`` in (0, sqrt(2 gamma)], in place; ``gamma`` broadcasts.
+
+    Unvalidated, as the solver's iterates may diverge: its own checks report that.
+    """
+    x[(x > 0) & (x <= np.sqrt(2.0 * gamma))] = 0.0
+    return x
+
+
 def margin_residuals(w, b: float, data: Dataset) -> np.ndarray:
     """v_i = 1 - y_i (<W, X_i> + b), in dataset order."""
     w = np.asarray(w, dtype=np.float64)
@@ -270,7 +257,8 @@ def margin_residuals(w, b: float, data: Dataset) -> np.ndarray:
         raise InvalidArgumentError(
             f"w shape {w.shape} does not match sample shape {data.sample_shape}"
         )
-    return 1.0 - data.ys * decision_scores(w, b, data.xs)
+    s = _scores(data.xs.reshape(data.m, -1), w[None])
+    return _margins(s, np.array([float(b)]), data.ys)[0]
 
 
 def heaviside_count(z) -> int:
@@ -306,8 +294,7 @@ def prox_heaviside(x, gamma: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise InvalidArgumentError("x must be finite")
-    threshold = np.sqrt(2.0 * gamma)
-    return np.where((x > 0) & (x <= threshold), 0.0, x)
+    return _hard_threshold(x.copy(), gamma)
 
 
 def decision_scores(w, b: float, xs: np.ndarray) -> np.ndarray:
@@ -318,16 +305,12 @@ def decision_scores(w, b: float, xs: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"sample shape {xs.shape[1:]} does not match w shape {w.shape}"
         )
-    return xs.reshape(xs.shape[0], -1) @ w.ravel() + float(b)
+    return _scores(xs.reshape(len(xs), w.size), w[None])[0] + float(b)
 
 
 def predict(w, b: float, x) -> int:
     """Label of one sample: +1 when <W, X> + b > 0, else -1 (zero maps to -1)."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != w.shape:
-        raise InvalidArgumentError(f"x shape {x.shape} does not match w shape {w.shape}")
-    return 1 if fro_inner(w, x) + b > 0 else -1
+    return 1 if decision_scores(w, b, np.asarray(x)[None])[0] > 0 else -1
 
 
 def predict_batch(w, b: float, data: Dataset) -> np.ndarray:

@@ -20,6 +20,7 @@ from .model import Hyperparams, StepPolicy
 
 FORMAT_VERSION = 1
 BUILD_ID = "hlsmm-0.1.0"
+_REAL = (int, float)
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,20 @@ def _hp_to_dict(hp: Hyperparams) -> dict:
 
 
 def _hp_from_dict(raw: dict) -> Hyperparams:
+    """Hyperparams from a model file; a field of the wrong JSON type is a TypeError."""
     step = _object(raw.get("step", {}), "step")
+    alpha0 = step.get("alpha0")
     return Hyperparams(
-        beta=raw["beta"], sigma=raw["sigma"], rank=int(raw["rank"]),
-        tau1=raw["tau1"], tau2=raw["tau2"], tau3=raw["tau3"],
-        maxit=int(raw["maxit"]), tol_step=raw["tol_step"], tol_obj=raw["tol_obj"],
-        step=StepPolicy(kind=step.get("kind", "backtracking"),
-                        alpha0=step.get("alpha0"),
-                        shrink=step.get("shrink", 0.5),
-                        max_halvings=int(step.get("max_halvings", 30))),
-        z_update=raw.get("z_update", "exact"), seed=int(raw.get("seed", 0)),
+        **{key: _typed(raw[key], _REAL, key)
+           for key in ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj")},
+        rank=_typed(raw["rank"], int, "rank"), maxit=_typed(raw["maxit"], int, "maxit"),
+        step=StepPolicy(
+            kind=_typed(step.get("kind", "backtracking"), str, "kind"),
+            alpha0=None if alpha0 is None else _typed(alpha0, _REAL, "alpha0"),
+            shrink=_typed(step.get("shrink", 0.5), _REAL, "shrink"),
+            max_halvings=_typed(step.get("max_halvings", 30), int, "max_halvings")),
+        z_update=_typed(raw.get("z_update", "exact"), str, "z_update"),
+        seed=_typed(raw.get("seed", 0), int, "seed"),
     )
 
 
@@ -109,7 +114,7 @@ def load_model(path) -> LoadedModel:
     try:
         p, q, rank_bound = (_typed(document[key], int, key)
                             for key in ("p", "q", "rank_bound"))
-        b = float(_typed(document["b"], (int, float), "b"))
+        b = float(_typed(document["b"], _REAL, "b"))
         blob = base64.b64decode(document["w_b64"])
         digest = document["w_sha256"]
         hp = _hp_from_dict(_object(document["hyperparams"], "hyperparams"))

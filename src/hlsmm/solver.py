@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import HlsmmError, InvalidArgumentError, NumericalError
 from .linalg import project_rank, svd
-from .model import Dataset, Hyperparams, ModelState, SolverTrace
+from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _hard_threshold,
+                    _margins, _scores)
 
 # Slack allowed on the monotone-objective and sufficient-decrease assertions.
 MONOTONE_SLACK = 1e-10
@@ -111,16 +112,11 @@ class _Problem:
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """<W_k, X_i> for every lane and sample: one pass over the data per iterate."""
-        return (self.X @ w.reshape(len(w), -1, 1))[..., 0]
-
-    def margins(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-        v = s + b[:, None]
-        v *= self.ys
-        return np.subtract(1.0, v, out=v)
+        return _scores(self.X, w)
 
     def gap(self, s: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Z - V(W, b), the coupling residual."""
-        v = self.margins(s, b)
+        v = _margins(s, b, self.ys)
         return np.subtract(z, v, out=v)
 
     def smooth(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -291,22 +287,22 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
 def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
             b: np.ndarray) -> np.ndarray:
     sigma, tau2, beta = lanes.sigma[:, None], lanes.tau2[:, None], lanes.beta[:, None]
-    center = problem.margins(s_new, b)
+    center = _margins(s_new, b, problem.ys)
     center *= 2.0 * sigma
     center += tau2 * z
     if lanes.z_update == "exact":
         # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
-        # complete the square (curvature 2 sigma + tau2), then hard-threshold.
+        # complete the square (curvature 2 sigma + tau2), then take the prox of
+        # beta / (2 sigma + tau2) ||(.)_+||_0 at the center.
         center /= 2.0 * sigma + tau2
-        threshold = np.sqrt(2.0 * beta / (2.0 * sigma + tau2))
+        gamma = beta / (2.0 * sigma + tau2)
     else:
         # Constants as printed in the source algorithm; kept for comparison.
         # Not the subproblem minimizer: the center weights sum to more than one
         # and the threshold is wider, so no descent guarantee applies.
         center /= sigma + tau2
-        threshold = np.sqrt(4.0 * beta / (sigma + tau2))
-    center[(center > 0) & (center <= threshold)] = 0.0
-    return center
+        gamma = 2.0 * beta / (sigma + tau2)
+    return _hard_threshold(center, gamma)
 
 
 def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarray,
@@ -353,11 +349,11 @@ def _check_start(data: Dataset, hp: Hyperparams, init: ModelState | None) -> Non
         return
     if init.w.shape != data.sample_shape or init.z.shape[0] != data.m:
         raise InvalidArgumentError("init state does not match dataset shapes")
-    if svd(init.w).rank > hp.rank:
+    rank = svd(init.w).rank
+    if rank > hp.rank:
         # A stalled W block keeps the previous iterate, so feasibility of the
         # returned model requires a feasible start.
-        raise InvalidArgumentError(
-            f"init weight matrix has rank {svd(init.w).rank} > bound {hp.rank}")
+        raise InvalidArgumentError(f"init weight matrix has rank {rank} > bound {hp.rank}")
 
 
 def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: float):

@@ -118,6 +118,27 @@ class TestExitCodes:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--step", "fixed:abc"], "step size must be a number"),
+        (["--beta", "inf"], "beta must be positive and finite"),
+        (["--tau1", "inf"], "tau1 must be positive and finite"),
+        (["--sigma", "nan"], "sigma must be positive and finite"),
+        (["--step", "backtracking:inf"], "alpha0 must be positive and finite")])
+    def test_bad_number_is_usage_error(self, smm1_file, capsys, flags, message):
+        path, _ = smm1_file
+        code = main(["train", "--data", str(path), "--format", "smm1",
+                     "--rank", "2", "--maxit", "1", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_bad_seed_variable_is_usage_error(self, smm1_file, capsys, monkeypatch):
+        path, _ = smm1_file
+        monkeypatch.setenv("HLSMM_SEED", "abc")
+        code = main(["train", "--data", str(path), "--format", "smm1",
+                     "--rank", "2", "--maxit", "1"])
+        assert code == 2
+        assert "HLSMM_SEED must be an integer" in capsys.readouterr().err
+
     def test_shape_mismatch_is_data_error(self, trained, tmp_path, capsys):
         model_path, _, _, _ = trained
         other, _, _ = make_lowrank_separable(m=10, p=3, q=4, rank=2, seed=7)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from hlsmm import (
     fro_inner,
     kkt_report,
     margin_residuals,
+    projection_ambiguous,
     svd,
     w_stationarity,
     z_stationarity,
 )
+from hlsmm import model
 from hlsmm.kkt import apply_adjoint, apply_operator
 
 from conftest import make_rng, random_dataset
@@ -238,3 +242,34 @@ class TestKktReport:
         state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
         with pytest.raises(InvalidArgumentError):
             w_stationarity(state, np.zeros(data.m + 1), data, r=1)
+
+    @pytest.mark.parametrize("w", [
+        np.outer([1.0, 2.0, 0.5, -1.0], [0.3, -0.7, 1.1]),        # rank 1 = r
+        np.vstack([np.diag([1.0, 1.0, 0.5]), np.zeros((1, 3))]),  # sigma_1 = sigma_2
+        np.zeros((4, 3)),                                          # rank 0 < r
+    ])
+    def test_one_svd_and_one_margin_pass(self, w, monkeypatch):
+        data = random_dataset(69, m=12, p=4, q=3)
+        z = make_rng(70).standard_normal(12)
+        state = ModelState(w=w, b=0.2, z=z)
+        hp = Hyperparams(beta=0.3, sigma=0.4, rank=1 if w.any() else 2)
+        lam = estimate_multiplier(state, data, hp.sigma)
+        expected = (w_stationarity(state, lam, data, hp.rank),
+                    projection_ambiguous(w, hp.rank), svd(w).rank)
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(model, "_margins", counted("margins", model._margins))
+        monkeypatch.setattr(model, "_scores", counted("scores", model._scores))
+        report = kkt_report(state, data, hp)
+        assert calls == {"svd": 1, "margins": 1, "scores": 1}
+        assert report.lam.tobytes() == lam.tobytes()
+        assert (report.w_residual, report.projection_ambiguous,
+                report.rank_at_solution) == expected

@@ -5,9 +5,9 @@ from hlsmm import (
     Dataset,
     Hyperparams,
     InvalidArgumentError,
-    MatrixSample,
     ModelState,
     StepPolicy,
+    decision_scores,
     heaviside_count,
     margin_residuals,
     penalized_objective,
@@ -192,6 +192,9 @@ class TestPredict:
         with pytest.raises(InvalidArgumentError):
             predict(np.zeros((2, 2)), 0.0, np.zeros((3, 2)))
 
+    def test_empty_batch_has_no_scores(self):
+        assert decision_scores(np.ones((2, 3)), 0.5, np.zeros((0, 2, 3))).shape == (0,)
+
 
 class TestDomainTypes:
     def test_dataset_rejects_bad_labels(self):
@@ -216,16 +219,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             data.xs[0, 0, 0] = 5.0
 
-    def test_from_samples_roundtrip(self):
-        samples = [MatrixSample(x=np.eye(2), y=1), MatrixSample(x=np.ones((2, 2)), y=-1)]
-        data = Dataset.from_samples(samples, name="tiny")
-        assert data.m == 2 and data.sample_shape == (2, 2)
-        assert data.sample(1).y == -1
-
-    def test_matrix_sample_label_check(self):
-        with pytest.raises(InvalidArgumentError):
-            MatrixSample(x=np.eye(2), y=0)
-
     def test_hyperparams_validation(self):
         with pytest.raises(InvalidArgumentError):
             Hyperparams(beta=-1.0, sigma=0.1, rank=2)
@@ -242,3 +235,15 @@ class TestDomainTypes:
             StepPolicy(kind="newton")
         with pytest.raises(InvalidArgumentError):
             StepPolicy(shrink=1.0)
+
+    @pytest.mark.parametrize("name", ["beta", "sigma", "tau1", "tau2", "tau3",
+                                      "tol_step", "tol_obj"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    def test_hyperparams_must_be_finite(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be positive and finite"):
+            Hyperparams(**{"beta": 0.1, "sigma": 0.1, "rank": 2, name: value})
+
+    @pytest.mark.parametrize("alpha0", [np.inf, np.nan, 0.0])
+    def test_step_size_must_be_finite(self, alpha0):
+        with pytest.raises(InvalidArgumentError, match="alpha0 must be positive and finite"):
+            StepPolicy(alpha0=alpha0)

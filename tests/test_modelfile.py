@@ -94,6 +94,40 @@ class TestLoadModel:
         with pytest.raises(DataError, match="not at least 1x1"):
             load_model(write_doc(path, doc))
 
+    @pytest.mark.parametrize("key, value", [
+        ("rank", 1.7), ("rank", "1"), ("rank", True), ("maxit", 5.9),
+        ("beta", True), ("sigma", "0.2"), ("tol_obj", None), ("seed", 1.0),
+        ("z_update", 1)])
+    def test_ill_typed_hyperparameter(self, model_doc, key, value):
+        path, doc = model_doc
+        doc["hyperparams"][key] = value
+        with pytest.raises(DataError, match=f"{key} has the wrong type"):
+            load_model(write_doc(path, doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", 0), ("alpha0", "1e-3"), ("alpha0", False), ("shrink", "0.5"),
+        ("max_halvings", 30.0)])
+    def test_ill_typed_step_field(self, model_doc, key, value):
+        path, doc = model_doc
+        doc["hyperparams"]["step"][key] = value
+        with pytest.raises(DataError, match=f"{key} has the wrong type"):
+            load_model(write_doc(path, doc))
+
+    def test_numeric_fields_of_either_json_type_load(self, model_doc):
+        path, doc = model_doc
+        doc["hyperparams"].update(beta=1, tau1=2)
+        doc["hyperparams"]["step"].update(alpha0=3, shrink=0.25)
+        hp = load_model(write_doc(path, doc)).hyperparams
+        assert (hp.beta, hp.tau1, hp.step.alpha0, hp.step.shrink) == (1, 2, 3, 0.25)
+
+    @pytest.mark.parametrize("key", ["beta", "tau1", "tol_step", "alpha0"])
+    def test_infinite_hyperparameter(self, model_doc, key):
+        path, doc = model_doc
+        section = doc["hyperparams"]["step"] if key == "alpha0" else doc["hyperparams"]
+        section[key] = float("inf")  # json writes Infinity, which it also reads
+        with pytest.raises(DataError, match=f"{key} must be positive and finite"):
+            load_model(write_doc(path, doc))
+
     def test_invalid_hyperparameter(self, model_doc):
         path, doc = model_doc
         doc["hyperparams"]["beta"] = -1.0
@@ -116,6 +150,17 @@ class TestLoadModel:
     def test_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_model(tmp_path)
+
+    def test_cli_exit_code_of_infinite_hyperparameter(self, model_doc, tmp_path, capsys):
+        path, doc = model_doc
+        doc["hyperparams"]["beta"] = float("inf")
+        write_doc(path, doc)
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,0,0,0,0,0\n-1,1,1,1,1,1,1\n")
+        code = main(["kkt-check", "--model", str(path), "--data", str(data),
+                     "--reshape", "2", "3"])
+        assert code == 3
+        assert "beta must be positive and finite" in capsys.readouterr().err
 
     def test_cli_exit_code_is_data_error(self, model_doc, tmp_path, capsys):
         path, _ = model_doc

@@ -1,4 +1,9 @@
-"""Property-based tests of the file formats: round trips, truncation, corruption."""
+"""Property-based tests of the file formats and of the solver's invariants.
+
+File formats: round trips, truncation, corruption.  Solver (exact z mode,
+every step policy): sufficient decrease along every returned trace and a
+rank-feasible returned model, whatever the stop status.
+"""
 
 import struct
 import tracemalloc
@@ -13,11 +18,15 @@ from hlsmm import (
     Dataset,
     Hyperparams,
     StepPolicy,
+    fit,
     load_model,
     load_smm1,
     save_model,
     save_smm1,
+    svd,
 )
+
+from conftest import random_dataset
 
 FILES = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -145,3 +154,56 @@ class TestModelFiles:
             load_bytes(tmp_path, load_model, bytes(blob), ".json")
         except DataError:
             pass
+
+
+STEP_POLICIES = {
+    "default": StepPolicy(),
+    "halving": StepPolicy(alpha0=4.0, max_halvings=8),  # starts long, so it halves
+    "fixed": StepPolicy(kind="fixed"),
+    "stalling": StepPolicy(alpha0=1e6, max_halvings=2),  # overshoots past two halvings
+}
+
+
+@st.composite
+def fit_problems(draw):
+    """A small random dataset and an exact-mode configuration for it."""
+    p, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    data = random_dataset(draw(st.integers(0, 10_000)), m=draw(st.integers(6, 40)),
+                          p=p, q=q)
+    taus = st.sampled_from((1e-4, 1e-3, 1e-2, 1e-1))
+    hp = Hyperparams(
+        beta=draw(st.sampled_from((0.01, 0.1, 0.5, 2.0))),
+        sigma=draw(st.sampled_from((0.01, 0.1, 1.0))),
+        rank=draw(st.integers(1, min(p, q) - 1)),
+        tau1=draw(taus), tau2=draw(taus), tau3=draw(taus),
+        maxit=draw(st.integers(0, 40)),
+        step=STEP_POLICIES[draw(st.sampled_from(sorted(STEP_POLICIES)))])
+    return data, hp
+
+
+def assert_descent_and_feasibility(result, hp):
+    """f_{k-1} - f_k >= min(tau)/2 (dW^2 + dz^2 + db^2) - 1e-9, and rank(W) <= r."""
+    trace = result.trace
+    tau = min(hp.tau1, hp.tau2, hp.tau3)
+    for k in range(1, len(trace)):
+        steps = trace.w_step[k] ** 2 + trace.z_step[k] ** 2 + trace.b_step[k] ** 2
+        assert trace.objective[k - 1] - trace.objective[k] >= tau / 2 * steps - 1e-9
+    assert svd(result.model.w).rank <= hp.rank
+
+
+class TestSolverInvariants:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=fit_problems())
+    def test_random_fits(self, problem):
+        data, hp = problem
+        assert_descent_and_feasibility(fit(data, hp), hp)
+
+    @pytest.mark.parametrize("policy, maxit, status", [
+        ("default", 1000, "converged"), ("default", 3, "max_iter"),
+        ("halving", 5, "max_iter"), ("fixed", 4, "max_iter"),
+        ("stalling", 1000, "stalled")])
+    def test_every_stop_status(self, synthetic, default_hp, policy, maxit, status):
+        hp = default_hp.with_(step=STEP_POLICIES[policy], maxit=maxit)
+        result = fit(synthetic[0], hp)
+        assert result.trace.status == status
+        assert_descent_and_feasibility(result, hp)

@@ -25,7 +25,8 @@ from hlsmm import (
     update_z,
 )
 from hlsmm import solver
-from hlsmm.solver import _Lanes, _Problem, _w_step
+from hlsmm.model import _margins
+from hlsmm.solver import _Lanes, _Problem, _w_step, _z_step
 
 from conftest import make_rng, random_dataset
 
@@ -405,7 +406,7 @@ class TestProblemKernel:
 
         problem = _Problem(data)
         s = problem.scores(w)
-        margins = problem.margins(s, b)
+        margins = _margins(s, b, problem.ys)
         grad = problem.gradient(w, problem.gap(s, z, b), sigma)
         alpha = problem.cauchy_step(grad, sigma)
         for k in range(2):
@@ -418,6 +419,40 @@ class TestProblemKernel:
             gn2 = float(np.dot(grad[k].ravel(), grad[k].ravel()))
             fg = F @ grad[k].ravel()
             assert alpha[k] == gn2 / (gn2 + 2.0 * sigma[k] * float(fg @ fg))
+
+    @pytest.mark.parametrize("z_update", ["exact", "paper"])
+    def test_z_step_is_prox_of_its_center(self, z_update):
+        # The kernel's z block is prox_heaviside at the weighted center, bit
+        # for bit, lane by lane: exact mode with gamma = beta / (2 sigma + tau2),
+        # paper mode with gamma = 2 beta / (sigma + tau2).
+        data = random_dataset(68, m=60, p=4, q=3)
+        gen = make_rng(69)
+        configs = [Hyperparams(beta=beta, sigma=sigma, rank=1, tau2=tau2,
+                               z_update=z_update)
+                   for beta, sigma, tau2 in [(0.1, 0.1, 1e-3), (0.5, 0.01, 1e-2),
+                                             (2.0, 1.0, 1e-4), (0.3, 0.7, 0.3)]]
+        w = gen.standard_normal((4, 4, 3))
+        z = gen.standard_normal((4, 60))
+        b = gen.standard_normal(4)
+        problem = _Problem(data)
+        z_new = _z_step(problem, _Lanes(configs), problem.scores(w), z, b)
+        zeroed = kept = 0
+        for k, hp in enumerate(configs):
+            v = margin_residuals(w[k], b[k], data)
+            weighted = 2.0 * hp.sigma * v + hp.tau2 * z[k]
+            if z_update == "exact":
+                center = weighted / (2.0 * hp.sigma + hp.tau2)
+                gamma = hp.beta / (2.0 * hp.sigma + hp.tau2)
+                threshold = np.sqrt(2.0 * hp.beta / (2.0 * hp.sigma + hp.tau2))
+            else:
+                center = weighted / (hp.sigma + hp.tau2)
+                gamma = 2.0 * hp.beta / (hp.sigma + hp.tau2)
+                threshold = np.sqrt(4.0 * hp.beta / (hp.sigma + hp.tau2))
+            assert np.sqrt(2.0 * gamma) == threshold
+            assert z_new[k].tobytes() == prox_heaviside(center, gamma).tobytes()
+            zeroed += np.count_nonzero((center > 0) & (z_new[k] == 0))
+            kept += np.count_nonzero(z_new[k] > 0)
+        assert zeroed and kept  # both sides of the threshold are exercised
 
     def test_backtracking_fit_never_computes_lipschitz_bound(self, synthetic,
                                                              default_hp, monkeypatch):
