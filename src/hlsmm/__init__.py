@@ -22,7 +22,8 @@ from .model import (
     prox_heaviside,
 )
 from .solver import FitResult, fit, grad_h, update_b, update_w, update_z
-from .kkt import KktReport, estimate_multiplier, kkt_report, w_stationarity, z_stationarity
+from .kkt import (KktReport, completed_kkt_report, estimate_multiplier, kkt_report,
+                  w_stationarity, z_stationarity)
 from .data import (
     DatasetManifest,
     add_gaussian_noise,
@@ -59,8 +60,8 @@ __all__ = [
     "StepPolicy", "decision_scores", "heaviside_count", "margin_residuals",
     "penalized_objective", "predict", "predict_batch", "prox_heaviside",
     "FitResult", "fit", "grad_h", "update_b", "update_w", "update_z",
-    "KktReport", "estimate_multiplier", "kkt_report", "w_stationarity",
-    "z_stationarity",
+    "KktReport", "completed_kkt_report", "estimate_multiplier", "kkt_report",
+    "w_stationarity", "z_stationarity",
     "DatasetManifest", "add_gaussian_noise", "add_salt_pepper_noise",
     "load_csv", "load_smm1", "make_lowrank_separable", "normalize_per_sample",
     "save_smm1", "split", "standardize_features",

@@ -2,8 +2,8 @@
 
 Subcommands: train, predict, eval, sweep, noise-bench, sensitivity,
 kkt-check, export-weights.  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numerical failure.  ``HLSMM_SEED`` provides the fallback seed when
-``--seed`` is not given.
+error (an unreadable or unwritable file included), 4 numerical failure.
+``HLSMM_SEED`` provides the fallback seed when ``--seed`` is not given.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 from . import data as datamod
 from . import experiments as exp
 from .errors import DataError, InvalidArgumentError, NumericalError
-from .kkt import kkt_report
-from .model import (Dataset, Hyperparams, ModelState, StepPolicy, margin_residuals,
-                    predict_batch, prox_heaviside)
+from .kkt import completed_kkt_report
+from .model import Dataset, Hyperparams, ModelState, StepPolicy, predict_batch
 from .modelfile import load_model, save_model
 from .solver import fit
 
@@ -90,33 +89,18 @@ def _hyperparams(args) -> Hyperparams:
 
 
 def _load_dataset(args, for_training: bool = False) -> Dataset:
-    if not args.manifest and not args.data:
-        raise InvalidArgumentError("one of --data or --manifest is required")
     if args.manifest:
-        manifest, has_header = datamod.DatasetManifest.from_file(args.manifest), False
-    else:
-        manifest = datamod.DatasetManifest(
+        ds = datamod.DatasetManifest.from_file(args.manifest).load()
+    elif args.data:
+        ds = datamod.DatasetManifest(
             format=args.format, path=args.data, label_column=args.label_column,
             reshape=tuple(args.reshape) if args.reshape else None,
-            normalization="per_sample_zscore" if args.normalize == "per-sample" else "none")
-        has_header = args.has_header
-    if manifest.format == "csv":
-        ds = datamod.load_csv(manifest.path, manifest.label_column,
-                              reshape=manifest.reshape, has_header=has_header)
+            normalization="per_sample_zscore" if args.normalize == "per-sample" else "none",
+        ).load(has_header=args.has_header)
     else:
-        ds = datamod.load_smm1(manifest.path)
-        if manifest.reshape:
-            p, q = manifest.reshape
-            if p * q != ds.p * ds.q:
-                raise DataError(f"reshape {p}x{q} does not match "
-                                f"{ds.p}x{ds.q} samples")
-            ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q), f"reshape ({p},{q})")
-    if manifest.normalization == "per_sample_zscore":
-        ds = datamod.normalize_per_sample(ds)
-    if for_training:
-        pos, neg = ds.labels_present()
-        if not (pos and neg):
-            raise DataError("training data must contain both labels")
+        raise InvalidArgumentError("one of --data or --manifest is required")
+    if for_training and not all(ds.labels_present()):
+        raise DataError("training data must contain both labels")
     return ds
 
 
@@ -246,14 +230,8 @@ def _cmd_kkt_check(args) -> int:
     model = load_model(args.model)
     ds = _load_dataset(args)
     _check_model_shape(model, ds)
-    hp = model.hyperparams
-    # The model file stores (w, b); complete the slack with the exact
-    # z-block minimizer at tau2 = 0, which coincides with the fixed point
-    # of the damped update.
-    v = margin_residuals(model.w, model.b, ds)
-    z = prox_heaviside(v, hp.beta / (2.0 * hp.sigma))
-    state = ModelState(w=model.w, b=model.b, z=z)
-    report = kkt_report(state, ds, hp, tol=args.zero_tol)
+    report = completed_kkt_report(model.w, model.b, ds, model.hyperparams,
+                                  tol=args.zero_tol)
     if args.text:
         print(report.to_text())
     else:
@@ -373,6 +351,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"data error: {exc}", file=sys.stderr)
+        return _EXIT_DATA
 
 
 if __name__ == "__main__":

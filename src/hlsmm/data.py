@@ -22,7 +22,7 @@ import csv
 import json
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +32,53 @@ from .model import Dataset, decision_scores
 
 _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
+_NUMBER = (int, float)
+_MANIFEST_KINDS = {"path": str, "format": str, "reshape": ([int, int], None),
+                   "label_column": int, "normalization": str}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a JSON value has ``kind``: a type (a bool is never a number), None
+    (null), a list of element kinds (an array of that length) or a tuple of
+    alternatives."""
+    if kind is None:
+        return value is None
+    if isinstance(kind, tuple):
+        return any(_is_kind(value, one) for one in kind)
+    if isinstance(kind, list):
+        return (isinstance(value, list) and len(value) == len(kind)
+                and all(map(_is_kind, value, kind)))
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _json_object(value, kinds: dict, name: str, optional=()) -> dict:
+    """``value`` if it is a JSON object with exactly the keys of ``kinds``, each of
+    its kind (a nested dict of kinds is a nested object), else a DataError.
+
+    Keys in ``optional`` may be absent; every other key is required.
+    """
+    if not isinstance(value, dict):
+        raise DataError(f"{name} must be a JSON object")
+    unknown = sorted(set(value) - set(kinds))
+    if unknown:
+        raise DataError(f"{name} has unknown keys {unknown}; allowed: {', '.join(kinds)}")
+    for key, kind in kinds.items():
+        if key not in value:
+            if key not in optional:
+                raise DataError(f"missing {key!r}")
+        elif isinstance(kind, dict):
+            _json_object(value[key], kind, key)
+        elif not _is_kind(value[key], kind):
+            raise DataError(f"{key} has the wrong type: {value[key]!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
     """Declarative description of how to load and prepare one dataset."""
 
-    format: str                      # "csv" | "smm1"
     path: str
+    format: str = "csv"              # "csv" | "smm1"
     reshape: tuple[int, int] | None = None
     label_column: int = 0            # csv only
     normalization: str = "none"      # "none" | "per_sample_zscore"
@@ -69,44 +108,33 @@ class DatasetManifest:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"manifest is not valid JSON: {exc}") from exc
-        if (not isinstance(raw, dict) or not raw.get("path")
-                or not isinstance(raw["path"], str)):
+        if not isinstance(raw, dict) or not raw.get("path"):
             raise DataError('manifest must be a JSON object with a non-empty "path"')
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise DataError(f"manifest has unknown keys {unknown}; allowed: "
-                            f"{', '.join(f.name for f in fields(cls))}")
-
-        def is_int(value) -> bool:
-            return isinstance(value, int) and not isinstance(value, bool)
-
-        reshape = raw.get("reshape")
-        if reshape is not None and not (
-                isinstance(reshape, list) and len(reshape) == 2
-                and all(is_int(n) and n > 0 for n in reshape)):
-            raise DataError(f"manifest reshape must be two positive integers, "
-                            f"got {reshape!r}")
-        label_column = raw.get("label_column", 0)
-        if not is_int(label_column):
-            raise DataError(f"manifest label_column must be an integer, "
-                            f"got {label_column!r}")
+        raw = _json_object(raw, _MANIFEST_KINDS, "manifest",
+                           optional=set(_MANIFEST_KINDS) - {"path"})
+        if raw.get("reshape") is not None:
+            raw["reshape"] = tuple(raw["reshape"])
         try:
-            return cls(format=raw.get("format", "csv"), path=raw["path"],
-                       reshape=tuple(reshape) if reshape else None,
-                       label_column=label_column,
-                       normalization=raw.get("normalization", "none"))
+            return cls(**raw)
         except InvalidArgumentError as exc:
             raise DataError(f"manifest: {exc}") from exc
 
-    def to_json(self) -> str:
-        raw = {
-            "format": self.format,
-            "path": self.path,
-            "reshape": list(self.reshape) if self.reshape else None,
-            "label_column": self.label_column,
-            "normalization": self.normalization,
-        }
-        return json.dumps(raw, indent=2, sort_keys=True)
+    def load(self, has_header: bool = False) -> Dataset:
+        """The described dataset; ``has_header`` skips the first line of a CSV file."""
+        if self.format == "csv":
+            ds = load_csv(self.path, self.label_column, reshape=self.reshape,
+                          has_header=has_header)
+        else:
+            ds = load_smm1(self.path)
+            if self.reshape:
+                p, q = self.reshape
+                if p * q != ds.p * ds.q:
+                    raise DataError(f"reshape {p}x{q} does not match "
+                                    f"{ds.p}x{ds.q} samples")
+                ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q), f"reshape ({p},{q})")
+        if self.normalization == "per_sample_zscore":
+            ds = normalize_per_sample(ds)
+        return ds
 
 
 def _map_labels(raw_labels: list[float], path: str) -> np.ndarray:

@@ -268,8 +268,8 @@ def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
         raise InvalidArgumentError(f"unknown noise kind {kind!r}")
     levels = [float(level) for level in levels]
     seeds = [int(seed) for seed in seeds]
-    if any(level < 0 for level in levels):
-        raise InvalidArgumentError("noise levels must be non-negative")
+    if any(value < 0 for value in levels + seeds):
+        raise InvalidArgumentError("noise levels and seeds must be non-negative")
     if not levels or not seeds:
         raise InvalidArgumentError("need at least one level and one seed")
     fitted = fit(train, hp)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import SvdFactors, _ambiguous, svd
-from .model import Dataset, Hyperparams, ModelState, decision_scores, margin_residuals
+from .model import (Dataset, Hyperparams, ModelState, decision_scores, margin_residuals,
+                    prox_heaviside)
 
 
 @dataclass(frozen=True)
@@ -80,20 +81,18 @@ def apply_adjoint(lam, data: Dataset) -> np.ndarray:
     return (weights @ data.xs.reshape(data.m, -1)).reshape(data.sample_shape)
 
 
-def _multiplier_and_gap(state: ModelState, data: Dataset, sigma: float):
-    """(lambda, z - v) from one margin pass; lambda = -2 sigma (z - v)."""
-    if not sigma > 0:
-        raise InvalidArgumentError("sigma must be positive")
-    v = margin_residuals(state.w, state.b, data)
-    if state.z.shape[0] != data.m:
+def _gap(state: ModelState, v: np.ndarray) -> np.ndarray:
+    """The coupling gap z - v."""
+    if state.z.shape[0] != v.shape[0]:
         raise InvalidArgumentError("slack length does not match sample count")
-    gap = state.z - v
-    return -2.0 * sigma * gap, gap
+    return state.z - v
 
 
 def estimate_multiplier(state: ModelState, data: Dataset, sigma: float) -> np.ndarray:
     """Penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
-    return _multiplier_and_gap(state, data, sigma)[0]
+    if not sigma > 0:
+        raise InvalidArgumentError("sigma must be positive")
+    return -2.0 * sigma * _gap(state, margin_residuals(state.w, state.b, data))
 
 
 def z_stationarity(z, lam, beta: float, tol: float = 0.0) -> float:
@@ -150,7 +149,26 @@ def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,
     adjoint A*(lambda) is one more pass over the data.  ``tol`` is the
     zero-classification cutoff for slack entries in the z-stationarity test.
     """
-    lam, gap = _multiplier_and_gap(state, data, hp.sigma)
+    return _report(state, margin_residuals(state.w, state.b, data), data, hp, tol)
+
+
+def completed_kkt_report(w, b: float, data: Dataset, hp: Hyperparams,
+                         tol: float = 1e-9) -> KktReport:
+    """``kkt_report`` of a stored (W, b), its slack completed from the same margins v.
+
+    z = prox(v, beta / (2 sigma)) is the exact z-block minimizer at tau2 = 0,
+    which coincides with the fixed point of the damped update.
+    """
+    v = margin_residuals(w, b, data)
+    state = ModelState(w=w, b=b, z=prox_heaviside(v, hp.beta / (2.0 * hp.sigma)))
+    return _report(state, v, data, hp, tol)
+
+
+def _report(state: ModelState, v: np.ndarray, data: Dataset, hp: Hyperparams,
+            tol: float) -> KktReport:
+    """The KKT report of ``state`` given its margins ``v``."""
+    gap = _gap(state, v)
+    lam = -2.0 * hp.sigma * gap
     factors = svd(state.w)
     return KktReport(
         lam=lam,

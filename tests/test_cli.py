@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hlsmm import load_model, make_lowrank_separable, save_smm1
+from hlsmm import load_model, make_lowrank_separable, model, save_smm1
 from hlsmm.cli import main
 
 
@@ -139,6 +139,46 @@ class TestExitCodes:
         assert code == 2
         assert "HLSMM_SEED must be an integer" in capsys.readouterr().err
 
+    def test_negative_noise_seed_is_usage_error(self, smm1_file, capsys):
+        path, _ = smm1_file
+        code = main(["noise-bench", "--data", str(path), "--format", "smm1",
+                     "--rank", "2", "--maxit", "1", "--levels", "0",
+                     "--noise-seeds", "-1"])
+        assert code == 2
+        assert "seeds must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--rank", "2"], "--out"),
+        (["train", "--rank", "2"], "--trace"),
+        (["sweep", "--grid-beta", "0.1", "--grid-sigma", "0.1", "--grid-rank", "2",
+          "--grid-tau", "1e-3"], "--out-csv"),
+        (["sweep", "--grid-beta", "0.1", "--grid-sigma", "0.1", "--grid-rank", "2",
+          "--grid-tau", "1e-3"], "--out-model"),
+        (["noise-bench", "--rank", "2", "--levels", "0", "--noise-seeds", "1"],
+         "--out-csv"),
+        (["sensitivity", "--r-values", "2", "--beta-values", "0.1"], "--out-csv"),
+    ])
+    def test_unwritable_output_is_data_error(self, smm1_file, tmp_path, capsys,
+                                             argv, flag):
+        path, _ = smm1_file
+        missing = tmp_path / "missing" / "out"
+        code = main([*argv, "--data", str(path), "--format", "smm1", "--maxit", "3",
+                     flag, str(missing)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(missing) in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-pgm"])
+    def test_unwritable_weight_export_is_data_error(self, trained, tmp_path, capsys,
+                                                    flag):
+        argv = ["export-weights", "--model", str(trained[0])]
+        for name, file in {"--out-csv": "w.csv", "--out-pgm": "w.pgm",
+                           flag: "missing/w"}.items():
+            argv += [name, str(tmp_path / file)]
+        assert main(argv) == 3
+        assert str(tmp_path / "missing" / "w") in capsys.readouterr().err
+
     def test_shape_mismatch_is_data_error(self, trained, tmp_path, capsys):
         model_path, _, _, _ = trained
         other, _, _ = make_lowrank_separable(m=10, p=3, q=4, rank=2, seed=7)
@@ -234,6 +274,21 @@ class TestKktCheck:
         assert report["w_residual"] <= 1e-3
         assert report["z_residual"] <= 1e-3
         assert report["rank_at_solution"] <= 2
+
+    def test_one_margin_pass(self, trained, capsys, monkeypatch):
+        model_path, _, data_path, _ = trained
+        calls = []
+        margins = model._margins
+
+        def counted(*args):
+            calls.append(1)
+            return margins(*args)
+
+        monkeypatch.setattr(model, "_margins", counted)
+        assert main(["kkt-check", "--model", str(model_path),
+                     "--data", str(data_path), "--format", "smm1"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_text_mode(self, trained, capsys):
         model_path, _, data_path, _ = trained

@@ -386,12 +386,44 @@ class TestSaltPepperNoise:
 
 
 class TestManifest:
-    def test_json_round_trip(self):
-        manifest = DatasetManifest(format="csv", path="d.csv",
-                                   reshape=(3, 19), label_column=0,
-                                   normalization="per_sample_zscore")
-        parsed = DatasetManifest.from_json(manifest.to_json())
-        assert parsed == manifest
+    def test_every_key_parses(self):
+        text = json.dumps({"format": "smm1", "path": "d.smm1", "reshape": [3, 19],
+                           "label_column": 2, "normalization": "per_sample_zscore"})
+        assert DatasetManifest.from_json(text) == DatasetManifest(
+            format="smm1", path="d.smm1", reshape=(3, 19), label_column=2,
+            normalization="per_sample_zscore")
+
+    def test_absent_keys_take_the_defaults(self):
+        manifest = DatasetManifest.from_json('{"path": "d.csv", "reshape": null}')
+        assert manifest == DatasetManifest(path="d.csv")
+        assert (manifest.format, manifest.reshape, manifest.label_column,
+                manifest.normalization) == ("csv", None, 0, "none")
+
+    def test_load_csv_with_reshape_and_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c,d,y\n1,2,3,4,1\n5,6,7,8,2\n")
+        ds = DatasetManifest(path=str(path), reshape=(2, 2), label_column=4).load(
+            has_header=True)
+        expected = load_csv(path, 4, reshape=(2, 2), has_header=True)
+        assert ds.xs.tobytes() == expected.xs.tobytes()
+        np.testing.assert_array_equal(ds.ys, [1, -1])
+
+    def test_load_smm1_reshapes_and_normalizes(self, tmp_path):
+        data = random_dataset(12, m=5, p=3, q=4)
+        path = tmp_path / "d.smm1"
+        save_smm1(data, path)
+        ds = DatasetManifest(format="smm1", path=str(path), reshape=(2, 6),
+                             normalization="per_sample_zscore").load()
+        expected = normalize_per_sample(data).xs.reshape(5, 2, 6)
+        assert ds.sample_shape == (2, 6)
+        assert ds.xs.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(ds.ys, data.ys)
+
+    def test_load_smm1_reshape_mismatch_is_data_error(self, tmp_path):
+        path = tmp_path / "d.smm1"
+        save_smm1(random_dataset(13, m=4, p=3, q=4), path)
+        with pytest.raises(DataError, match="reshape 5x5 does not match 3x4"):
+            DatasetManifest(format="smm1", path=str(path), reshape=(5, 5)).load()
 
     def test_rejects_unknown_format(self):
         with pytest.raises(InvalidArgumentError):

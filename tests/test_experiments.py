@@ -248,6 +248,14 @@ class TestNoiseSweep:
             (0.0, 1), (0.0, 2), (0.05, 1), (0.05, 2)]
 
 
+    @pytest.mark.parametrize("levels, seeds", [([0.0], [-1]), ([-0.1], [1])])
+    def test_negative_level_or_seed_rejected(self, synthetic, default_hp, levels, seeds):
+        data, _, _ = synthetic
+        train, test = split(data, 0.7, seed=1)
+        with pytest.raises(InvalidArgumentError, match="must be non-negative"):
+            noise_sweep(train, test, default_hp, "gaussian", levels, seeds)
+
+
 class TestSensitivityGrid:
     def test_single_cell(self, synthetic, default_hp):
         data, _, _ = synthetic

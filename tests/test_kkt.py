@@ -8,12 +8,14 @@ from hlsmm import (
     Hyperparams,
     InvalidArgumentError,
     ModelState,
+    completed_kkt_report,
     estimate_multiplier,
     fit,
     fro_inner,
     kkt_report,
     margin_residuals,
     projection_ambiguous,
+    prox_heaviside,
     svd,
     w_stationarity,
     z_stationarity,
@@ -273,3 +275,22 @@ class TestKktReport:
         assert report.lam.tobytes() == lam.tobytes()
         assert (report.w_residual, report.projection_ambiguous,
                 report.rank_at_solution) == expected
+
+    def test_completed_report_is_report_of_prox_completed_slack(self, monkeypatch):
+        data = random_dataset(71, m=15, p=4, q=3)
+        w = make_rng(72).standard_normal((4, 3))
+        hp = Hyperparams(beta=0.3, sigma=0.4, rank=2)
+        z = prox_heaviside(margin_residuals(w, -0.1, data), hp.beta / (2.0 * hp.sigma))
+        expected = kkt_report(ModelState(w=w, b=-0.1, z=z), data, hp, tol=1e-6)
+        calls = Counter()
+        margins = model._margins
+
+        def counted(*args):
+            calls["margins"] += 1
+            return margins(*args)
+
+        monkeypatch.setattr(model, "_margins", counted)
+        report = completed_kkt_report(w, -0.1, data, hp, tol=1e-6)
+        assert calls == {"margins": 1}
+        assert report.lam.tobytes() == expected.lam.tobytes()
+        assert report.to_dict() == expected.to_dict()

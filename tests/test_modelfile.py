@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,12 +23,22 @@ def write_doc(path, doc):
     return path
 
 
+SECTIONS = ["", "hyperparams", "hyperparams.step", "provenance"]
+
+
+def section_of(doc, section):
+    """The JSON object at a dotted ``section`` path; "" is the top level."""
+    for key in filter(None, section.split(".")):
+        doc = doc[key]
+    return doc
+
+
 class TestLoadModel:
     def test_valid_file_loads(self, model_doc):
         path, _ = model_doc
         loaded = load_model(path)
         assert loaded.sample_shape == (2, 3)
-        assert (loaded.b, loaded.rank_bound, loaded.seed) == (0.25, 1, 3)
+        assert (loaded.b, loaded.hyperparams.rank, loaded.seed) == (0.25, 1, 3)
         assert loaded.dataset_name == "tiny"
 
     @pytest.mark.parametrize("text", ["[]", "3", "null", '"model"'])
@@ -50,6 +61,35 @@ class TestLoadModel:
         del doc[key]
         with pytest.raises(DataError, match=f"missing '{key}'"):
             load_model(write_doc(path, doc))
+
+    @pytest.mark.parametrize("section", SECTIONS, ids=lambda section: section or "top")
+    def test_every_written_key_is_required(self, model_doc, section):
+        path, doc = model_doc
+        for key in sorted(section_of(doc, section)):
+            broken = json.loads(json.dumps(doc))
+            del section_of(broken, section)[key]
+            expected = ("unsupported model format version" if key == "format_version"
+                        else f"missing '{key}'")
+            with pytest.raises(DataError, match=expected):
+                load_model(write_doc(path, broken))
+
+    @pytest.mark.parametrize("section", SECTIONS, ids=lambda section: section or "top")
+    def test_unknown_key_at_any_level(self, model_doc, section):
+        path, doc = model_doc
+        section_of(doc, section)["gamma"] = 5
+        with pytest.raises(DataError, match=re.escape("unknown keys ['gamma']")):
+            load_model(write_doc(path, doc))
+
+    def test_rank_bound_must_equal_rank(self, model_doc):
+        path, doc = model_doc
+        doc["rank_bound"] = 7
+        with pytest.raises(DataError, match="rank_bound 7 does not match"):
+            load_model(write_doc(path, doc))
+
+    def test_provenance_seed_may_differ(self, model_doc):
+        path, doc = model_doc
+        assert doc["provenance"]["seed"] != doc["hyperparams"]["seed"]
+        assert load_model(path).seed == 3
 
     def test_missing_hyperparameter(self, model_doc):
         path, doc = model_doc
@@ -161,6 +201,24 @@ class TestLoadModel:
                      "--reshape", "2", "3"])
         assert code == 3
         assert "beta must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["unknown", "missing", "rank_bound"])
+    def test_cli_exit_code_of_malformed_document(self, model_doc, tmp_path, capsys,
+                                                 change):
+        path, doc = model_doc
+        if change == "unknown":
+            doc["hyperparams"]["step"]["bogus"] = "x"
+        elif change == "missing":
+            del doc["provenance"]["build"]
+        else:
+            doc["rank_bound"] = 2
+        write_doc(path, doc)
+        data = tmp_path / "d.csv"
+        data.write_text("1,0,0,0,0,0,0\n-1,1,1,1,1,1,1\n")
+        code = main(["kkt-check", "--model", str(path), "--data", str(data),
+                     "--reshape", "2", "3"])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_cli_exit_code_is_data_error(self, model_doc, tmp_path, capsys):
         path, _ = model_doc

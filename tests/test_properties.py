@@ -1,10 +1,12 @@
 """Property-based tests of the file formats and of the solver's invariants.
 
-File formats: round trips, truncation, corruption.  Solver (exact z mode,
+File formats: round trips, truncation, corruption, and JSON documents with one
+fault (an added key, a missing key, a value of another JSON kind).  Solver (exact z mode,
 every step policy): sufficient decrease along every returned trace and a
 rank-feasible returned model, whatever the stop status.
 """
 
+import json
 import struct
 import tracemalloc
 
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from hlsmm import (
     DataError,
     Dataset,
+    DatasetManifest,
     Hyperparams,
     StepPolicy,
     fit,
@@ -25,6 +28,7 @@ from hlsmm import (
     save_smm1,
     svd,
 )
+from hlsmm.cli import main
 
 from conftest import random_dataset
 
@@ -154,6 +158,97 @@ class TestModelFiles:
             load_bytes(tmp_path, load_model, bytes(blob), ".json")
         except DataError:
             pass
+
+
+def json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {dict: "object", list: "array", str: "string", type(None): "null"}[type(value)]
+
+
+KIND_EXAMPLES = {"object": {}, "array": [], "string": "x", "bool": True, "number": 1}
+
+
+def json_objects(doc: dict) -> list[dict]:
+    """``doc`` and every JSON object nested in it."""
+    found = [doc]
+    for value in doc.values():
+        if isinstance(value, dict):
+            found += json_objects(value)
+    return found
+
+
+@st.composite
+def one_fault(draw, doc: dict, required) -> dict:
+    """A copy of ``doc`` with one fault at a random nesting level.
+
+    The fault is an added key, a deleted key for which ``required(key)`` holds,
+    or a non-null value replaced by one of another JSON kind (not null, as a
+    null may be legal where a number or an array is).
+    """
+    doc = json.loads(json.dumps(doc))
+    objects = json_objects(doc)
+    fault = draw(st.sampled_from(["add", "delete", "retype"]))
+    if fault == "add":
+        target = draw(st.sampled_from(objects))
+        key = draw(st.text(max_size=8).filter(lambda key: key not in target))
+        target[key] = draw(st.none() | st.booleans() | st.integers() | st.text(max_size=4))
+    elif fault == "delete":
+        target, key = draw(st.sampled_from(
+            [(obj, key) for obj in objects for key in obj if required(key)]))
+        del target[key]
+    else:
+        target, key = draw(st.sampled_from(
+            [(obj, key) for obj in objects for key, value in obj.items()
+             if value is not None]))
+        kind = draw(st.sampled_from(sorted(set(KIND_EXAMPLES) - {json_kind(target[key])})))
+        target[key] = KIND_EXAMPLES[kind]
+    return doc
+
+
+@pytest.fixture
+def eval_inputs(tmp_path):
+    """A 2x3 CSV dataset, a model file for it and a manifest naming every key."""
+    data = tmp_path / "d.csv"
+    data.write_text("1,0,0,0,0,0,1\n-1,1,1,1,1,1,0\n")
+    model = tmp_path / "model.json"
+    save_model(model, np.eye(2, 3), 0.5, Hyperparams(beta=0.1, sigma=0.2, rank=1))
+    manifest = {"format": "csv", "path": str(data), "reshape": [2, 3],
+                "label_column": 0, "normalization": "none"}
+    return data, model, manifest
+
+
+class TestMalformedDocuments:
+    @FILES
+    @given(data=st.data())
+    def test_model_file_with_one_fault_is_data_error(self, tmp_path, eval_inputs, data):
+        csv_path, model_path, _ = eval_inputs
+        doc = data.draw(one_fault(json.loads(model_path.read_text()), lambda key: True))
+        path = tmp_path / "faulty.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_model(path)
+        assert main(["eval", "--model", str(path), "--data", str(csv_path),
+                     "--reshape", "2", "3"]) == 3
+
+    @FILES
+    @given(data=st.data())
+    def test_manifest_with_one_fault_is_data_error(self, tmp_path, eval_inputs, data):
+        _, model_path, manifest = eval_inputs
+        doc = data.draw(one_fault(manifest, lambda key: key == "path"))
+        path = tmp_path / "faulty-manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            DatasetManifest.from_json(path.read_text())
+        assert main(["eval", "--model", str(model_path), "--manifest", str(path)]) == 3
+
+    def test_documents_without_a_fault_load(self, tmp_path, eval_inputs):
+        _, model_path, manifest = eval_inputs
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["eval", "--model", str(model_path), "--manifest", str(path)]) == 0
 
 
 STEP_POLICIES = {
