@@ -37,19 +37,22 @@ def _default_seed() -> int:
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
+    # The data flags default to None, so that a given one is told apart from
+    # an absent one; DatasetManifest owns the defaults.
     parser.add_argument("--data", help="dataset file path (or use --manifest)")
-    parser.add_argument("--format", choices=("csv", "smm1"), default="csv",
+    parser.add_argument("--format", choices=("csv", "smm1"),
                         help="dataset file format (default csv)")
-    parser.add_argument("--label-column", type=int, default=0,
+    parser.add_argument("--label-column", type=int,
                         help="label column index for csv (default 0)")
-    parser.add_argument("--has-header", action="store_true",
+    parser.add_argument("--has-header", action="store_true", default=None,
                         help="skip the first csv line")
     parser.add_argument("--reshape", type=int, nargs=2, metavar=("P", "Q"),
                         help="reshape vector rows into PxQ matrices (row-major)")
     parser.add_argument("--normalize", choices=("none", "per-sample"),
-                        default="none", help="per-sample zero-mean/unit-variance")
+                        help="per-sample zero-mean/unit-variance (default none)")
     parser.add_argument("--manifest",
-                        help="JSON manifest; overrides the other data flags")
+                        help="JSON manifest describing the dataset, instead of "
+                             "the other data flags")
 
 
 def _add_hyper_args(parser: argparse.ArgumentParser) -> None:
@@ -89,16 +92,28 @@ def _hyperparams(args) -> Hyperparams:
 
 
 def _load_dataset(args, for_training: bool = False) -> Dataset:
+    flags = {"--data": args.data, "--format": args.format,
+             "--label-column": args.label_column, "--has-header": args.has_header,
+             "--reshape": args.reshape, "--normalize": args.normalize}
+    given = [flag for flag, value in flags.items() if value is not None]
     if args.manifest:
-        ds = datamod.DatasetManifest.from_file(args.manifest).load()
+        if given:
+            raise InvalidArgumentError(
+                f"--manifest describes the dataset; it cannot be combined with "
+                f"{', '.join(given)}")
+        manifest = datamod.DatasetManifest.from_file(args.manifest)
     elif args.data:
-        ds = datamod.DatasetManifest(
-            format=args.format, path=args.data, label_column=args.label_column,
-            reshape=tuple(args.reshape) if args.reshape else None,
-            normalization="per_sample_zscore" if args.normalize == "per-sample" else "none",
-        ).load(has_header=args.has_header)
+        fields = {"format": args.format, "label_column": args.label_column,
+                  "has_header": args.has_header,
+                  "reshape": tuple(args.reshape) if args.reshape else None,
+                  "normalization": {"per-sample": "per_sample_zscore"}.get(
+                      args.normalize, args.normalize)}
+        manifest = datamod.DatasetManifest(
+            path=args.data, **{name: value for name, value in fields.items()
+                               if value is not None})
     else:
         raise InvalidArgumentError("one of --data or --manifest is required")
+    ds = manifest.load()
     if for_training and not all(ds.labels_present()):
         raise DataError("training data must contain both labels")
     return ds

@@ -34,13 +34,24 @@ _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
 _NUMBER = (int, float)
 _MANIFEST_KINDS = {"path": str, "format": str, "reshape": ([int, int], None),
-                   "label_column": int, "normalization": str}
+                   "label_column": int, "has_header": bool, "normalization": str}
+
+
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: an object that repeats a key is a
+    DataError, where plain ``json.loads`` would keep the last value."""
+    value = {}
+    for key, item in pairs:
+        if key in value:
+            raise DataError(f"duplicate key {key!r}")
+        value[key] = item
+    return value
 
 
 def _is_kind(value, kind) -> bool:
-    """Whether a JSON value has ``kind``: a type (a bool is never a number), None
-    (null), a list of element kinds (an array of that length) or a tuple of
-    alternatives."""
+    """Whether a JSON value has ``kind``: a type (a bool is a bool, never a
+    number), None (null), a list of element kinds (an array of that length) or
+    a tuple of alternatives."""
     if kind is None:
         return value is None
     if isinstance(kind, tuple):
@@ -48,7 +59,7 @@ def _is_kind(value, kind) -> bool:
     if isinstance(kind, list):
         return (isinstance(value, list) and len(value) == len(kind)
                 and all(map(_is_kind, value, kind)))
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _json_object(value, kinds: dict, name: str, optional=()) -> dict:
@@ -81,6 +92,7 @@ class DatasetManifest:
     format: str = "csv"              # "csv" | "smm1"
     reshape: tuple[int, int] | None = None
     label_column: int = 0            # csv only
+    has_header: bool = False         # csv only: skip the first line
     normalization: str = "none"      # "none" | "per_sample_zscore"
 
     def __post_init__(self):
@@ -105,9 +117,11 @@ class DatasetManifest:
     def from_json(cls, text: str) -> "DatasetManifest":
         """Parse a manifest; any ill-formed or ill-typed value is a DataError."""
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise DataError(f"manifest is not valid JSON: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"manifest: {exc}") from exc
         if not isinstance(raw, dict) or not raw.get("path"):
             raise DataError('manifest must be a JSON object with a non-empty "path"')
         raw = _json_object(raw, _MANIFEST_KINDS, "manifest",
@@ -119,11 +133,11 @@ class DatasetManifest:
         except InvalidArgumentError as exc:
             raise DataError(f"manifest: {exc}") from exc
 
-    def load(self, has_header: bool = False) -> Dataset:
-        """The described dataset; ``has_header`` skips the first line of a CSV file."""
+    def load(self) -> Dataset:
+        """The described dataset, read, reshaped and normalized."""
         if self.format == "csv":
             ds = load_csv(self.path, self.label_column, reshape=self.reshape,
-                          has_header=has_header)
+                          has_header=self.has_header)
         else:
             ds = load_smm1(self.path)
             if self.reshape:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _NUMBER, _json_object
+from .data import _NUMBER, _json_object, _unique_keys
 from .errors import DataError
 from .model import Hyperparams, StepPolicy
 
@@ -73,8 +73,9 @@ def load_model(path) -> LoadedModel:
     if not path.is_file():
         raise DataError(f"{path}: no such file")
     try:
-        document = json.loads(path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        document = json.loads(path.read_bytes().decode("utf-8"),
+                              object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"{path}: not a valid model file: {exc}") from exc
     if not isinstance(document, dict):
         raise DataError(f"{path}: not a valid model file: not a JSON object")

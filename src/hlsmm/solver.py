@@ -16,8 +16,10 @@ asserted at runtime (exact z mode); violation raises NumericalError.
 
 One kernel runs K configurations of one dataset ("lanes") in lockstep: the
 iterates are stacked along a leading lane axis, every product is taken lane
-by lane, and a lane that stops or fails leaves the batch.  :func:`fit` is
-the one-lane case; :func:`fit_many` serves sweeps.
+by lane, and a lane that stops or fails leaves the batch.  Configurations
+whose iterates cannot differ, because they differ only in a tau1 that no
+update reads, ride one lane.  :func:`fit` is the one-lane, one-rider case;
+:func:`fit_many` serves sweeps.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class FitResult:
     """Output of :func:`fit`: final iterate, per-iteration trace, echo of inputs.
 
     ``wall_time`` runs from the start of the call until this lane stopped;
-    lanes of one :func:`fit_many` batch share their time.
+    lanes of one :func:`fit_many` batch share their time, and so do the
+    riders of one lane.
     """
 
     model: ModelState
@@ -150,30 +153,61 @@ class _Problem:
 class _Lanes:
     """Per-lane hyperparameters of a lockstep batch, as (K,) arrays.
 
-    The lanes share the rank bound, the step policy and the z mode.
+    The lanes share the rank bound, the step policy and the z mode.  A lane
+    carries one or more riders, positions in ``configurations`` with one
+    :func:`_trajectory`: they share the lane's iterates, and with them its
+    data passes, rank projections and slack and bias blocks.  Riders of a
+    lane differ at most in tau1, which the W acceptance test reads as the
+    lane's smallest and largest value and the sufficient-decrease check
+    reads per rider, through ``tau_min``.
     """
 
-    def __init__(self, configurations):
-        self.configurations = list(configurations)
-        first = self.configurations[0]
-        self.rank, self.step, self.z_update = first.rank, first.step, first.z_update
+    def __init__(self, configurations, riders):
+        self.configurations = configurations
+        self.riders = list(riders)
+        first = [configurations[lane[0]] for lane in self.riders]
+        self.rank, self.step, self.z_update = first[0].rank, first[0].step, first[0].z_update
 
-        def column(name):
-            return np.array([getattr(hp, name) for hp in self.configurations],
+        def column(name, configurations=first):
+            return np.array([getattr(hp, name) for hp in configurations],
                             dtype=np.float64)
 
         self.beta, self.sigma = column("beta"), column("sigma")
-        self.tau1, self.tau2, self.tau3 = column("tau1"), column("tau2"), column("tau3")
-        self.tau_min = np.minimum(np.minimum(self.tau1, self.tau2), self.tau3)
+        self.tau2, self.tau3 = column("tau2"), column("tau3")
         self.tol_step, self.tol_obj = column("tol_step"), column("tol_obj")
         # As floats any int bound fits; one above 2**53 rounds, but is never reached.
         self.maxit = column("maxit")
+        tau1 = [[configurations[index].tau1 for index in lane] for lane in self.riders]
+        self.tau1_min = np.array([min(values) for values in tau1])
+        self.tau1_max = np.array([max(values) for values in tau1])
+        self.tau1_varies = bool((self.tau1_min < self.tau1_max).any())
+        # Per rider, lane by lane: its position, its lane's row, min(tau1, tau2, tau3).
+        self.positions = [index for lane in self.riders for index in lane]
+        every = [configurations[index] for index in self.positions]
+        self.lane_of = np.repeat(np.arange(len(self.riders)),
+                                 [len(lane) for lane in self.riders])
+        self.tau_min = np.minimum(np.minimum(column("tau1", every), column("tau2", every)),
+                                  column("tau3", every))
+
+    @classmethod
+    def alone(cls, configurations) -> "_Lanes":
+        """One lane per configuration, each its lane's only rider."""
+        return cls(configurations, ([index] for index in range(len(configurations))))
 
     def __len__(self) -> int:
-        return len(self.configurations)
+        return len(self.riders)
 
-    def take(self, rows) -> "_Lanes":
-        return _Lanes(self.configurations[row] for row in rows)
+
+def _trajectory(hp: Hyperparams) -> Hyperparams:
+    """The part of a configuration that decides its iterates; riders of a lane share it.
+
+    tau1 moves the iterates only through the fixed step 1 / (L + tau1) taken
+    when ``alpha0`` is None.  Otherwise it enters only the W acceptance test
+    and the sufficient-decrease check, so it is set to one common value.
+    """
+    if hp.step.kind == "fixed" and hp.step.alpha0 is None:
+        return hp
+    return hp.with_(tau1=1.0)
 
 
 def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
@@ -223,11 +257,17 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
             z: np.ndarray, b: np.ndarray, iteration: int):
     """One accepted projected-gradient step per lane from W with scores S.
 
-    Returns (new W, its scores, halvings used, stalled, errors).  A lane
-    stalls when no step passes the decrease test within ``max_halvings``; it
-    then keeps its W.  Backtracking halves only the lanes that failed the
-    test.  ``errors`` maps each row whose step failed to its NumericalError;
-    the other arrays hold no result for that row.
+    Returns (new W, its scores, halvings used, stalled, errors, split).  A
+    lane stalls when no step passes the decrease test within
+    ``max_halvings``; it then keeps its W.  Backtracking halves only the
+    lanes that failed the test.  ``errors`` maps each row whose step failed
+    to its NumericalError; the other arrays hold no result for that row.
+
+    The decrease test is monotone in tau1 (in floating point too), so a
+    lane whose largest tau1 passes or whose smallest fails decides all its
+    riders.  When only the smallest passes, the lane takes the step, and
+    ``split`` lists the positions of the riders that reject it: from here
+    on they follow another trajectory.
     """
     gap = problem.gap(s, z, b)
     grad = problem.gradient(w, gap, lanes.sigma)
@@ -237,13 +277,15 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
               for row in np.flatnonzero(~finite)}
     halvings = np.zeros(count, dtype=np.int64)
     stalled = np.zeros(count, dtype=bool)
+    split: list = []
     policy = lanes.step
     if policy.kind == "fixed":
+        # Without alpha0 tau1 sets the step, so the riders of a lane share it.
         alpha = (np.full(count, policy.alpha0) if policy.alpha0 is not None
-                 else 1.0 / (problem.lipschitz(lanes.sigma) + lanes.tau1))
+                 else 1.0 / (problem.lipschitz(lanes.sigma) + lanes.tau1_min))
         new_w = _project(w - alpha[:, None, None] * grad, lanes.rank,
                          np.arange(count), errors, iteration)
-        return new_w, problem.scores(new_w), halvings, stalled, errors
+        return new_w, problem.scores(new_w), halvings, stalled, errors, split
 
     alpha = (np.full(count, policy.alpha0) if policy.alpha0 is not None
              else problem.cauchy_step(grad, lanes.sigma))
@@ -261,13 +303,19 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
         candidate = _project(w[rows] - alpha[rows, None, None] * grad[rows],
                              lanes.rank, pending, errors, iteration)
         s_candidate = problem.scores(candidate)
-        step = candidate - w[rows]
-        ok = (problem.smooth(candidate, problem.gap(s_candidate, z[rows], b[rows]),
-                             lanes.sigma[rows])
-              + 0.5 * lanes.tau1[rows] * _sq_norms(step)
-              <= h_ref[rows])
+        smooth = problem.smooth(candidate, problem.gap(s_candidate, z[rows], b[rows]),
+                                lanes.sigma[rows])
+        step_sq = _sq_norms(candidate - w[rows])
+        h = h_ref[rows]
+        ok = smooth + 0.5 * lanes.tau1_min[rows] * step_sq <= h
         live = ~np.isin(pending, list(errors)) if errors else np.ones(pending.size, bool)
         ok &= live
+        if lanes.tau1_varies:
+            straddle = ok & ~(smooth + 0.5 * lanes.tau1_max[rows] * step_sq <= h)
+            for j in np.flatnonzero(straddle):
+                split += [index for index in lanes.riders[pending[j]]
+                          if not (smooth[j] + 0.5 * lanes.configurations[index].tau1
+                                  * step_sq[j] <= h[j])]
         if new_w is None:
             new_w, new_s = candidate, s_candidate
         else:
@@ -281,7 +329,7 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
     new_w[pending] = w[pending]
     new_s[pending] = s[pending]
     halvings[pending] = policy.max_halvings
-    return new_w, new_s, halvings, stalled, errors
+    return new_w, new_s, halvings, stalled, errors, split
 
 
 def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
@@ -317,14 +365,14 @@ def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarr
 def _one_lane(state: ModelState, data: Dataset, hp: Hyperparams):
     problem = _Problem(data)
     w, z, b = state.w[None], state.z[None], np.array([state.b])
-    return problem, _Lanes([hp]), w, problem.scores(w), z, b
+    return problem, _Lanes.alone([hp]), w, problem.scores(w), z, b
 
 
 def update_w(state: ModelState, data: Dataset, hp: Hyperparams) -> tuple[np.ndarray, int]:
     """Public one-shot W update; see the module docstring for the scheme."""
     hp.validate_for_shape(*data.sample_shape)
     problem, lanes, w, s, z, b = _one_lane(state, data, hp)
-    w_new, _, halvings, _, errors = _w_step(problem, lanes, w, s, z, b, state.iter)
+    w_new, _, halvings, _, errors, _ = _w_step(problem, lanes, w, s, z, b, state.iter)
     if errors:
         raise errors[0]
     return w_new[0], int(halvings[0])
@@ -357,14 +405,16 @@ def _check_start(data: Dataset, hp: Hyperparams, init: ModelState | None) -> Non
 
 
 def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: float):
-    """Run one batch of lanes from ``start``; yield (row, outcome) as each lane stops.
+    """Run one batch of lanes from ``start``; yield (position, outcome) as each rider stops.
 
-    The outcome is a :class:`FitResult` or the lane's NumericalError.  Every
-    check of the one-lane scheme runs on every lane, in the same order: the
-    first that fails ends that lane and no other.
+    The outcome is a :class:`FitResult`, the rider's NumericalError, or None
+    when the rider split from its lane (see :func:`_w_step`) and has to be
+    fitted again alone.  Every check of the one-lane scheme runs on every
+    lane, in the same order: the first that fails ends that lane and no
+    other.  The sufficient-decrease check reads tau1, so it runs per rider
+    and ends that rider alone; the other checks end every rider of the lane.
     """
     count = len(lanes)
-    ids = np.arange(count)
     w = np.repeat(start.w[None], count, axis=0)
     z = np.repeat(start.z[None], count, axis=0)
     b = np.full(count, start.b)
@@ -377,34 +427,46 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
     history[0, :, 0] = g
 
     k = 0
-    stops: dict = {}
+    stops: dict = {}    # lane row -> status or NumericalError, for all its riders
+    leaving: dict = {}  # rider position -> NumericalError or None, for that rider
     while True:
         for row in np.flatnonzero(lanes.maxit <= k):
             stops.setdefault(row, "max_iter")
-        if stops:
-            for row, stop in stops.items():
-                if isinstance(stop, NumericalError):
-                    yield ids[row], stop
-                    continue
-                *floats, halvings = history[:, row, :k + 1].tolist()
-                trace = SolverTrace(*floats, [int(h) for h in halvings], status=stop)
-                final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
-                yield ids[row], FitResult(
-                    model=final, trace=trace, hyperparams_echo=lanes.configurations[row],
-                    wall_time=time.perf_counter() - t_start)
-            keep = [row for row in range(len(ids)) if row not in stops]
+        if stops or leaving:
+            riders = []
+            for row, lane in enumerate(lanes.riders):
+                for index in lane:
+                    if index in leaving:
+                        yield index, leaving[index]
+                    elif isinstance(stops.get(row), NumericalError):
+                        yield index, stops[row]
+                    elif row in stops:
+                        *floats, halvings = history[:, row, :k + 1].tolist()
+                        trace = SolverTrace(*floats, [int(h) for h in halvings],
+                                            status=stops[row])
+                        final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(),
+                                           iter=k)
+                        yield index, FitResult(
+                            model=final, trace=trace,
+                            hyperparams_echo=lanes.configurations[index],
+                            wall_time=time.perf_counter() - t_start)
+                riders.append([] if row in stops else
+                              [index for index in lane if index not in leaving])
+            keep = [row for row, lane in enumerate(riders) if lane]
             if not keep:
                 return
             w, s, z, b, g = w[keep], s[keep], z[keep], b[keep], g[keep]
-            ids, history, lanes = ids[keep], history[:, keep], lanes.take(keep)
-            stops = {}
+            history = history[:, keep]
+            lanes = _Lanes(lanes.configurations, (riders[row] for row in keep))
+            stops, leaving = {}, {}
 
         k += 1
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
         # The previous scores and slack are dropped as soon as they are used.
         with np.errstate(over="ignore", invalid="ignore"):
-            w_new, s, halvings, stalled, errors = _w_step(problem, lanes, w, s, z, b, k)
+            w_new, s, halvings, stalled, errors, split = _w_step(problem, lanes, w, s, z,
+                                                                 b, k)
             z_old, z = z, _z_step(problem, lanes, s, z, b)
             b_new = _b_step(problem, lanes, s, z, b)
             np.subtract(z, z_old, out=z_old)
@@ -421,18 +483,23 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
             checks = [(~finite, lambda row: "iterate became non-finite"),
                       (~np.isfinite(g_new), lambda row: "objective became non-finite")]
             if lanes.z_update == "exact":
-                decrease = g - g_new
-                required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)
-                checks += [
-                    (g_new > g + MONOTONE_SLACK, lambda row: (
-                        f"objective increased from {g[row]:.6e} to {g_new[row]:.6e}")),
-                    (decrease < required - DECREASE_SLACK, lambda row: (
-                        f"sufficient decrease violated: {decrease[row]:.3e} < "
-                        f"{required[row]:.3e}"))]
+                checks.append((g_new > g + MONOTONE_SLACK, lambda row: (
+                    f"objective increased from {g[row]:.6e} to {g_new[row]:.6e}")))
+                # Per rider, in the order of lanes.positions.
+                decrease = (g - g_new)[lanes.lane_of]
+                required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
+                short = decrease < required - DECREASE_SLACK
         for failed, message in checks:
             if failed.any():
                 for row in np.flatnonzero(failed):
                     errors.setdefault(row, NumericalError(message(row), k))
+        leaving = dict.fromkeys(split)
+        if lanes.z_update == "exact" and short.any():
+            for j in np.flatnonzero(short):
+                if lanes.lane_of[j] not in errors:
+                    leaving.setdefault(lanes.positions[j], NumericalError(
+                        f"sufficient decrease violated: {decrease[j]:.3e} < "
+                        f"{required[j]:.3e}", k))
 
         if k == history.shape[2]:
             history = np.concatenate((history, np.empty_like(history)), axis=2)
@@ -447,38 +514,54 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
 
 
 def fit_many(data: Dataset, configurations, init: ModelState | None = None):
-    """Fit every configuration on ``data``, as the lanes of lockstep batches.
+    """Fit every configuration on ``data``, as the riders of lockstep lanes.
 
-    Yields (position in ``configurations``, outcome) as each lane stops, in
-    no fixed order; the outcome is the :class:`FitResult` of
+    Yields (position in ``configurations``, outcome) as each configuration
+    stops, in no fixed order; the outcome is the :class:`FitResult` of
     ``fit(data, hp, init)``, equal to it bit for bit, or the
-    InvalidArgumentError or NumericalError that call raises.  A lane's
-    failure leaves the other lanes unchanged.  Lanes sharing the rank bound,
-    step policy and z mode run together, as many per batch as
+    InvalidArgumentError or NumericalError that call raises.  Configurations
+    with one :func:`_trajectory` ride one lane and pay its work once; each
+    still gets its own result.  A rider that splits from its lane at the W
+    acceptance test is fitted again from the start as a lane of its own.  A
+    lane's failure leaves the other lanes unchanged.  Lanes sharing the rank
+    bound, step policy and z mode run together, as many per batch as
     ``BATCH_FLOATS`` allows.
     """
     t_start = time.perf_counter()
     configurations = list(configurations)
-    groups: dict = {}
+    lanes: dict = {}
     for index, hp in enumerate(configurations):
         try:
             _check_start(data, hp, init)
         except InvalidArgumentError as exc:
             yield index, exc
             continue
-        groups.setdefault((hp.rank, hp.step, hp.z_update), []).append(index)
-    if not groups:
+        lanes.setdefault(_trajectory(hp), []).append(index)
+    # Lanes sharing the rank bound, step policy and z mode queue together;
+    # a lane is the list of its riders' positions.
+    queues: dict = {}
+    for riders in lanes.values():
+        hp = configurations[riders[0]]
+        queues.setdefault((hp.rank, hp.step, hp.z_update), []).append(riders)
+    del lanes  # the trajectory keys are not needed while the lanes run
+    if not queues:
         return
     problem = _Problem(data)
     start = init if init is not None else ModelState.initial(data)
-    for indices in groups.values():
-        maxit = max(configurations[index].maxit for index in indices)
-        width = max(1, BATCH_FLOATS // (4 * data.m + 5 * (maxit + 1)))
-        for first in range(0, len(indices), width):
-            batch = indices[first:first + width]
-            lanes = _Lanes(configurations[index] for index in batch)
-            for row, outcome in _lockstep(problem, lanes, start, t_start):
-                yield batch[row], outcome
+    for queue in queues.values():
+        # A lane of one rider cannot split, so the second round is the last.
+        while queue:
+            split = []
+            maxit = max(configurations[lane[0]].maxit for lane in queue)
+            width = max(1, BATCH_FLOATS // (4 * data.m + 5 * (maxit + 1)))
+            for first in range(0, len(queue), width):
+                batch = _Lanes(configurations, queue[first:first + width])
+                for index, outcome in _lockstep(problem, batch, start, t_start):
+                    if outcome is None:
+                        split.append([index])
+                    else:
+                        yield index, outcome
+            queue = split
 
 
 def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitResult:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hlsmm import load_model, make_lowrank_separable, model, save_smm1
+from hlsmm import (Hyperparams, load_model, make_lowrank_separable, model, save_model,
+                   save_smm1)
 from hlsmm.cli import main
 
 
@@ -387,6 +388,37 @@ class TestManifest:
         assert code == 0
         capsys.readouterr()
         assert load_model(model_path).w.shape == (6, 8)
+
+    @pytest.fixture
+    def header_csv(self, tmp_path):
+        """A 2x3 CSV dataset with a header line, a model for it and a manifest."""
+        data = tmp_path / "d.csv"
+        data.write_text("y,a,b,c,d,e,f\n1,0,0,0,0,0,1\n-1,1,1,1,1,1,0\n")
+        model_path = tmp_path / "model.json"
+        save_model(model_path, np.eye(2, 3), 0.5, Hyperparams(beta=0.1, sigma=0.2, rank=1))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"path": str(data), "reshape": [2, 3],
+                                        "has_header": True}))
+        return data, model_path, manifest
+
+    def test_header_csv_via_manifest_equals_flags(self, header_csv, capsys):
+        data, model_path, manifest = header_csv
+        assert main(["eval", "--model", str(model_path), "--manifest", str(manifest)]) == 0
+        via_manifest = capsys.readouterr().out
+        assert main(["eval", "--model", str(model_path), "--data", str(data),
+                     "--reshape", "2", "3", "--has-header"]) == 0
+        assert capsys.readouterr().out == via_manifest
+
+    @pytest.mark.parametrize("flag", [["--data", "d.csv"], ["--format", "csv"],
+                                      ["--label-column", "0"], ["--has-header"],
+                                      ["--reshape", "2", "3"], ["--normalize", "none"]])
+    def test_manifest_with_another_data_flag_is_usage_error(self, header_csv, capsys,
+                                                            flag):
+        # Even a flag at its default value would be ignored, so it is refused.
+        _, model_path, manifest = header_csv
+        assert main(["eval", "--model", str(model_path), "--manifest", str(manifest),
+                     *flag]) == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_cv_sweep_mode_labeled(self, smm1_file, capsys):
         path, _ = smm1_file

@@ -388,22 +388,35 @@ class TestSaltPepperNoise:
 class TestManifest:
     def test_every_key_parses(self):
         text = json.dumps({"format": "smm1", "path": "d.smm1", "reshape": [3, 19],
-                           "label_column": 2, "normalization": "per_sample_zscore"})
+                           "label_column": 2, "has_header": True,
+                           "normalization": "per_sample_zscore"})
         assert DatasetManifest.from_json(text) == DatasetManifest(
             format="smm1", path="d.smm1", reshape=(3, 19), label_column=2,
-            normalization="per_sample_zscore")
+            has_header=True, normalization="per_sample_zscore")
+
+    def test_repeated_key_is_data_error(self):
+        # json.loads alone would keep the last value and load label column 3.
+        with pytest.raises(DataError, match="manifest: duplicate key 'label_column'"):
+            DatasetManifest.from_json(
+                '{"path": "d.csv", "label_column": 0, "label_column": 3}')
+
+    @pytest.mark.parametrize("value", ['"yes"', 1, "null"])
+    def test_has_header_must_be_a_bool(self, value):
+        with pytest.raises(DataError, match="has_header has the wrong type"):
+            DatasetManifest.from_json(f'{{"path": "d.csv", "has_header": {value}}}')
 
     def test_absent_keys_take_the_defaults(self):
         manifest = DatasetManifest.from_json('{"path": "d.csv", "reshape": null}')
         assert manifest == DatasetManifest(path="d.csv")
         assert (manifest.format, manifest.reshape, manifest.label_column,
-                manifest.normalization) == ("csv", None, 0, "none")
+                manifest.has_header, manifest.normalization) == ("csv", None, 0, False,
+                                                                 "none")
 
     def test_load_csv_with_reshape_and_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,c,d,y\n1,2,3,4,1\n5,6,7,8,2\n")
-        ds = DatasetManifest(path=str(path), reshape=(2, 2), label_column=4).load(
-            has_header=True)
+        ds = DatasetManifest(path=str(path), reshape=(2, 2), label_column=4,
+                             has_header=True).load()
         expected = load_csv(path, 4, reshape=(2, 2), has_header=True)
         assert ds.xs.tobytes() == expected.xs.tobytes()
         np.testing.assert_array_equal(ds.ys, [1, -1])

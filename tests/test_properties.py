@@ -208,6 +208,22 @@ def one_fault(draw, doc: dict, required) -> dict:
     return doc
 
 
+@st.composite
+def repeated_key(draw, doc: dict) -> str:
+    """JSON text of ``doc`` in which one object, at a random nesting level,
+    holds one of its keys twice, both times with its own value."""
+    target, key = draw(st.sampled_from(
+        [(obj, key) for obj in json_objects(doc) for key in obj]))
+
+    def dumps(value):
+        if not isinstance(value, dict):
+            return json.dumps(value)
+        items = list(value.items()) + ([(key, value[key])] if value is target else [])
+        return "{" + ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in items) + "}"
+
+    return dumps(doc)
+
+
 @pytest.fixture
 def eval_inputs(tmp_path):
     """A 2x3 CSV dataset, a model file for it and a manifest naming every key."""
@@ -216,7 +232,7 @@ def eval_inputs(tmp_path):
     model = tmp_path / "model.json"
     save_model(model, np.eye(2, 3), 0.5, Hyperparams(beta=0.1, sigma=0.2, rank=1))
     manifest = {"format": "csv", "path": str(data), "reshape": [2, 3],
-                "label_column": 0, "normalization": "none"}
+                "label_column": 0, "has_header": False, "normalization": "none"}
     return data, model, manifest
 
 
@@ -241,6 +257,29 @@ class TestMalformedDocuments:
         path = tmp_path / "faulty-manifest.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
+            DatasetManifest.from_json(path.read_text())
+        assert main(["eval", "--model", str(model_path), "--manifest", str(path)]) == 3
+
+    @FILES
+    @given(data=st.data())
+    def test_model_file_with_a_repeated_key_is_data_error(self, tmp_path, eval_inputs,
+                                                          data):
+        csv_path, model_path, _ = eval_inputs
+        path = tmp_path / "repeated.json"
+        path.write_text(data.draw(repeated_key(json.loads(model_path.read_text()))))
+        with pytest.raises(DataError, match="duplicate key"):
+            load_model(path)
+        assert main(["eval", "--model", str(path), "--data", str(csv_path),
+                     "--reshape", "2", "3"]) == 3
+
+    @FILES
+    @given(data=st.data())
+    def test_manifest_with_a_repeated_key_is_data_error(self, tmp_path, eval_inputs,
+                                                        data):
+        _, model_path, manifest = eval_inputs
+        path = tmp_path / "repeated-manifest.json"
+        path.write_text(data.draw(repeated_key(manifest)))
+        with pytest.raises(DataError, match="duplicate key"):
             DatasetManifest.from_json(path.read_text())
         assert main(["eval", "--model", str(model_path), "--manifest", str(path)]) == 3
 

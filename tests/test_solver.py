@@ -26,7 +26,7 @@ from hlsmm import (
 )
 from hlsmm import solver
 from hlsmm.model import _margins
-from hlsmm.solver import _Lanes, _Problem, _w_step, _z_step
+from hlsmm.solver import _Lanes, _Problem, _trajectory, _w_step, _z_step
 
 from conftest import make_rng, random_dataset
 
@@ -376,12 +376,33 @@ class TestStall:
         hp = default_hp.with_(step=StepPolicy(alpha0=1e-3, max_halvings=0))
         problem = _Problem(data)
         w = np.zeros((1, *data.sample_shape))
-        new_w, scores, halvings, stalled, errors = _w_step(
-            problem, _Lanes([hp]), w, problem.scores(w), np.zeros((1, data.m)),
+        new_w, scores, halvings, stalled, errors, split = _w_step(
+            problem, _Lanes.alone([hp]), w, problem.scores(w), np.zeros((1, data.m)),
             np.zeros(1), 1)
-        assert (halvings[0], stalled[0], errors) == (0, False, {})
+        assert (halvings[0], stalled[0], errors, split) == (0, False, {}, [])
         assert not np.array_equal(new_w, w)
         np.testing.assert_array_equal(scores, problem.scores(new_w))
+
+
+class TestTrajectory:
+    """The lane key: every field that can move the iterates."""
+
+    @pytest.mark.parametrize("step", [StepPolicy(), StepPolicy(alpha0=2.0),
+                                      StepPolicy(kind="fixed", alpha0=0.1)])
+    def test_tau1_is_dropped_where_it_enters_only_checks(self, default_hp, step):
+        hp = default_hp.with_(step=step)
+        assert _trajectory(hp.with_(tau1=1e-4)) == _trajectory(hp.with_(tau1=1e2))
+
+    def test_tau1_is_kept_where_it_sets_the_step(self, default_hp):
+        hp = default_hp.with_(step=StepPolicy(kind="fixed"))
+        assert _trajectory(hp.with_(tau1=1e-4)) != _trajectory(hp.with_(tau1=1e2))
+
+    @pytest.mark.parametrize("change", [
+        {"beta": 0.2}, {"sigma": 0.2}, {"rank": 1}, {"tau2": 0.5}, {"tau3": 0.5},
+        {"maxit": 7}, {"tol_step": 1e-3}, {"tol_obj": 1e-3}, {"z_update": "paper"},
+        {"seed": 3}, {"step": StepPolicy(alpha0=2.0)}])
+    def test_every_other_field_is_kept(self, default_hp, change):
+        assert _trajectory(default_hp) != _trajectory(default_hp.with_(**change))
 
 
 class TestProblemKernel:
@@ -435,7 +456,7 @@ class TestProblemKernel:
         z = gen.standard_normal((4, 60))
         b = gen.standard_normal(4)
         problem = _Problem(data)
-        z_new = _z_step(problem, _Lanes(configs), problem.scores(w), z, b)
+        z_new = _z_step(problem, _Lanes.alone(configs), problem.scores(w), z, b)
         zeroed = kept = 0
         for k, hp in enumerate(configs):
             v = margin_residuals(w[k], b[k], data)
