@@ -91,13 +91,23 @@ class DatasetManifest:
     path: str
     format: str = "csv"              # "csv" | "smm1"
     reshape: tuple[int, int] | None = None
-    label_column: int = 0            # csv only
-    has_header: bool = False         # csv only: skip the first line
+    # csv only; None (absent) means 0 and False for csv, and only None is
+    # valid for smm1, whose file holds the labels and no header.
+    label_column: int | None = None
+    has_header: bool | None = None   # skip the first line
     normalization: str = "none"      # "none" | "per_sample_zscore"
 
     def __post_init__(self):
         if self.format not in ("csv", "smm1"):
             raise InvalidArgumentError(f"unknown dataset format {self.format!r}")
+        csv_only = [name for name in ("label_column", "has_header")
+                    if getattr(self, name) is not None]
+        if self.format == "smm1" and csv_only:
+            raise InvalidArgumentError(
+                f"smm1 data takes no {' or '.join(csv_only)} (csv only)")
+        if self.format == "csv":
+            object.__setattr__(self, "label_column", self.label_column or 0)
+            object.__setattr__(self, "has_header", bool(self.has_header))
         if self.normalization not in ("none", "per_sample_zscore"):
             raise InvalidArgumentError(
                 f"unknown normalization {self.normalization!r}")

@@ -163,10 +163,11 @@ def _sweep(configurations, pairs) -> SweepResult:
 
     ``pairs`` yields the pairs one at a time, so that one fold is held at a
     time.  Each training set fits every configuration still without an error
-    as one :func:`fit_many` call, and each model is scored as its lane stops.
-    A row sums the pairs' iterations and keeps the last pair's objective and
-    status; a fit that raises on any pair makes a failed row carrying the
-    message, and that configuration is not fitted on later pairs.
+    as one :func:`fit_many` call, and each lane's model is scored once, as
+    its riders stop.  A row sums the pairs' iterations and keeps the last
+    pair's objective and status; a fit that raises on any pair makes a
+    failed row carrying the message, and that configuration is not fitted
+    on later pairs.
     """
     configurations = list(configurations)
     pooled = [Metrics(0, 0, 0, 0)] * len(configurations)
@@ -175,12 +176,19 @@ def _sweep(configurations, pairs) -> SweepResult:
     errors: list[str | None] = [None] * len(configurations)
     for train, validation in pairs:
         live = [index for index, error in enumerate(errors) if error is None]
+        scored = None  # (model, metrics) of the last outcome scored on this pair
         for lane, outcome in fit_many(train, [configurations[i] for i in live]):
             index = live[lane]
             if not isinstance(outcome, FitResult):
                 errors[index] = str(outcome)
                 continue
-            pooled[index] = pooled[index] + evaluate(outcome.model, validation)
+            # The riders of a lane stop one after another with equal models,
+            # so a lane is scored once.
+            model = outcome.model
+            if not (scored and model.b == scored[0].b
+                    and np.array_equal(model.w, scored[0].w)):
+                scored = model, evaluate(model, validation)
+            pooled[index] = pooled[index] + scored[1]
             iterations[index] += outcome.model.iter
             last[index] = (outcome.trace.objective[-1], outcome.trace.status)
     rows = []

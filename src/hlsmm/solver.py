@@ -25,8 +25,9 @@ update reads, ride one lane.  :func:`fit` is the one-lane, one-rider case;
 from __future__ import annotations
 
 import functools
+import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,11 +40,12 @@ from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _hard_thresho
 MONOTONE_SLACK = 1e-10
 DECREASE_SLACK = 1e-9
 
-# Working memory of one lockstep batch, in float64 values.  A lane holds
-# about four m-vectors at once (scores, slack, trial scores, a temporary)
-# and five trace columns of up to maxit + 1 entries, so a batch takes
-# BATCH_FLOATS // (4 m + 5 (maxit + 1)) lanes, at least one.
-BATCH_FLOATS = 1 << 16
+# Working memory of one lockstep batch, in float64 values (1 MiB).  A lane
+# holds about four m-vectors at once (scores, slack, carried gap or trial
+# scores, a temporary), so a batch takes BATCH_FLOATS // (4 m) lanes, at
+# least one.  The trace is not reserved: it grows by doubling with the
+# iterations the live lanes have run.
+BATCH_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,16 @@ class _Problem:
         v = _margins(s, b, self.ys)
         return np.subtract(z, v, out=v)
 
-    def smooth(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def smooth(self, sq_norm: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """h(W) = 1/2 ||W||^2 + sigma ||Z - V||^2 per lane (loss term excluded)."""
-        return 0.5 * _sq_norms(w) + sigma * _dots(gap, gap)
+        return 0.5 * sq_norm + sigma * _dots(gap, gap)
 
-    def objective(self, w, s, z, b, sigma, beta) -> np.ndarray:
-        return (self.smooth(w, self.gap(s, z, b), sigma)
-                + beta * np.count_nonzero(z > 0, axis=1))
+    def objective(self, w, s, z, b, sigma, beta):
+        """(f, h(W), ||W||^2, Z - V) per lane; the next W block reads the last three."""
+        gap = self.gap(s, z, b)
+        sq_norm = _sq_norms(w)
+        h = self.smooth(sq_norm, gap, sigma)
+        return h + beta * np.count_nonzero(z > 0, axis=1), h, sq_norm, gap
 
     def gradient(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         pull = (self.X.T @ (self.ys * gap)[..., None]).reshape(w.shape)
@@ -198,16 +203,23 @@ class _Lanes:
         return len(self.riders)
 
 
-def _trajectory(hp: Hyperparams) -> Hyperparams:
+# attrgetter allocates each key at its final size, so that the tuple free
+# list recycles the keys of one call in the next instead of keeping more.
+_BUT_TAU1 = operator.attrgetter(*(field.name for field in fields(Hyperparams)
+                                  if field.name != "tau1"))
+
+
+def _trajectory(hp: Hyperparams) -> tuple:
     """The part of a configuration that decides its iterates; riders of a lane share it.
 
     tau1 moves the iterates only through the fixed step 1 / (L + tau1) taken
     when ``alpha0`` is None.  Otherwise it enters only the W acceptance test
-    and the sufficient-decrease check, so it is set to one common value.
+    and the sufficient-decrease check, so the key leaves it out.
     """
+    key = _BUT_TAU1(hp)
     if hp.step.kind == "fixed" and hp.step.alpha0 is None:
-        return hp
-    return hp.with_(tau1=1.0)
+        return key + (hp.tau1,)
+    return key
 
 
 def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
@@ -254,9 +266,12 @@ def _project(v: np.ndarray, rank: int, rows: np.ndarray, errors: dict,
 
 
 def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
-            z: np.ndarray, b: np.ndarray, iteration: int):
+            z: np.ndarray, b: np.ndarray, grad: np.ndarray, h_ref: np.ndarray,
+            iteration: int):
     """One accepted projected-gradient step per lane from W with scores S.
 
+    ``grad`` is grad h at W and ``h_ref`` is h(W), both carried from the
+    objective of the previous iterate (backtracking reads ``h_ref`` only).
     Returns (new W, its scores, halvings used, stalled, errors, split).  A
     lane stalls when no step passes the decrease test within
     ``max_halvings``; it then keeps its W.  Backtracking halves only the
@@ -269,8 +284,6 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
     ``split`` lists the positions of the riders that reject it: from here
     on they follow another trajectory.
     """
-    gap = problem.gap(s, z, b)
-    grad = problem.gradient(w, gap, lanes.sigma)
     count = len(w)
     finite = np.isfinite(grad).all(axis=(1, 2))
     errors = {row: NumericalError("non-finite gradient in W block", iteration)
@@ -289,8 +302,6 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
 
     alpha = (np.full(count, policy.alpha0) if policy.alpha0 is not None
              else problem.cauchy_step(grad, lanes.sigma))
-    h_ref = problem.smooth(w, gap, lanes.sigma)
-    del gap
     stalled[:] = True
     pending = np.flatnonzero(finite)
     # A first trial on every lane writes its arrays straight into the result;
@@ -303,7 +314,8 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
         candidate = _project(w[rows] - alpha[rows, None, None] * grad[rows],
                              lanes.rank, pending, errors, iteration)
         s_candidate = problem.scores(candidate)
-        smooth = problem.smooth(candidate, problem.gap(s_candidate, z[rows], b[rows]),
+        smooth = problem.smooth(_sq_norms(candidate),
+                                problem.gap(s_candidate, z[rows], b[rows]),
                                 lanes.sigma[rows])
         step_sq = _sq_norms(candidate - w[rows])
         h = h_ref[rows]
@@ -372,7 +384,10 @@ def update_w(state: ModelState, data: Dataset, hp: Hyperparams) -> tuple[np.ndar
     """Public one-shot W update; see the module docstring for the scheme."""
     hp.validate_for_shape(*data.sample_shape)
     problem, lanes, w, s, z, b = _one_lane(state, data, hp)
-    w_new, _, halvings, _, errors, _ = _w_step(problem, lanes, w, s, z, b, state.iter)
+    _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
+    grad = problem.gradient(w, gap, lanes.sigma)
+    w_new, _, halvings, _, errors, _ = _w_step(problem, lanes, w, s, z, b, grad, h,
+                                               state.iter)
     if errors:
         raise errors[0]
     return w_new[0], int(halvings[0])
@@ -390,18 +405,39 @@ def update_b(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     return float(_b_step(problem, lanes, s, z, b)[0])
 
 
-def _check_start(data: Dataset, hp: Hyperparams, init: ModelState | None) -> None:
-    data.require_both_labels()
-    hp.validate_for_shape(*data.sample_shape)
-    if init is None:
-        return
-    if init.w.shape != data.sample_shape or init.z.shape[0] != data.m:
-        raise InvalidArgumentError("init state does not match dataset shapes")
-    rank = svd(init.w).rank
-    if rank > hp.rank:
-        # A stalled W block keeps the previous iterate, so feasibility of the
-        # returned model requires a feasible start.
-        raise InvalidArgumentError(f"init weight matrix has rank {rank} > bound {hp.rank}")
+def _start_check(data: Dataset, init: ModelState | None):
+    """The check of a configuration's start, as a function that raises its error.
+
+    The checks run in this order: both labels present, the rank bound
+    against the sample shape, the init shapes, the init rank.  Only the
+    second and the comparison in the last read the configuration, so the
+    labels, the init shapes and the rank of the init (one SVD) are checked
+    once here; each failing configuration still gets its own error.
+    """
+    labels = init_shapes = None
+    init_rank = 0
+    try:
+        data.require_both_labels()
+    except InvalidArgumentError as exc:
+        labels = str(exc)
+    if init is not None:
+        if init.w.shape != data.sample_shape or init.z.shape[0] != data.m:
+            init_shapes = "init state does not match dataset shapes"
+        else:
+            init_rank = svd(init.w).rank
+
+    def check(hp: Hyperparams) -> None:
+        if labels:
+            raise InvalidArgumentError(labels)
+        hp.validate_for_shape(*data.sample_shape)
+        if init_shapes:
+            raise InvalidArgumentError(init_shapes)
+        if init_rank > hp.rank:
+            # A stalled W block keeps the previous iterate, so feasibility of
+            # the returned model requires a feasible start.
+            raise InvalidArgumentError(
+                f"init weight matrix has rank {init_rank} > bound {hp.rank}")
+    return check
 
 
 def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: float):
@@ -419,7 +455,9 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
     z = np.repeat(start.z[None], count, axis=0)
     b = np.full(count, start.b)
     s = problem.scores(w)
-    g = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
+    # The objective f of each iterate comes with h(W), ||W||^2 and the gap
+    # Z - V, which the next iteration's W block reads instead of recomputing.
+    g, h, sq_norm, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
     # Trace columns (objective, W, z and b step norms, halvings) by lane and
     # iteration; the iteration axis doubles when full, up to maxit + 1.
     history = np.empty((5, count, min(int(lanes.maxit.max()), 63) + 1))
@@ -433,7 +471,15 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
         for row in np.flatnonzero(lanes.maxit <= k):
             stops.setdefault(row, "max_iter")
         if stops or leaving:
-            riders = []
+            riders = [[] if row in stops else
+                      [index for index in lane if index not in leaving]
+                      for row, lane in enumerate(lanes.riders)]
+            keep = [row for row, lane in enumerate(riders) if lane]
+            # The results read neither scores nor gap, so those shrink before
+            # the results are copied out; one array at a time, so that each
+            # old one is freed before the next copy.
+            s = s[keep]
+            gap = gap[keep]
             for row, lane in enumerate(lanes.riders):
                 for index in lane:
                     if index in leaving:
@@ -442,7 +488,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
                         yield index, stops[row]
                     elif row in stops:
                         *floats, halvings = history[:, row, :k + 1].tolist()
-                        trace = SolverTrace(*floats, [int(h) for h in halvings],
+                        trace = SolverTrace(*floats, [int(n) for n in halvings],
                                             status=stops[row])
                         final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(),
                                            iter=k)
@@ -450,12 +496,10 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
                             model=final, trace=trace,
                             hyperparams_echo=lanes.configurations[index],
                             wall_time=time.perf_counter() - t_start)
-                riders.append([] if row in stops else
-                              [index for index in lane if index not in leaving])
-            keep = [row for row, lane in enumerate(riders) if lane]
             if not keep:
                 return
-            w, s, z, b, g = w[keep], s[keep], z[keep], b[keep], g[keep]
+            w, b, g, h, sq_norm = w[keep], b[keep], g[keep], h[keep], sq_norm[keep]
+            z = z[keep]
             history = history[:, keep]
             lanes = _Lanes(lanes.configurations, (riders[row] for row in keep))
             stops, leaving = {}, {}
@@ -463,10 +507,14 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
         k += 1
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
-        # The previous scores and slack are dropped as soon as they are used.
+        # The carried gap and the previous scores and slack are dropped as
+        # soon as they are used.
         with np.errstate(over="ignore", invalid="ignore"):
+            grad = problem.gradient(w, gap, lanes.sigma)
+            del gap
             w_new, s, halvings, stalled, errors, split = _w_step(problem, lanes, w, s, z,
-                                                                 b, k)
+                                                                 b, grad, h, k)
+            del grad
             z_old, z = z, _z_step(problem, lanes, s, z, b)
             b_new = _b_step(problem, lanes, s, z, b)
             np.subtract(z, z_old, out=z_old)
@@ -474,10 +522,11 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
             del z_old
             finite = (np.isfinite(w_new).all(axis=(1, 2)) & np.isfinite(z).all(axis=1)
                       & np.isfinite(b_new))
-            g_new = problem.objective(w_new, s, z, b_new, lanes.sigma, lanes.beta)
+            g_new, h, sq_norm_new, gap = problem.objective(w_new, s, z, b_new,
+                                                           lanes.sigma, lanes.beta)
             dw = np.sqrt(_sq_norms(w_new - w))
             db = np.abs(b_new - b)
-            w_norm = np.sqrt(_sq_norms(w))
+            w_norm = np.sqrt(sq_norm)
             # The checks in the order of the one-lane scheme; a lane keeps its
             # first failure.
             checks = [(~finite, lambda row: "iterate became non-finite"),
@@ -510,7 +559,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
         if stop.any():
             for row in np.flatnonzero(stop):
                 stops.setdefault(row, "stalled" if stalled[row] else "converged")
-        w, b, g = w_new, b_new, g_new
+        w, b, g, sq_norm = w_new, b_new, g_new, sq_norm_new
 
 
 def fit_many(data: Dataset, configurations, init: ModelState | None = None):
@@ -525,14 +574,15 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     acceptance test is fitted again from the start as a lane of its own.  A
     lane's failure leaves the other lanes unchanged.  Lanes sharing the rank
     bound, step policy and z mode run together, as many per batch as
-    ``BATCH_FLOATS`` allows.
+    ``BATCH_FLOATS`` allows for their working set.
     """
     t_start = time.perf_counter()
     configurations = list(configurations)
+    check = _start_check(data, init)
     lanes: dict = {}
     for index, hp in enumerate(configurations):
         try:
-            _check_start(data, hp, init)
+            check(hp)
         except InvalidArgumentError as exc:
             yield index, exc
             continue
@@ -548,12 +598,11 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
         return
     problem = _Problem(data)
     start = init if init is not None else ModelState.initial(data)
+    width = max(1, BATCH_FLOATS // (4 * data.m))
     for queue in queues.values():
         # A lane of one rider cannot split, so the second round is the last.
         while queue:
             split = []
-            maxit = max(configurations[lane[0]].maxit for lane in queue)
-            width = max(1, BATCH_FLOATS // (4 * data.m + 5 * (maxit + 1)))
             for first in range(0, len(queue), width):
                 batch = _Lanes(configurations, queue[first:first + width])
                 for index, outcome in _lockstep(problem, batch, start, t_start):

@@ -1,4 +1,7 @@
+import contextlib
 import re
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,3 +45,32 @@ def synthetic():
 @pytest.fixture(scope="session")
 def default_hp() -> Hyperparams:
     return Hyperparams(beta=0.1, sigma=0.1, rank=2)
+
+
+@dataclass
+class Call:
+    """One recorded call: its arguments and, once it returned, its result."""
+
+    args: tuple
+    kwargs: dict
+    result: object = None
+
+
+@contextlib.contextmanager
+def calls_to(module, name: str):
+    """Wrap ``module.<name>`` while the block runs and yield the list of its calls.
+
+    The wrapper calls the original and appends a :class:`Call` per call, in
+    call order; the arguments and results are kept, not copied.
+    """
+    calls: list[Call] = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        call = Call(args, kwargs)
+        calls.append(call)
+        call.result = original(*args, **kwargs)
+        return call.result
+
+    with mock.patch.object(module, name, wrapper):
+        yield calls

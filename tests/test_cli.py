@@ -103,6 +103,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and key in err
 
+    @pytest.mark.parametrize("fields", [{"label_column": 5}, {"has_header": True},
+                                        {"label_column": 5, "has_header": True}])
+    def test_manifest_csv_field_with_smm1_is_data_error(self, smm1_file, trained,
+                                                        tmp_path, capsys, fields):
+        path, _ = smm1_file
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"path": str(path), "format": "smm1", **fields}))
+        code = main(["eval", "--model", str(trained[0]), "--manifest", str(manifest)])
+        assert code == 3
+        assert "smm1 data takes no" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--label-column", "7"], ["--has-header"],
+                                       ["--label-column", "0", "--has-header"]])
+    def test_csv_flag_with_smm1_is_usage_error(self, smm1_file, trained, capsys, flags):
+        path, _ = smm1_file
+        code = main(["eval", "--model", str(trained[0]), "--data", str(path),
+                     "--format", "smm1", *flags])
+        assert code == 2
+        assert "smm1 data takes no" in capsys.readouterr().err
+
+    def test_csv_flags_keep_their_defaults(self, tmp_path, capsys):
+        # Without --label-column and --has-header a csv file is read from
+        # column 0 with no header line, by flag and by manifest alike.
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,0,0,0,0,1\n-1,1,1,1,1,1,0\n")
+        model = tmp_path / "model.json"
+        save_model(model, np.eye(2, 3), 0.5, Hyperparams(beta=0.1, sigma=0.2, rank=1))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"path": str(path), "reshape": [2, 3]}))
+        by_flags = main(["eval", "--model", str(model), "--data", str(path),
+                         "--reshape", "2", "3"])
+        flag_out = capsys.readouterr().out
+        by_manifest = main(["eval", "--model", str(model), "--manifest", str(manifest)])
+        assert by_flags == by_manifest == 0
+        assert capsys.readouterr().out == flag_out
+        assert json.loads(flag_out) == {"tp": 1, "tn": 0, "fp": 1, "fn": 0,
+                                        "accuracy": 50.0}
+
     def test_removed_jobs_flag_is_usage_error(self, smm1_file, capsys):
         path, _ = smm1_file
         code = main(["sweep", "--data", str(path), "--format", "smm1",

@@ -387,12 +387,26 @@ class TestSaltPepperNoise:
 
 class TestManifest:
     def test_every_key_parses(self):
-        text = json.dumps({"format": "smm1", "path": "d.smm1", "reshape": [3, 19],
+        text = json.dumps({"format": "csv", "path": "d.csv", "reshape": [3, 19],
                            "label_column": 2, "has_header": True,
                            "normalization": "per_sample_zscore"})
         assert DatasetManifest.from_json(text) == DatasetManifest(
-            format="smm1", path="d.smm1", reshape=(3, 19), label_column=2,
+            format="csv", path="d.csv", reshape=(3, 19), label_column=2,
             has_header=True, normalization="per_sample_zscore")
+
+    @pytest.mark.parametrize("fields", [{"label_column": 5}, {"has_header": True},
+                                        {"has_header": False}, {"label_column": 0},
+                                        {"label_column": 5, "has_header": True}])
+    def test_csv_fields_with_smm1_are_data_error(self, fields):
+        # An smm1 file holds its labels and has no header line, so a manifest
+        # that names either csv field asks for something the loader ignores.
+        text = json.dumps({"path": "d.smm1", "format": "smm1", **fields})
+        with pytest.raises(DataError, match="smm1 data takes no"):
+            DatasetManifest.from_json(text)
+
+    def test_smm1_manifest_keeps_no_csv_fields(self):
+        manifest = DatasetManifest.from_json('{"path": "d.smm1", "format": "smm1"}')
+        assert (manifest.label_column, manifest.has_header) == (None, None)
 
     def test_repeated_key_is_data_error(self):
         # json.loads alone would keep the last value and load label column 3.

@@ -17,6 +17,7 @@ from hlsmm import (
     sensitivity_grid,
     split,
 )
+from hlsmm import experiments
 from hlsmm.experiments import (
     _cv_splits,
     _stratified_folds,
@@ -24,7 +25,7 @@ from hlsmm.experiments import (
     write_sweep_csv,
 )
 
-from conftest import make_rng, random_dataset
+from conftest import calls_to, make_rng, random_dataset
 
 
 def constant_model(data, label: float) -> ModelState:
@@ -94,6 +95,19 @@ class TestGridSearch:
         accs = {row.hyperparams.rank: row.metrics.accuracy for row in table.rows}
         assert accs[2] > accs[1]
         assert best.rank == 2
+
+    def test_riders_of_a_lane_are_scored_once(self, synthetic, default_hp):
+        # The three tau1 values of each beta ride one lane and stop with equal
+        # models, so the validation set is scored once per lane.
+        data, _, _ = synthetic
+        train, validation = split(data, 0.7, stratified=True, seed=3)
+        grid = HyperparamGrid(beta=(0.01, 0.1), sigma=(0.1,), rank=(2,),
+                              tau1=(1e-4, 1e-3, 1e-2), tau2=(1e-3,), tau3=(1e-3,))
+        with calls_to(experiments, "evaluate") as calls:
+            _, result = grid_search(train, validation, grid, default_hp)
+        assert len(calls) == 2 and len(result) == 6
+        for row in result.rows:
+            assert row.metrics == evaluate(fit(train, row.hyperparams).model, validation)
 
     def test_default_grid_has_324_configurations(self):
         assert HyperparamGrid().size == 324

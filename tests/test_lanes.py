@@ -1,17 +1,18 @@
 """Lockstep lanes: every lane of ``fit_many`` equals a lone ``fit`` bit for bit."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlsmm import (Hyperparams, InvalidArgumentError, NumericalError, StepPolicy, fit,
-                   project_rank)
+from hlsmm import (Dataset, HyperparamGrid, Hyperparams, InvalidArgumentError,
+                   ModelState, NumericalError, StepPolicy, fit)
 from hlsmm import solver
 from hlsmm.solver import fit_many
 
-from conftest import random_dataset
+from conftest import calls_to, make_rng, random_dataset
 
 TAUS = (1e-4, 1e-3, 1e-2)
 FIXED = StepPolicy(kind="fixed")
@@ -37,6 +38,17 @@ def outcome_bits(outcome):
             model.z.tobytes(), model.iter, trace.halvings, trace.status,
             [np.array(column).tobytes() for column in columns],
             outcome.hyperparams_echo)
+
+
+def wdbc_proxy(seed: int, m: int = 398) -> Dataset:
+    """An m x 5 x 6 training set like the WDBC-shaped grid's: standard normal
+    samples labelled by a planted rank-2 direction, 5% of the labels flipped."""
+    gen = make_rng(seed)
+    xs = gen.standard_normal((m, 5, 6))
+    w_star = gen.standard_normal((5, 2)) @ gen.standard_normal((2, 6))
+    ys = np.where(xs.reshape(m, -1) @ w_star.ravel() > 0, 1, -1)
+    ys[gen.choice(m, size=m // 20, replace=False)] *= -1
+    return Dataset(xs=xs, ys=ys)
 
 
 @st.composite
@@ -83,8 +95,11 @@ class TestLockstepLanes:
     def test_every_lane_equals_a_lone_fit(self, batch, budget):
         # The budget sets the batch width: one lane per batch, a few, or all.
         data, configurations = batch
-        with mock.patch.object(solver, "BATCH_FLOATS", budget):
+        with mock.patch.object(solver, "BATCH_FLOATS", budget), \
+                calls_to(solver, "_lockstep") as batches:
             outcomes = dict(fit_many(data, configurations))
+        widths = [len(call.args[1]) for call in batches]
+        assert max(widths) <= max(1, budget // (4 * data.m))
         assert sorted(outcomes) == list(range(len(configurations)))
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
@@ -137,17 +152,126 @@ class TestLockstepLanes:
         assert huge.converged and len(huge.trace) > 64
 
 
+class TestBatchWidth:
+    """A batch takes BATCH_FLOATS // (4 m) lanes: about four m-vectors each."""
+
+    @pytest.mark.parametrize("budget,widths", [
+        (1, [1] * 12), (400, [2] * 6), (1 << 16, [12])])
+    def test_budget_sets_the_width(self, budget, widths):
+        # 4 m = 160 floats per lane: one lane per batch, partial batches of
+        # two, or the whole rank group of twelve lanes.
+        data = random_dataset(71, m=40, p=3, q=4)
+        configurations = [Hyperparams(beta=beta, sigma=sigma, rank=1, maxit=3)
+                          for beta in (0.01, 0.1, 0.5) for sigma in (0.01, 0.1, 1.0, 10.0)]
+        with mock.patch.object(solver, "BATCH_FLOATS", budget), \
+                calls_to(solver, "_lockstep") as batches:
+            outcomes = dict(fit_many(data, configurations))
+        assert [len(call.args[1]) for call in batches] == widths
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
+
+    @pytest.mark.parametrize("m", [265, 398])
+    def test_reference_rank_group_is_one_batch(self, m):
+        # On 5x6 samples the reference grid's feasible rank group is 162
+        # configurations in 54 lanes (tau1 siblings ride together).  At the
+        # sizes of the WDBC-shaped grid's training set (398) and of its CV
+        # folds (265) they make one batch, so the first W step projects all
+        # 54 matrices in one stack.
+        data = random_dataset(72, m=m, p=5, q=6)
+        grid = HyperparamGrid()
+        configurations = list(grid.configurations(Hyperparams(beta=0.1, sigma=0.01,
+                                                              rank=4, maxit=30)))
+        with calls_to(solver, "project_rank") as calls:
+            outcomes = dict(fit_many(data, configurations))
+        assert sorted(outcomes) == list(range(grid.size))
+        sizes = stack_sizes(calls)
+        assert sizes[0] == max(sizes) == 54
+
+    @pytest.mark.parametrize("maxit", [30, 1000])
+    def test_peak_memory_of_the_reference_grid(self, maxit):
+        # One batch of 54 lanes holds about four 398-vectors per lane (0.66
+        # MiB) plus the trace, which grows by doubling with the iterations
+        # run: measured 0.86-0.93 MB over three proxies at either maxit.
+        data = wdbc_proxy(73)
+        configurations = list(HyperparamGrid(rank=(4,)).configurations(
+            Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=maxit)))
+        tracemalloc.start()
+        try:
+            stopped = sum(1 for _ in fit_many(data, configurations))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stopped == 162
+        assert peak < 1.25 * 2**20
+
+
+class TestOncePerIteration:
+    def test_three_margin_passes_per_iteration(self, synthetic, default_hp):
+        # The gap Z - V, h(W) and ||W||^2 come from the previous iterate's
+        # objective, so an iteration without halvings computes the margins
+        # three times: the decrease test, the z block and the objective.  The
+        # start's objective is the one more.
+        data, _, _ = synthetic
+        with calls_to(solver, "_margins") as calls:
+            result = fit(data, default_hp)
+        assert result.model.iter > 1 and sum(result.trace.halvings) == 0
+        assert len(calls) == 1 + 3 * result.model.iter
+
+
+class TestStartChecks:
+    """The start is checked once per fit_many call; each configuration gets its error."""
+
+    def test_init_rank_takes_one_svd_per_call(self, synthetic, default_hp):
+        data, _, _ = synthetic
+        init = fit(data, default_hp.with_(maxit=3)).model
+        configurations = [default_hp.with_(beta=beta, maxit=2)
+                          for beta in np.linspace(0.01, 0.5, 30)]
+        with calls_to(solver, "svd") as calls:
+            outcomes = dict(fit_many(data, configurations, init))
+        assert len(calls) == 1
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(fit(data, hp, init))
+
+    def test_too_high_init_rank_fails_every_configuration(self, synthetic, default_hp):
+        data, _, _ = synthetic
+        init = ModelState(w=np.eye(*data.sample_shape), b=0.0, z=np.zeros(data.m))
+        configurations = [default_hp.with_(beta=beta) for beta in (0.01, 0.1, 0.5)]
+        configurations.append(default_hp.with_(rank=min(data.sample_shape)))
+        outcomes = dict(fit_many(data, configurations, init))
+        errors = [outcomes[index] for index in range(len(configurations))]
+        assert all(isinstance(error, InvalidArgumentError) for error in errors)
+        assert len({id(error) for error in errors}) == len(errors)
+        assert [str(error) for error in errors[:3]] == [
+            f"init weight matrix has rank {min(data.sample_shape)} > bound 2"] * 3
+        assert "rank bound r=6 must be < min(p, q) = 6" in str(errors[3])
+        for index, hp in enumerate(configurations):
+            with pytest.raises(InvalidArgumentError) as raised:
+                fit(data, hp, init)
+            assert str(raised.value) == str(errors[index])
+
+    def test_one_label_fails_every_configuration(self, default_hp):
+        data = Dataset(xs=make_rng(74).standard_normal((5, 3, 2)), ys=np.ones(5))
+        configurations = [default_hp.with_(rank=1, beta=beta) for beta in (0.01, 0.1)]
+        configurations.append(default_hp.with_(rank=2))  # infeasible rank, too
+        outcomes = dict(fit_many(data, configurations))
+        errors = [outcomes[index] for index in range(len(configurations))]
+        assert len({id(error) for error in errors}) == len(errors)
+        for index, hp in enumerate(configurations):
+            assert isinstance(errors[index], InvalidArgumentError)
+            assert str(errors[index]) == str(lone(data, hp)) == (
+                "training requires at least one sample of each label")
+
+
+def stack_sizes(calls):
+    """The number of matrices in each recorded ``project_rank`` call."""
+    return [len(call.args[0]) if call.args[0].ndim == 3 else 1 for call in calls]
+
+
 def projected(data, configurations):
     """fit_many's outcomes and the number of matrices it rank-projects."""
-    counts = []
-
-    def counting(v, rank):
-        counts.append(len(v) if v.ndim == 3 else 1)
-        return project_rank(v, rank)
-
-    with mock.patch.object(solver, "project_rank", counting):
+    with calls_to(solver, "project_rank") as calls:
         outcomes = dict(fit_many(data, configurations))
-    return outcomes, sum(counts)
+    return outcomes, sum(stack_sizes(calls))
 
 
 class TestRiders:
@@ -185,17 +309,9 @@ class TestRiders:
         # tau1 = 1e3, so the second rider splits off and is fitted again.
         data, _, _ = synthetic
         pair = [default_hp.with_(step=HALVING, tau1=tau1) for tau1 in (1e-4, 1e3)]
-        splits = []
-        w_step = solver._w_step
-
-        def spy(*args):
-            result = w_step(*args)
-            splits.extend(result[5])
-            return result
-
-        with mock.patch.object(solver, "_w_step", spy):
+        with calls_to(solver, "_w_step") as calls:
             outcomes = dict(fit_many(data, pair))
-        assert splits == [1]
+        assert [index for call in calls for index in call.result[5]] == [1]
         for index, hp in enumerate(pair):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 

@@ -375,10 +375,12 @@ class TestStall:
         data, _, _ = synthetic
         hp = default_hp.with_(step=StepPolicy(alpha0=1e-3, max_halvings=0))
         problem = _Problem(data)
-        w = np.zeros((1, *data.sample_shape))
+        lanes = _Lanes.alone([hp])
+        w, z, b = np.zeros((1, *data.sample_shape)), np.zeros((1, data.m)), np.zeros(1)
+        s = problem.scores(w)
+        _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
         new_w, scores, halvings, stalled, errors, split = _w_step(
-            problem, _Lanes.alone([hp]), w, problem.scores(w), np.zeros((1, data.m)),
-            np.zeros(1), 1)
+            problem, lanes, w, s, z, b, problem.gradient(w, gap, lanes.sigma), h, 1)
         assert (halvings[0], stalled[0], errors, split) == (0, False, {}, [])
         assert not np.array_equal(new_w, w)
         np.testing.assert_array_equal(scores, problem.scores(new_w))
