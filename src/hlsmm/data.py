@@ -155,31 +155,25 @@ class DatasetManifest:
                 if p * q != ds.p * ds.q:
                     raise DataError(f"reshape {p}x{q} does not match "
                                     f"{ds.p}x{ds.q} samples")
-                ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q), f"reshape ({p},{q})")
+                ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q))
         if self.normalization == "per_sample_zscore":
             ds = normalize_per_sample(ds)
         return ds
 
 
 def _map_labels(raw_labels: list[float], path: str) -> np.ndarray:
+    """1 maps to +1 and the other label of the encoding to -1."""
     values = set(raw_labels)
-    if values <= {-1.0, 1.0}:
-        mapped = raw_labels
-    elif values <= {0.0, 1.0}:
-        mapped = [1.0 if v == 1.0 else -1.0 for v in raw_labels]
-    elif values <= {1.0, 2.0}:
-        mapped = [1.0 if v == 1.0 else -1.0 for v in raw_labels]
-    else:
+    if not any(values <= {other, 1.0} for other in (-1.0, 0.0, 2.0)):
         raise DataError(
             f"{path}: unknown label encoding {sorted(values)}; expected "
             "{-1,1}, {0,1} or {1,2}")
-    return np.array(mapped, dtype=np.int8)
+    return np.where(np.equal(raw_labels, 1.0), 1, -1).astype(np.int8)
 
 
 def load_csv(path, label_column: int = 0,
              reshape: tuple[int, int] | None = None,
-             has_header: bool = False,
-             name: str | None = None) -> Dataset:
+             has_header: bool = False) -> Dataset:
     """Load a numeric CSV with one sample per row.
 
     Raises :class:`DataError` naming the offending line for ragged rows,
@@ -237,12 +231,9 @@ def load_csv(path, label_column: int = 0,
                 f"{path}: reshape {p}x{q} = {p * q} does not match "
                 f"{d} features per row")
         xs = features.reshape(-1, p, q)
-        shape_note = f"reshape ({p},{q}) row-major"
     else:
         xs = features.reshape(-1, 1, d)
-        shape_note = f"vector rows as 1x{d}"
-    return Dataset(xs=xs, ys=ys, name=name or path.stem,
-                   provenance=f"csv {path} (label col {label_column}; {shape_note})")
+    return Dataset(xs=xs, ys=ys, name=path.stem)
 
 
 def save_smm1(data: Dataset, path) -> None:
@@ -258,7 +249,7 @@ def save_smm1(data: Dataset, path) -> None:
         handle.write(np.ascontiguousarray(data.xs, dtype="<f8"))
 
 
-def load_smm1(path, name: str | None = None) -> Dataset:
+def load_smm1(path) -> Dataset:
     """Read an SMM1 file straight into the arrays of the returned dataset.
 
     The header and the exact file size are checked before anything is
@@ -294,8 +285,7 @@ def load_smm1(path, name: str | None = None) -> Dataset:
     if not np.isin(ys, (-1, 1)).all():
         raise DataError(f"{path}: labels must be -1 or +1")
     try:
-        return Dataset(xs=xs, ys=ys, name=name or path.stem,
-                       provenance=f"smm1 {path}")
+        return Dataset(xs=xs, ys=ys, name=path.stem)
     except InvalidArgumentError as exc:  # non-finite features
         raise DataError(f"{path}: {exc}") from exc
 
@@ -310,7 +300,7 @@ def normalize_per_sample(data: Dataset) -> Dataset:
     std = flat.std(axis=1, keepdims=True)
     safe = np.where(std > 0, std, 1.0)
     normalized = np.where(std > 0, (flat - mean) / safe, 0.0)
-    return data.replace_xs(normalized.reshape(data.xs.shape), "per-sample zscore")
+    return data.replace_xs(normalized.reshape(data.xs.shape))
 
 
 def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
@@ -328,10 +318,17 @@ def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...
 
     def apply(ds: Dataset) -> Dataset:
         scaled = (ds.xs.reshape(ds.m, -1) - mean) / std
-        return ds.replace_xs(scaled.reshape(ds.xs.shape),
-                             "feature zscore (train stats)")
+        return ds.replace_xs(scaled.reshape(ds.xs.shape))
 
     return tuple(apply(ds) for ds in (train, *others))
+
+
+def _shuffled_classes(ys: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Positions of the +1 and then the -1 labels, each class permuted by one
+    PCG64(seed) stream: the draws that stratified splits and folds cut up."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    classes = [np.flatnonzero(ys == label) for label in (1, -1)]
+    return [members[rng.permutation(members.size)] for members in classes]
 
 
 def split(data: Dataset, ratio: float, stratified: bool = True,
@@ -344,19 +341,16 @@ def split(data: Dataset, ratio: float, stratified: bool = True,
     """
     if not 0.0 < ratio < 1.0:
         raise InvalidArgumentError("split ratio must lie in (0, 1)")
-    rng = np.random.Generator(np.random.PCG64(seed))
     train_idx: list[int] = []
     test_idx: list[int] = []
     if stratified:
         data.require_both_labels()
-        for label in (1, -1):
-            members = np.flatnonzero(data.ys == label)
-            perm = members[rng.permutation(members.size)]
-            n_train = int(round(ratio * members.size))
+        for perm in _shuffled_classes(data.ys, seed):
+            n_train = int(round(ratio * perm.size))
             train_idx.extend(perm[:n_train])
             test_idx.extend(perm[n_train:])
     else:
-        perm = rng.permutation(data.m)
+        perm = np.random.Generator(np.random.PCG64(seed)).permutation(data.m)
         n_train = int(round(ratio * data.m))
         train_idx.extend(perm[:n_train])
         test_idx.extend(perm[n_train:])
@@ -365,8 +359,7 @@ def split(data: Dataset, ratio: float, stratified: bool = True,
             f"ratio {ratio} leaves an empty side for m={data.m}")
     train_idx.sort()
     test_idx.sort()
-    return (data.subset(train_idx, f"train split ratio={ratio} seed={seed}"),
-            data.subset(test_idx, f"test split ratio={ratio} seed={seed}"))
+    return data.subset(train_idx), data.subset(test_idx)
 
 
 def add_gaussian_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
@@ -382,7 +375,7 @@ def add_gaussian_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     stds = data.xs.reshape(data.m, -1).std(axis=1)
     noise = rng.standard_normal(data.xs.shape) * (level * stds)[:, None, None]
-    return data.replace_xs(data.xs + noise, f"gaussian noise level={level} seed={seed}")
+    return data.replace_xs(data.xs + noise)
 
 
 def add_salt_pepper_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
@@ -390,26 +383,23 @@ def add_salt_pepper_noise(data: Dataset, level: float, seed: int = 0) -> Dataset
 
     Per sample, ``round(level * p * q)`` positions are drawn uniformly without
     replacement; each becomes the sample minimum or maximum with probability
-    one half.  Level 0 returns the input unchanged.
+    one half.  A level that corrupts no entry, level 0 among them, returns
+    the input unchanged.
     """
     if not 0.0 <= level <= 1.0:
         raise InvalidArgumentError("salt-and-pepper level must lie in [0, 1]")
-    if level == 0:
-        return data
-    rng = np.random.Generator(np.random.PCG64(seed))
     entries = data.p * data.q
     n_corrupt = int(round(level * entries))
     if n_corrupt == 0:
-        return data.replace_xs(data.xs.copy(),
-                               f"salt-pepper noise level={level} seed={seed}")
+        return data
+    rng = np.random.Generator(np.random.PCG64(seed))
     flat = data.xs.reshape(data.m, -1).copy()
     for i in range(data.m):
         positions = rng.choice(entries, size=n_corrupt, replace=False)
         salt = rng.integers(0, 2, size=n_corrupt).astype(bool)
         low, high = flat[i].min(), flat[i].max()
         flat[i, positions] = np.where(salt, high, low)
-    return data.replace_xs(flat.reshape(data.xs.shape),
-                           f"salt-pepper noise level={level} seed={seed}")
+    return data.replace_xs(flat.reshape(data.xs.shape))
 
 
 def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
@@ -440,8 +430,6 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
         xs[count] = x
         ys[count] = 1 if score > 0 else -1
         count += 1
-    data = Dataset(xs=xs, ys=ys, name="synthetic-lowrank",
-                   provenance=(f"planted rank-{rank} direction, m={m}, "
-                               f"margin>={margin}, seed={seed}"))
+    data = Dataset(xs=xs, ys=ys, name="synthetic-lowrank")
     data.require_both_labels()
     return data, w_star, bias

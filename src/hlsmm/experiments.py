@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import add_gaussian_noise, add_salt_pepper_noise
+from .data import add_gaussian_noise, add_salt_pepper_noise, _shuffled_classes
 from .errors import InvalidArgumentError
 from .model import Dataset, Hyperparams, ModelState, SolverTrace, predict_batch
 from .solver import FitResult, fit, fit_many
@@ -87,7 +87,7 @@ class HyperparamGrid:
         """Yield Hyperparams in deterministic product order."""
         for beta, sigma, rank, tau1, tau2, tau3 in itertools.product(
                 self.beta, self.sigma, self.rank, self.tau1, self.tau2, self.tau3):
-            yield replace(base, beta=beta, sigma=sigma, rank=int(rank),
+            yield replace(base, beta=beta, sigma=sigma, rank=rank,
                           tau1=tau1, tau2=tau2, tau3=tau3)
 
 
@@ -224,11 +224,8 @@ def grid_search(train: Dataset, validation: Dataset, grid: HyperparamGrid,
 
 def _stratified_folds(data: Dataset, folds: int, seed: int) -> list[np.ndarray]:
     """Deterministic stratified fold assignment (round-robin after shuffling)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
     assignment = np.empty(data.m, dtype=np.int64)
-    for label in (1, -1):
-        members = np.flatnonzero(data.ys == label)
-        perm = members[rng.permutation(members.size)]
+    for perm in _shuffled_classes(data.ys, seed):
         assignment[perm] = np.arange(perm.size) % folds
     return [np.flatnonzero(assignment == j) for j in range(folds)]
 
@@ -257,7 +254,7 @@ def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
         raise InvalidArgumentError("need at least 2 folds")
     train.require_both_labels()
 
-    pairs = ((train.subset(keep, "cv-train"), train.subset(held_out, "cv-val"))
+    pairs = ((train.subset(keep), train.subset(held_out))
              for keep, held_out in _cv_splits(train, folds, seed))
     result = _sweep(grid.configurations(base), pairs)
     result.rows = [replace(row, status="cv") if row.ok else row for row in result.rows]
@@ -314,7 +311,7 @@ def sensitivity_grid(train: Dataset, test: Dataset, hp_base: Hyperparams,
     beta_values = list(beta_values)
     if not r_values or not beta_values:
         raise InvalidArgumentError("value lists must be non-empty")
-    configurations = [replace(hp_base, rank=int(rank), beta=float(beta))
+    configurations = [replace(hp_base, rank=rank, beta=beta)
                       for rank in r_values for beta in beta_values]
     result = _sweep(configurations, [(train, test)])
     accuracy = [row.metrics.accuracy if row.ok else np.nan for row in result.rows]

@@ -21,13 +21,13 @@ ZERO_TOL_REL = 1e-12
 AMBIGUITY_TOL_REL = 1e-10
 
 
-def _as_matrix(w, name: str = "w", stack: bool = False) -> np.ndarray:
+def _as_matrix(w, stack: bool = False) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if not (w.ndim == 2 or stack and w.ndim == 3):
         kinds = "a 2-D matrix or a (K, p, q) stack" if stack else "a 2-D matrix"
-        raise InvalidArgumentError(f"{name} must be {kinds}, got ndim={w.ndim}")
+        raise InvalidArgumentError(f"w must be {kinds}, got ndim={w.ndim}")
     if not np.isfinite(w).all():
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
+        raise InvalidArgumentError("w contains non-finite entries")
     return w
 
 
@@ -119,22 +119,22 @@ def project_rank(w, r: int) -> np.ndarray:
     return (u[..., :r] * s[..., None, :r]) @ vh[..., :r, :]
 
 
-def projection_ambiguous(w, r: int, rel_tol: float = AMBIGUITY_TOL_REL) -> bool:
+def projection_ambiguous(w, r: int) -> bool:
     """True when the rank-r projection of ``w`` is numerically set-valued.
 
     The projection is unique iff ``sigma_r > sigma_{r+1}``; this flags
-    ``sigma_r - sigma_{r+1} <= rel_tol * sigma_1``.
+    ``sigma_r - sigma_{r+1} <= AMBIGUITY_TOL_REL * sigma_1``.
     """
     w = _as_matrix(w)
     r = _check_rank_bound(r, *w.shape)
-    return _ambiguous(np.linalg.svd(w, compute_uv=False), r, rel_tol)
+    return _ambiguous(np.linalg.svd(w, compute_uv=False), r)
 
 
-def _ambiguous(s: np.ndarray, r: int, rel_tol: float = AMBIGUITY_TOL_REL) -> bool:
+def _ambiguous(s: np.ndarray, r: int) -> bool:
     """The test of :func:`projection_ambiguous` on non-increasing singular values."""
     if s[0] == 0.0:
         return False  # zero matrix projects to itself, uniquely
-    return bool(s[r - 1] - s[r] <= rel_tol * s[0])
+    return bool(s[r - 1] - s[r] <= AMBIGUITY_TOL_REL * s[0])
 
 
 def fro_inner(a, b) -> float:

@@ -26,14 +26,13 @@ class Dataset:
     """An ordered collection of same-shape matrix samples.
 
     ``xs`` has shape (m, p, q) and ``ys`` shape (m,) with entries in {-1, +1}.
-    Arrays are stored read-only; all transforms produce new datasets.
-    ``provenance`` accumulates a human-readable trail of source + transforms.
+    Arrays are stored read-only; transforms produce new datasets, which share
+    what they do not change.  Model files record ``name``, a source file stem.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     name: str = ""
-    provenance: str = ""
 
     def __post_init__(self):
         xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.float64))
@@ -82,16 +81,36 @@ class Dataset:
                 "training requires at least one sample of each label"
             )
 
-    def replace_xs(self, xs: np.ndarray, note: str) -> "Dataset":
-        """New dataset with transformed features and an appended provenance note."""
-        prov = f"{self.provenance}; {note}" if self.provenance else note
-        return Dataset(xs=xs, ys=self.ys.copy(), name=self.name, provenance=prov)
+    def replace_xs(self, xs: np.ndarray) -> "Dataset":
+        """New dataset with transformed features and the same labels."""
+        return Dataset(xs=xs, ys=self.ys, name=self.name)
 
-    def subset(self, idx, note: str) -> "Dataset":
+    def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
-        prov = f"{self.provenance}; {note}" if self.provenance else note
-        return Dataset(xs=self.xs[idx].copy(), ys=self.ys[idx].copy(),
-                       name=self.name, provenance=prov)
+        return Dataset(xs=self.xs[idx], ys=self.ys[idx], name=self.name)
+
+
+# Concrete types: checks against the numbers ABCs are several times slower.
+_KINDS = {int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer, np.floating), "a real number")}
+
+
+def _store(owner, names, convert, valid, rule: str) -> None:
+    """Store named fields of a frozen dataclass as built-in ``convert`` values; a
+    value of another kind (a bool is neither) or one ``valid`` refuses is an error."""
+    types, kind = _KINDS[convert]
+    for name in names:
+        value = getattr(owner, name)
+        if type(value) is not convert:
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InvalidArgumentError(f"{name} must be {kind}, got {value!r}")
+            try:
+                value = convert(value)
+            except OverflowError:  # an int beyond the float range
+                value = np.inf
+            object.__setattr__(owner, name, value)
+        if not valid(value):
+            raise InvalidArgumentError(f"{name} must {rule}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +134,11 @@ class StepPolicy:
     def __post_init__(self):
         if self.kind not in ("backtracking", "fixed"):
             raise InvalidArgumentError(f"unknown step policy {self.kind!r}")
-        if self.alpha0 is not None and not 0 < self.alpha0 < np.inf:
-            raise InvalidArgumentError("alpha0 must be positive and finite")
-        if not 0.0 < self.shrink < 1.0:
-            raise InvalidArgumentError("shrink must lie in (0, 1)")
-        if self.max_halvings < 0:
-            raise InvalidArgumentError("max_halvings must be non-negative")
+        if self.alpha0 is not None:
+            _store(self, ("alpha0",), float, lambda v: 0 < v < np.inf,
+                   "be positive and finite")
+        _store(self, ("shrink",), float, lambda v: 0 < v < 1, "lie in (0, 1)")
+        _store(self, ("max_halvings",), int, lambda v: v >= 0, "be non-negative")
 
 
 @dataclass(frozen=True)
@@ -149,18 +167,12 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise InvalidArgumentError(f"{name} must be positive and finite")
-        if not (isinstance(self.rank, (int, np.integer)) and self.rank >= 1):
-            raise InvalidArgumentError("rank must be a positive integer")
-        if self.maxit < 0:
-            raise InvalidArgumentError("maxit must be non-negative")
+        _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"),
+               float, lambda v: 0 < v < np.inf, "be positive and finite")
+        _store(self, ("rank",), int, lambda v: v >= 1, "be a positive integer")
+        _store(self, ("maxit", "seed"), int, lambda v: v >= 0, "be non-negative")
         if self.z_update not in ("exact", "paper"):
             raise InvalidArgumentError(f"unknown z_update mode {self.z_update!r}")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be unsigned")
-        object.__setattr__(self, "rank", int(self.rank))
 
     def validate_for_shape(self, p: int, q: int) -> None:
         if not self.rank < min(p, q):

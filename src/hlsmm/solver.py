@@ -41,10 +41,10 @@ MONOTONE_SLACK = 1e-10
 DECREASE_SLACK = 1e-9
 
 # Working memory of one lockstep batch, in float64 values (1 MiB).  A lane
-# holds about four m-vectors at once (scores, slack, carried gap or trial
-# scores, a temporary), so a batch takes BATCH_FLOATS // (4 m) lanes, at
-# least one.  The trace is not reserved: it grows by doubling with the
-# iterations the live lanes have run.
+# holds about four m-vectors at once (in the W block: slack, accepted
+# scores, trial scores and trial gap), so a batch takes
+# BATCH_FLOATS // (4 m) lanes, at least one.  The trace is not reserved: it
+# grows by doubling with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
 
 
@@ -265,18 +265,18 @@ def _project(v: np.ndarray, rank: int, rows: np.ndarray, errors: dict,
     return out
 
 
-def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
-            z: np.ndarray, b: np.ndarray, grad: np.ndarray, h_ref: np.ndarray,
-            iteration: int):
-    """One accepted projected-gradient step per lane from W with scores S.
+def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
+            b: np.ndarray, grad: np.ndarray, h_ref: np.ndarray, iteration: int):
+    """One accepted projected-gradient step per lane from W.
 
     ``grad`` is grad h at W and ``h_ref`` is h(W), both carried from the
     objective of the previous iterate (backtracking reads ``h_ref`` only).
     Returns (new W, its scores, halvings used, stalled, errors, split).  A
     lane stalls when no step passes the decrease test within
-    ``max_halvings``; it then keeps its W.  Backtracking halves only the
-    lanes that failed the test.  ``errors`` maps each row whose step failed
-    to its NumericalError; the other arrays hold no result for that row.
+    ``max_halvings``; it then keeps its W and computes its scores again.
+    Backtracking halves only the lanes that failed the test.  ``errors`` maps
+    each row whose step failed to its NumericalError; the other arrays hold
+    no result for that row.
 
     The decrease test is monotone in tau1 (in floating point too), so a
     lane whose largest tau1 passes or whose smallest fails decides all its
@@ -306,7 +306,8 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
     pending = np.flatnonzero(finite)
     # A first trial on every lane writes its arrays straight into the result;
     # later trials overwrite the rows they accept.
-    new_w, new_s = (None, None) if pending.size == count else (w.copy(), s.copy())
+    new_w, new_s = ((None, None) if pending.size == count
+                    else (w.copy(), np.empty((count, problem.m))))
     for trial in range(policy.max_halvings + 1):
         if not pending.size:
             break
@@ -338,9 +339,10 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, s: np.ndarray,
         pending = pending[~ok & live]
         alpha[pending] *= policy.shrink
     # Stalled lanes keep their iterate.
-    new_w[pending] = w[pending]
-    new_s[pending] = s[pending]
-    halvings[pending] = policy.max_halvings
+    if pending.size:
+        new_w[pending] = w[pending]
+        new_s[pending] = problem.scores(w[pending])
+        halvings[pending] = policy.max_halvings
     return new_w, new_s, halvings, stalled, errors, split
 
 
@@ -386,7 +388,7 @@ def update_w(state: ModelState, data: Dataset, hp: Hyperparams) -> tuple[np.ndar
     problem, lanes, w, s, z, b = _one_lane(state, data, hp)
     _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
     grad = problem.gradient(w, gap, lanes.sigma)
-    w_new, _, halvings, _, errors, _ = _w_step(problem, lanes, w, s, z, b, grad, h,
+    w_new, _, halvings, _, errors, _ = _w_step(problem, lanes, w, z, b, grad, h,
                                                state.iter)
     if errors:
         raise errors[0]
@@ -454,10 +456,10 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
     w = np.repeat(start.w[None], count, axis=0)
     z = np.repeat(start.z[None], count, axis=0)
     b = np.full(count, start.b)
-    s = problem.scores(w)
     # The objective f of each iterate comes with h(W), ||W||^2 and the gap
     # Z - V, which the next iteration's W block reads instead of recomputing.
-    g, h, sq_norm, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
+    g, h, sq_norm, gap = problem.objective(w, problem.scores(w), z, b,
+                                           lanes.sigma, lanes.beta)
     # Trace columns (objective, W, z and b step norms, halvings) by lane and
     # iteration; the iteration axis doubles when full, up to maxit + 1.
     history = np.empty((5, count, min(int(lanes.maxit.max()), 63) + 1))
@@ -475,10 +477,8 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
                       [index for index in lane if index not in leaving]
                       for row, lane in enumerate(lanes.riders)]
             keep = [row for row, lane in enumerate(riders) if lane]
-            # The results read neither scores nor gap, so those shrink before
-            # the results are copied out; one array at a time, so that each
-            # old one is freed before the next copy.
-            s = s[keep]
+            # The results do not read the gap, so it shrinks before the
+            # results are copied out.
             gap = gap[keep]
             for row, lane in enumerate(lanes.riders):
                 for index in lane:
@@ -507,13 +507,13 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
         k += 1
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
-        # The carried gap and the previous scores and slack are dropped as
+        # The carried gap, the previous slack and the scores are dropped as
         # soon as they are used.
         with np.errstate(over="ignore", invalid="ignore"):
             grad = problem.gradient(w, gap, lanes.sigma)
             del gap
-            w_new, s, halvings, stalled, errors, split = _w_step(problem, lanes, w, s, z,
-                                                                 b, grad, h, k)
+            w_new, s, halvings, stalled, errors, split = _w_step(problem, lanes, w, z, b,
+                                                                 grad, h, k)
             del grad
             z_old, z = z, _z_step(problem, lanes, s, z, b)
             b_new = _b_step(problem, lanes, s, z, b)
@@ -524,6 +524,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
                       & np.isfinite(b_new))
             g_new, h, sq_norm_new, gap = problem.objective(w_new, s, z, b_new,
                                                            lanes.sigma, lanes.beta)
+            del s
             dw = np.sqrt(_sq_norms(w_new - w))
             db = np.abs(b_new - b)
             w_norm = np.sqrt(sq_norm)

@@ -251,7 +251,7 @@ class TestNormalization:
 
     def test_moments_after_normalization(self):
         data = random_dataset(74, m=4, p=5, q=4)
-        scaled = data.replace_xs(data.xs * 37.5 + 11.0, "stretch")
+        scaled = data.replace_xs(data.xs * 37.5 + 11.0)
         normalized = normalize_per_sample(scaled)
         flat = normalized.xs.reshape(4, -1)
         assert np.abs(flat.mean(axis=1)).max() <= 1e-12

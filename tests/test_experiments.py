@@ -96,6 +96,23 @@ class TestGridSearch:
         assert accs[2] > accs[1]
         assert best.rank == 2
 
+    def test_numpy_valued_grid_writes_the_same_csv(self, tmp_path, synthetic, default_hp):
+        data, _, _ = synthetic
+        train, validation = split(data, 0.7, seed=1)
+        values = dict(beta=(0.1, 0.5), sigma=(0.1,), rank=(1, 2), tau1=(1e-3,),
+                      tau2=(1e-3,), tau3=(1e-4, 1e-2))
+        for name, grid in [("builtin", HyperparamGrid(**values)),
+                           ("numpy", HyperparamGrid(**{key: tuple(np.array(value))
+                                                       for key, value in values.items()}))]:
+            write_sweep_csv(grid_search(train, validation, grid, default_hp)[1],
+                            tmp_path / f"{name}.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "builtin.csv").read_bytes()
+
+    @pytest.mark.parametrize("rank", [2.7, True])
+    def test_grid_refuses_a_rank_that_is_not_an_integer(self, default_hp, rank):
+        with pytest.raises(InvalidArgumentError, match="rank must be an integer"):
+            list(HyperparamGrid(rank=(rank,)).configurations(default_hp))
+
     def test_riders_of_a_lane_are_scored_once(self, synthetic, default_hp):
         # The three tau1 values of each beta ride one lane and stop with equal
         # models, so the validation set is scored once per lane.
@@ -204,8 +221,8 @@ class TestSweepEngine:
         data, _, _ = synthetic
         train, _ = split(data, 0.7, seed=1)
         _, table = grid_search_cv(train, self.GRID, default_hp, folds=3, seed=5)
-        pairs = [(train.subset(np.setdiff1d(np.arange(train.m), held_out), "fit"),
-                  train.subset(held_out, "score"))
+        pairs = [(train.subset(np.setdiff1d(np.arange(train.m), held_out)),
+                  train.subset(held_out))
                  for held_out in _stratified_folds(train, 3, 5)]
         expected = [row[:4] + ("cv" if row[5] is None else "failed", row[5])
                     for row in reference_rows(self.GRID.configurations(default_hp),
@@ -295,6 +312,12 @@ class TestSensitivityGrid:
                 hp = default_hp.with_(rank=rank, beta=beta)
                 expected = evaluate(fit(train, hp).model, test).accuracy
                 assert surface[i, j] == pytest.approx(expected)
+
+    def test_rank_that_is_not_an_integer_is_refused(self, synthetic, default_hp):
+        data, _, _ = synthetic
+        train, test = split(data, 0.7, seed=1)
+        with pytest.raises(InvalidArgumentError, match="rank must be an integer"):
+            sensitivity_grid(train, test, default_hp, [2.7], [0.1])
 
     def test_infeasible_cell_is_nan(self, synthetic, default_hp):
         data, _, _ = synthetic  # 8x6: rank 6 infeasible

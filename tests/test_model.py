@@ -247,3 +247,36 @@ class TestDomainTypes:
     def test_step_size_must_be_finite(self, alpha0):
         with pytest.raises(InvalidArgumentError, match="alpha0 must be positive and finite"):
             StepPolicy(alpha0=alpha0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2, maxit=10.5),
+         "maxit must be an integer, got 10.5"),
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2, seed=2.0), "seed must be an integer"),
+        (lambda: Hyperparams(beta=True, sigma=0.1, rank=2), "beta must be a real number"),
+        (lambda: Hyperparams(beta=0.1, sigma="0.1", rank=2), "sigma must be a real number"),
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2.7), "rank must be an integer"),
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=True), "rank must be an integer"),
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=np.float64(2.0)),
+         "rank must be an integer"),
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2, tau1=10 ** 400),
+         "tau1 must be positive and finite"),
+        (lambda: StepPolicy(max_halvings=2.5), "max_halvings must be an integer"),
+        (lambda: StepPolicy(max_halvings=np.True_), "max_halvings must be an integer"),
+        (lambda: StepPolicy(alpha0=True), "alpha0 must be a real number"),
+        (lambda: StepPolicy(shrink="0.5"), "shrink must be a real number"),
+    ], ids=["maxit-float", "seed-float", "beta-bool", "sigma-str", "rank-float",
+            "rank-bool", "rank-np-float", "tau1-huge-int", "halvings-float",
+            "halvings-np-bool", "alpha0-bool", "shrink-str"])
+    def test_ill_typed_numbers_are_refused(self, build, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            build()
+
+    def test_numbers_are_stored_as_builtins(self):
+        hp = Hyperparams(beta=np.float32(0.5), sigma=1, rank=np.int64(2),
+                         maxit=np.int32(7), seed=np.uint64(3),
+                         step=StepPolicy(alpha0=np.float64(0.25), max_halvings=np.int8(4)))
+        values = [hp.beta, hp.sigma, hp.rank, hp.maxit, hp.seed,
+                  hp.step.alpha0, hp.step.shrink, hp.step.max_halvings]
+        assert values == [0.5, 1.0, 2, 7, 3, 0.25, 0.5, 4]
+        assert [type(value) for value in values] == [float, float, int, int, int,
+                                                     float, float, int]

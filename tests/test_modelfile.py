@@ -41,6 +41,13 @@ class TestLoadModel:
         assert (loaded.b, loaded.hyperparams.rank, loaded.seed) == (0.25, 1, 3)
         assert loaded.dataset_name == "tiny"
 
+    def test_numpy_valued_hyperparams_round_trip(self, tmp_path):
+        hp = Hyperparams(beta=np.float32(0.1), sigma=np.float64(0.2), rank=np.int64(1),
+                         maxit=np.int32(50), seed=np.uint8(9))
+        path = tmp_path / "model.json"
+        save_model(path, np.eye(2, 3), 0.5, hp)
+        assert load_model(path).hyperparams == hp
+
     @pytest.mark.parametrize("text", ["[]", "3", "null", '"model"'])
     def test_json_that_is_not_an_object(self, tmp_path, text):
         path = tmp_path / "m.json"

@@ -369,20 +369,28 @@ class TestStall:
         assert not result.converged
         assert result.trace.halvings[-1] == 2
 
-    def test_acceptance_on_last_halving_is_not_a_stall(self, synthetic, default_hp):
+    @pytest.mark.parametrize("policy, stall", [
+        (StepPolicy(alpha0=1e-3, max_halvings=0), False),
+        (StepPolicy(alpha0=1e6, max_halvings=2), True),
+    ], ids=["accepted", "stalled"])
+    def test_acceptance_on_last_halving_is_not_a_stall(self, synthetic, default_hp,
+                                                       policy, stall):
         # With max_halvings = 0 every accepted step uses "all" halvings; only
-        # the explicit flag tells it apart from a stall.
+        # the explicit flag tells it apart from a stall.  A stalled lane keeps
+        # its W and computes its scores again, as the scores are not carried.
+        # The start is a few iterations in, so that the scores are not zero.
         data, _, _ = synthetic
-        hp = default_hp.with_(step=StepPolicy(alpha0=1e-3, max_halvings=0))
+        start = fit(data, default_hp.with_(maxit=3)).model
         problem = _Problem(data)
-        lanes = _Lanes.alone([hp])
-        w, z, b = np.zeros((1, *data.sample_shape)), np.zeros((1, data.m)), np.zeros(1)
-        s = problem.scores(w)
-        _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
+        lanes = _Lanes.alone([default_hp.with_(step=policy)])
+        w, z, b = start.w[None], start.z[None], np.array([start.b])
+        _, h, _, gap = problem.objective(w, problem.scores(w), z, b,
+                                         lanes.sigma, lanes.beta)
         new_w, scores, halvings, stalled, errors, split = _w_step(
-            problem, lanes, w, s, z, b, problem.gradient(w, gap, lanes.sigma), h, 1)
-        assert (halvings[0], stalled[0], errors, split) == (0, False, {}, [])
-        assert not np.array_equal(new_w, w)
+            problem, lanes, w, z, b, problem.gradient(w, gap, lanes.sigma), h, 1)
+        assert (halvings[0], stalled[0], errors, split) == (
+            policy.max_halvings if stall else 0, stall, {}, [])
+        assert np.array_equal(new_w, w) == stall
         np.testing.assert_array_equal(scores, problem.scores(new_w))
 
 
