@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import SvdFactors, _ambiguous, svd
-from .model import (Dataset, Hyperparams, ModelState, decision_scores, margin_residuals,
-                    prox_heaviside)
+from .model import (Dataset, Hyperparams, ModelState, _check_shapes, decision_scores,
+                    margin_residuals, prox_heaviside)
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,7 @@ class KktReport:
 def apply_operator(w, data: Dataset) -> np.ndarray:
     """A(W) with A_i = -y_i X_i, i.e. entries -y_i <W, X_i>."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != data.sample_shape:
-        raise InvalidArgumentError(
-            f"w shape {w.shape} does not match sample shape {data.sample_shape}"
-        )
+    _check_shapes(data, w)
     # A bias of -0.0 adds nothing to any score, a zero's sign included.
     return -data.ys * decision_scores(w, -0.0, data.xs)
 

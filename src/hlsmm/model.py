@@ -28,6 +28,11 @@ class Dataset:
     ``xs`` has shape (m, p, q) and ``ys`` shape (m,) with entries in {-1, +1}.
     Arrays are stored read-only; transforms produce new datasets, which share
     what they do not change.  Model files record ``name``, a source file stem.
+
+    A feature array that is already C-contiguous float64 is kept, not copied,
+    and so becomes read-only in the caller's hands too; pass ``xs.copy()`` to
+    keep a writable one.  Any other array is converted into a new one.  A
+    copy would cost a pass over the design on every dataset built.
     """
 
     xs: np.ndarray
@@ -262,13 +267,19 @@ def _hard_threshold(x: np.ndarray, gamma) -> np.ndarray:
     return x
 
 
+def _check_shapes(data: Dataset, w=None, z=None) -> None:
+    """Refuse a weight matrix ``w`` or slack vector ``z`` that does not fit ``data``."""
+    if w is not None and w.shape != data.sample_shape:
+        raise InvalidArgumentError(
+            f"w shape {w.shape} does not match sample shape {data.sample_shape}")
+    if z is not None and z.shape[0] != data.m:
+        raise InvalidArgumentError("slack length does not match sample count")
+
+
 def margin_residuals(w, b: float, data: Dataset) -> np.ndarray:
     """v_i = 1 - y_i (<W, X_i> + b), in dataset order."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != data.sample_shape:
-        raise InvalidArgumentError(
-            f"w shape {w.shape} does not match sample shape {data.sample_shape}"
-        )
+    _check_shapes(data, w)
     s = _scores(data.xs.reshape(data.m, -1), w[None])
     return _margins(s, np.array([float(b)]), data.ys)[0]
 
@@ -283,8 +294,7 @@ def heaviside_count(z) -> int:
 
 def penalized_objective(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     """f(W, z, b) = 1/2 ||W||_F^2 + beta ||z_+||_0 + sigma ||z - v(W, b)||^2."""
-    if state.z.shape[0] != data.m:
-        raise InvalidArgumentError("slack length does not match sample count")
+    _check_shapes(data, z=state.z)
     v = margin_residuals(state.w, state.b, data)
     gap = state.z - v
     return (0.5 * fro_inner(state.w, state.w)

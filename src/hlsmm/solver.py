@@ -15,11 +15,12 @@ min(tau1, tau2, tau3)/2 times the squared block steps.  That inequality is
 asserted at runtime (exact z mode); violation raises NumericalError.
 
 One kernel runs K configurations of one dataset ("lanes") in lockstep: the
-iterates are stacked along a leading lane axis, every product is taken lane
-by lane, and a lane that stops or fails leaves the batch.  Configurations
-whose iterates cannot differ, because they differ only in a tau1 that no
-update reads, ride one lane.  :func:`fit` is the one-lane, one-rider case;
-:func:`fit_many` serves sweeps.
+iterates are stacked along a leading lane axis and every product is taken
+lane by lane.  Configurations whose iterates cannot differ, because they
+differ only in a tau1 that no update reads, ride one lane.  A batch is one
+:class:`_Lanes`, which owns the lanes' hyperparameters, riders and iterates;
+lanes that stop or fail and riders that leave shrink it in place.
+:func:`fit` is the one-lane, one-rider case; :func:`fit_many` serves sweeps.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .errors import HlsmmError, InvalidArgumentError, NumericalError
 from .linalg import project_rank, svd
-from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _hard_threshold,
-                    _margins, _scores)
+from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _check_shapes,
+                    _hard_threshold, _margins, _scores)
 
 # Slack allowed on the monotone-objective and sufficient-decrease assertions.
 MONOTONE_SLACK = 1e-10
@@ -156,7 +157,7 @@ class _Problem:
 
 
 class _Lanes:
-    """Per-lane hyperparameters of a lockstep batch, as (K,) arrays.
+    """A lockstep batch: the hyperparameters, riders and iterates of its lanes.
 
     The lanes share the rank bound, the step policy and the z mode.  A lane
     carries one or more riders, positions in ``configurations`` with one
@@ -165,34 +166,40 @@ class _Lanes:
     lane differ at most in tau1, which the W acceptance test reads as the
     lane's smallest and largest value and the sufficient-decrease check
     reads per rider, through ``tau_min``.
+
+    :meth:`begin` sets the iterates ``w``, ``z``, ``b``, their objective ``g``,
+    ``h`` = h(W), ``sq_norm`` = ||W||^2 and the ``gap`` Z - V that the next W
+    block reads, and the trace ``history``; :meth:`keep` shrinks them all.
     """
+
+    # Hyperparameter columns, as float arrays over lanes.  As floats any int
+    # maxit fits; one above 2**53 rounds, but is never reached.
+    _COLUMNS = ("beta", "sigma", "tau2", "tau3", "tol_step", "tol_obj", "maxit")
 
     def __init__(self, configurations, riders):
         self.configurations = configurations
-        self.riders = list(riders)
-        first = [configurations[lane[0]] for lane in self.riders]
+        riders = list(riders)
+        first = [configurations[lane[0]] for lane in riders]
         self.rank, self.step, self.z_update = first[0].rank, first[0].step, first[0].z_update
+        for name in self._COLUMNS:
+            setattr(self, name, np.array([getattr(hp, name) for hp in first],
+                                         dtype=np.float64))
+        self.width = len(riders)
+        self._ride(riders)
 
-        def column(name, configurations=first):
-            return np.array([getattr(hp, name) for hp in configurations],
-                            dtype=np.float64)
-
-        self.beta, self.sigma = column("beta"), column("sigma")
-        self.tau2, self.tau3 = column("tau2"), column("tau3")
-        self.tol_step, self.tol_obj = column("tol_step"), column("tol_obj")
-        # As floats any int bound fits; one above 2**53 rounds, but is never reached.
-        self.maxit = column("maxit")
-        tau1 = [[configurations[index].tau1 for index in lane] for lane in self.riders]
+    def _ride(self, riders: list) -> None:
+        """Set the rider map, and the tau1 columns it decides, from lists of positions."""
+        self.riders = riders
+        tau1 = [[self.configurations[index].tau1 for index in lane] for lane in riders]
         self.tau1_min = np.array([min(values) for values in tau1])
         self.tau1_max = np.array([max(values) for values in tau1])
         self.tau1_varies = bool((self.tau1_min < self.tau1_max).any())
         # Per rider, lane by lane: its position, its lane's row, min(tau1, tau2, tau3).
-        self.positions = [index for lane in self.riders for index in lane]
-        every = [configurations[index] for index in self.positions]
-        self.lane_of = np.repeat(np.arange(len(self.riders)),
-                                 [len(lane) for lane in self.riders])
-        self.tau_min = np.minimum(np.minimum(column("tau1", every), column("tau2", every)),
-                                  column("tau3", every))
+        self.positions = [index for lane in riders for index in lane]
+        self.lane_of = np.repeat(np.arange(len(riders)), [len(lane) for lane in riders])
+        every = np.array([value for values in tau1 for value in values], dtype=np.float64)
+        self.tau_min = np.minimum(np.minimum(every, self.tau2[self.lane_of]),
+                                  self.tau3[self.lane_of])
 
     @classmethod
     def alone(cls, configurations) -> "_Lanes":
@@ -200,7 +207,58 @@ class _Lanes:
         return cls(configurations, ([index] for index in range(len(configurations))))
 
     def __len__(self) -> int:
-        return len(self.riders)
+        """The batch width: the lanes it was built with, stopped ones included."""
+        return self.width
+
+    def begin(self, problem: _Problem, start: ModelState) -> None:
+        """Put every lane at ``start``, with its objective and a trace of one row."""
+        count = len(self.riders)
+        self.w = np.repeat(start.w[None], count, axis=0)
+        self.z = np.repeat(start.z[None], count, axis=0)
+        self.b = np.full(count, start.b)
+        self.g, self.h, self.sq_norm, self.gap = problem.objective(
+            self.w, problem.scores(self.w), self.z, self.b, self.sigma, self.beta)
+        # Trace columns (objective, W, z and b step norms, halvings) by lane and
+        # iteration; the iteration axis doubles when full, up to maxit + 1.
+        self.history = np.empty((5, count, min(int(self.maxit.max()), 63) + 1))
+        self.history[:, :, 0] = 0.0
+        self.history[0, :, 0] = self.g
+
+    def keep(self, rows: list, riders: list) -> None:
+        """Shrink the batch, carried gap first, to lanes ``rows`` with ``riders``."""
+        for name in ("gap", "w", "z", "b", "g", "h", "sq_norm", *self._COLUMNS):
+            setattr(self, name, getattr(self, name)[rows])
+        self.history = self.history[:, rows]
+        self._ride(riders)
+
+    def release(self, status: np.ndarray, errors: dict, leaving: dict, k: int,
+                t_start: float):
+        """Yield (position, outcome) for each rider that leaves at iterate k; keep the rest.
+
+        A lane with a ``status`` leaves with all its riders, with its error in
+        ``errors`` or else its result; a rider in ``leaving`` leaves alone.
+        The results do not read the gap, so the batch shrinks before they are
+        copied out of the old iterates.
+        """
+        riders, w, z, b, history = self.riders, self.w, self.z, self.b, self.history
+        rest = [[] if status[row] else [index for index in lane if index not in leaving]
+                for row, lane in enumerate(riders)]
+        rows = [row for row, lane in enumerate(rest) if lane]
+        self.keep(rows, [rest[row] for row in rows])
+        for row, lane in enumerate(riders):
+            for index in lane:
+                if index in leaving:
+                    yield index, leaving[index]
+                elif row in errors:
+                    yield index, errors[row]
+                elif status[row]:
+                    *floats, halvings = history[:, row, :k + 1].tolist()
+                    trace = SolverTrace(*floats, [int(n) for n in halvings],
+                                        status=status[row])
+                    final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
+                    yield index, FitResult(model=final, trace=trace,
+                                           hyperparams_echo=self.configurations[index],
+                                           wall_time=time.perf_counter() - t_start)
 
 
 # attrgetter allocates each key at its final size, so that the tuple free
@@ -232,12 +290,7 @@ def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
         raise InvalidArgumentError("sigma must be positive")
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64).ravel()
-    if w.shape != data.sample_shape:
-        raise InvalidArgumentError(
-            f"w shape {w.shape} does not match sample shape {data.sample_shape}"
-        )
-    if z.shape[0] != data.m:
-        raise InvalidArgumentError("slack length does not match sample count")
+    _check_shapes(data, w, z)
     problem = _Problem(data)
     gap = problem.gap(problem.scores(w[None]), z[None], np.array([float(b)]))
     return problem.gradient(w[None], gap, np.array([float(sigma)]))[0]
@@ -377,6 +430,7 @@ def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarr
 
 
 def _one_lane(state: ModelState, data: Dataset, hp: Hyperparams):
+    _check_shapes(data, state.w, state.z)
     problem = _Problem(data)
     w, z, b = state.w[None], state.z[None], np.array([state.b])
     return problem, _Lanes.alone([hp]), w, problem.scores(w), z, b
@@ -423,7 +477,9 @@ def _start_check(data: Dataset, init: ModelState | None):
     except InvalidArgumentError as exc:
         labels = str(exc)
     if init is not None:
-        if init.w.shape != data.sample_shape or init.z.shape[0] != data.m:
+        try:
+            _check_shapes(data, init.w, init.z)
+        except InvalidArgumentError:
             init_shapes = "init state does not match dataset shapes"
         else:
             init_rank = svd(init.w).rank
@@ -452,57 +508,26 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
     other.  The sufficient-decrease check reads tau1, so it runs per rider
     and ends that rider alone; the other checks end every rider of the lane.
     """
-    count = len(lanes)
-    w = np.repeat(start.w[None], count, axis=0)
-    z = np.repeat(start.z[None], count, axis=0)
-    b = np.full(count, start.b)
-    # The objective f of each iterate comes with h(W), ||W||^2 and the gap
-    # Z - V, which the next iteration's W block reads instead of recomputing.
-    g, h, sq_norm, gap = problem.objective(w, problem.scores(w), z, b,
-                                           lanes.sigma, lanes.beta)
-    # Trace columns (objective, W, z and b step norms, halvings) by lane and
-    # iteration; the iteration axis doubles when full, up to maxit + 1.
-    history = np.empty((5, count, min(int(lanes.maxit.max()), 63) + 1))
-    history[:, :, 0] = 0.0
-    history[0, :, 0] = g
-
+    lanes.begin(problem, start)
     k = 0
-    stops: dict = {}    # lane row -> status or NumericalError, for all its riders
-    leaving: dict = {}  # rider position -> NumericalError or None, for that rider
+    # Per lane: whether the last iteration met the tolerances, whether its W
+    # block stalled, and the error it failed with; per rider that leaves its
+    # lane alone: its error or None.
+    stop = stalled = np.zeros(len(lanes.riders), dtype=bool)
+    errors, leaving = {}, {}
     while True:
-        for row in np.flatnonzero(lanes.maxit <= k):
-            stops.setdefault(row, "max_iter")
-        if stops or leaving:
-            riders = [[] if row in stops else
-                      [index for index in lane if index not in leaving]
-                      for row, lane in enumerate(lanes.riders)]
-            keep = [row for row, lane in enumerate(riders) if lane]
-            # The results do not read the gap, so it shrinks before the
-            # results are copied out.
-            gap = gap[keep]
-            for row, lane in enumerate(lanes.riders):
-                for index in lane:
-                    if index in leaving:
-                        yield index, leaving[index]
-                    elif isinstance(stops.get(row), NumericalError):
-                        yield index, stops[row]
-                    elif row in stops:
-                        *floats, halvings = history[:, row, :k + 1].tolist()
-                        trace = SolverTrace(*floats, [int(n) for n in halvings],
-                                            status=stops[row])
-                        final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(),
-                                           iter=k)
-                        yield index, FitResult(
-                            model=final, trace=trace,
-                            hyperparams_echo=lanes.configurations[index],
-                            wall_time=time.perf_counter() - t_start)
-            if not keep:
+        ended = stop | (lanes.maxit <= k)
+        if errors or leaving or ended.any():
+            # Why each lane stops, or "" where it goes on; a later cause wins.
+            # The array holds the literals, so that the traces share them.
+            status = np.full(len(stop), "", dtype=object)
+            status[ended] = "max_iter"
+            status[stop] = "converged"
+            status[stop & stalled] = "stalled"
+            status[list(errors)] = "failed"
+            yield from lanes.release(status, errors, leaving, k, t_start)
+            if not lanes.riders:
                 return
-            w, b, g, h, sq_norm = w[keep], b[keep], g[keep], h[keep], sq_norm[keep]
-            z = z[keep]
-            history = history[:, keep]
-            lanes = _Lanes(lanes.configurations, (riders[row] for row in keep))
-            stops, leaving = {}, {}
 
         k += 1
         # Overflow warnings are silenced: divergence (possible in the
@@ -510,57 +535,50 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
         # The carried gap, the previous slack and the scores are dropped as
         # soon as they are used.
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = problem.gradient(w, gap, lanes.sigma)
-            del gap
-            w_new, s, halvings, stalled, errors, split = _w_step(problem, lanes, w, z, b,
-                                                                 grad, h, k)
+            grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
+            lanes.gap = None
+            w, s, halvings, stalled, errors, split = _w_step(
+                problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
             del grad
-            z_old, z = z, _z_step(problem, lanes, s, z, b)
-            b_new = _b_step(problem, lanes, s, z, b)
-            np.subtract(z, z_old, out=z_old)
+            z_old, lanes.z = lanes.z, _z_step(problem, lanes, s, lanes.z, lanes.b)
+            b = _b_step(problem, lanes, s, lanes.z, lanes.b)
+            np.subtract(lanes.z, z_old, out=z_old)
             dz = np.sqrt(_dots(z_old, z_old))
             del z_old
-            finite = (np.isfinite(w_new).all(axis=(1, 2)) & np.isfinite(z).all(axis=1)
-                      & np.isfinite(b_new))
-            g_new, h, sq_norm_new, gap = problem.objective(w_new, s, z, b_new,
-                                                           lanes.sigma, lanes.beta)
+            finite = (np.isfinite(w).all(axis=(1, 2)) & np.isfinite(lanes.z).all(axis=1)
+                      & np.isfinite(b))
+            g, lanes.h, sq_norm, lanes.gap = problem.objective(w, s, lanes.z, b,
+                                                               lanes.sigma, lanes.beta)
             del s
-            dw = np.sqrt(_sq_norms(w_new - w))
-            db = np.abs(b_new - b)
-            w_norm = np.sqrt(sq_norm)
+            dw = np.sqrt(_sq_norms(w - lanes.w))
+            db = np.abs(b - lanes.b)
             # The checks in the order of the one-lane scheme; a lane keeps its
             # first failure.
-            checks = [(~finite, lambda row: "iterate became non-finite"),
-                      (~np.isfinite(g_new), lambda row: "objective became non-finite")]
+            for row in np.flatnonzero(~finite):
+                errors.setdefault(row, NumericalError("iterate became non-finite", k))
+            for row in np.flatnonzero(~np.isfinite(g)):
+                errors.setdefault(row, NumericalError("objective became non-finite", k))
+            leaving = dict.fromkeys(split)
             if lanes.z_update == "exact":
-                checks.append((g_new > g + MONOTONE_SLACK, lambda row: (
-                    f"objective increased from {g[row]:.6e} to {g_new[row]:.6e}")))
+                for row in np.flatnonzero(g > lanes.g + MONOTONE_SLACK):
+                    errors.setdefault(row, NumericalError(
+                        f"objective increased from {lanes.g[row]:.6e} to {g[row]:.6e}", k))
                 # Per rider, in the order of lanes.positions.
-                decrease = (g - g_new)[lanes.lane_of]
+                decrease = (lanes.g - g)[lanes.lane_of]
                 required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
-                short = decrease < required - DECREASE_SLACK
-        for failed, message in checks:
-            if failed.any():
-                for row in np.flatnonzero(failed):
-                    errors.setdefault(row, NumericalError(message(row), k))
-        leaving = dict.fromkeys(split)
-        if lanes.z_update == "exact" and short.any():
-            for j in np.flatnonzero(short):
-                if lanes.lane_of[j] not in errors:
-                    leaving.setdefault(lanes.positions[j], NumericalError(
-                        f"sufficient decrease violated: {decrease[j]:.3e} < "
-                        f"{required[j]:.3e}", k))
+                for j in np.flatnonzero(decrease < required - DECREASE_SLACK):
+                    if lanes.lane_of[j] not in errors:
+                        leaving.setdefault(lanes.positions[j], NumericalError(
+                            f"sufficient decrease violated: {decrease[j]:.3e} < "
+                            f"{required[j]:.3e}", k))
 
-        if k == history.shape[2]:
-            history = np.concatenate((history, np.empty_like(history)), axis=2)
-        history[:, :, k] = (g_new, dw, dz, db, halvings)
-        stop = ((dw / np.maximum(1.0, w_norm) <= lanes.tol_step)
-                & (np.abs(g_new - g) <= lanes.tol_obj))
-        stops = errors
-        if stop.any():
-            for row in np.flatnonzero(stop):
-                stops.setdefault(row, "stalled" if stalled[row] else "converged")
-        w, b, g, sq_norm = w_new, b_new, g_new, sq_norm_new
+        if k == lanes.history.shape[2]:
+            lanes.history = np.concatenate((lanes.history, np.empty_like(lanes.history)),
+                                           axis=2)
+        lanes.history[:, :, k] = (g, dw, dz, db, halvings)
+        stop = ((dw / np.maximum(1.0, np.sqrt(lanes.sq_norm)) <= lanes.tol_step)
+                & (np.abs(g - lanes.g) <= lanes.tol_obj))
+        lanes.w, lanes.b, lanes.g, lanes.sq_norm = w, b, g, sq_norm
 
 
 def fit_many(data: Dataset, configurations, init: ModelState | None = None):

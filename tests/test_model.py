@@ -219,6 +219,17 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             data.xs[0, 0, 0] = 5.0
 
+    def test_contiguous_float64_features_are_kept_not_copied(self):
+        ys = np.array([1, -1])
+        kept = np.zeros((2, 3, 2))
+        assert Dataset(xs=kept, ys=ys).xs is kept
+        assert not kept.flags.writeable
+        for converted in (np.zeros((2, 3, 2), dtype=np.float32),
+                          np.zeros((2, 2, 3)).transpose(0, 2, 1)):
+            data = Dataset(xs=converted, ys=ys)
+            assert not np.shares_memory(data.xs, converted)
+            assert converted.flags.writeable
+
     def test_hyperparams_validation(self):
         with pytest.raises(InvalidArgumentError):
             Hyperparams(beta=-1.0, sigma=0.1, rank=2)

@@ -260,6 +260,18 @@ class TestUpdateB:
         assert update_b(state, data, hp) == pytest.approx(oracle.x, abs=1e-8)
 
 
+@pytest.mark.parametrize("update", [update_w, update_z, update_b])
+@pytest.mark.parametrize("w_shape,m_z", [((3, 3), 50), ((8, 6), 7)],
+                         ids=["w-shape", "z-length"])
+def test_one_shot_update_refuses_mismatched_state(update, w_shape, m_z):
+    # The shape rule of fit's init check and of grad_h, not a numpy
+    # broadcasting error.
+    data = random_dataset(44, m=50, p=8, q=6)
+    state = ModelState(w=np.zeros(w_shape), b=0.0, z=np.zeros(m_z))
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        update(state, data, Hyperparams(beta=0.1, sigma=0.1, rank=1))
+
+
 class TestFit:
     def test_maxit_zero_returns_initialization(self, synthetic):
         data, _, _ = synthetic
