@@ -16,12 +16,12 @@ from .model import (
     decision_scores,
     heaviside_count,
     margin_residuals,
-    penalized_objective,
     predict,
     predict_batch,
     prox_heaviside,
 )
-from .solver import FitResult, fit, grad_h, update_b, update_w, update_z
+from .solver import (FitResult, fit, grad_h, penalized_objective, update_b, update_w,
+                     update_z)
 from .kkt import (KktReport, completed_kkt_report, estimate_multiplier, kkt_report,
                   w_stationarity, z_stationarity)
 from .data import (

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import SvdFactors, _ambiguous, svd
-from .model import (Dataset, Hyperparams, ModelState, _check_shapes, decision_scores,
-                    margin_residuals, prox_heaviside)
+from .model import (_RANK, Dataset, Hyperparams, ModelState, _check_shapes, _checked,
+                    decision_scores, margin_residuals, prox_heaviside)
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,17 @@ def apply_adjoint(lam, data: Dataset) -> np.ndarray:
     return (weights @ data.xs.reshape(data.m, -1)).reshape(data.sample_shape)
 
 
-def _gap(state: ModelState, v: np.ndarray) -> np.ndarray:
-    """The coupling gap z - v."""
-    if state.z.shape[0] != v.shape[0]:
-        raise InvalidArgumentError("slack length does not match sample count")
-    return state.z - v
+def _multiplier(state: ModelState, v: np.ndarray, data: Dataset, sigma: float):
+    """lambda = -2 sigma (z - v) and the coupling gap z - v, given the margins v."""
+    _check_shapes(data, z=state.z)
+    gap = state.z - v
+    return -2.0 * sigma * gap, gap
 
 
 def estimate_multiplier(state: ModelState, data: Dataset, sigma: float) -> np.ndarray:
     """Penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
-    if not sigma > 0:
-        raise InvalidArgumentError("sigma must be positive")
-    return -2.0 * sigma * _gap(state, margin_residuals(state.w, state.b, data))
+    sigma = _checked("sigma", sigma)
+    return _multiplier(state, margin_residuals(state.w, state.b, data), data, sigma)[0]
 
 
 def z_stationarity(z, lam, beta: float, tol: float = 0.0) -> float:
@@ -100,10 +99,9 @@ def z_stationarity(z, lam, beta: float, tol: float = 0.0) -> float:
     negative lambda_i violates (violation max(0, -lambda_i)).  Entries with
     |z_i| <= tol are treated as zero.
     """
-    if not beta > 0:
-        raise InvalidArgumentError("beta must be positive")
-    if tol < 0:
-        raise InvalidArgumentError("tol must be non-negative")
+    _checked("beta", beta)
+    tol = _checked("tol", tol, (float, lambda v: 0 <= v < np.inf,
+                                "be non-negative and finite"))
     z = np.asarray(z, dtype=np.float64).ravel()
     lam = np.asarray(lam, dtype=np.float64).ravel()
     if z.shape != lam.shape:
@@ -122,8 +120,8 @@ def w_stationarity(state: ModelState, lam, data: Dataset, r: int) -> float:
     component U_perp (U_perp^T G V_perp) V_perp^T.  Iterates with
     rank(W) > r are infeasible; the full ||G||_F is reported.
     """
-    if not r >= 1:
-        raise InvalidArgumentError("rank bound must be >= 1")
+    _checked("rank bound", r, _RANK)
+    _check_shapes(data, state.w)
     return _cone_residual(state.w + apply_adjoint(lam, data), svd(state.w), r)
 
 
@@ -164,8 +162,7 @@ def completed_kkt_report(w, b: float, data: Dataset, hp: Hyperparams,
 def _report(state: ModelState, v: np.ndarray, data: Dataset, hp: Hyperparams,
             tol: float) -> KktReport:
     """The KKT report of ``state`` given its margins ``v``."""
-    gap = _gap(state, v)
-    lam = -2.0 * hp.sigma * gap
+    lam, gap = _multiplier(state, v, data, hp.sigma)
     factors = svd(state.w)
     return KktReport(
         lam=lam,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .model import _RANK, _checked
 
 # Relative tolerance below which a singular value counts as zero.
 ZERO_TOL_REL = 1e-12
@@ -93,13 +94,11 @@ def svd(w) -> SvdFactors:
 
 
 def _check_rank_bound(r: int, p: int, q: int) -> int:
-    if not isinstance(r, (int, np.integer)):
-        raise InvalidArgumentError(f"rank bound must be an integer, got {r!r}")
-    if not 1 <= r < min(p, q):
+    r = _checked("rank bound", r, _RANK)
+    if not r < min(p, q):
         raise InvalidArgumentError(
-            f"rank bound must satisfy 1 <= r < min(p, q) = {min(p, q)}, got r={r}"
-        )
-    return int(r)
+            f"rank bound must satisfy 1 <= r < min(p, q) = {min(p, q)}, got r={r}")
+    return r
 
 
 def project_rank(w, r: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Domain types and the penalized objective of the Heaviside-loss matrix classifier.
+"""Domain types and the formulas of the Heaviside-loss matrix classifier.
 
 The classifier scores a p-by-q sample ``X`` as ``<W, X> + b`` (Frobenius inner
 product plus bias).  Training minimizes
@@ -8,7 +8,7 @@ product plus bias).  Training minimizes
 subject to ``rank(W) <= r``, where ``v_i = 1 - y_i (<W, X_i> + b)`` are the
 margin residuals and ``||z_+||_0`` counts strictly positive slack entries
 (the 0/1 loss).  ``z`` decouples the combinatorial loss from the smooth
-penalty; ``sigma`` weights the coupling ``z ~ v``.
+penalty; ``sigma`` weights the coupling ``z ~ v``.  The solver evaluates f.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import fro_inner
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class Dataset:
 
     def __post_init__(self):
         xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.float64))
-        ys = np.asarray(self.ys, dtype=np.int8).ravel()
+        ys = np.asarray(self.ys).ravel()
         if xs.ndim != 3 or 0 in xs.shape:
             raise InvalidArgumentError(
                 "dataset needs an (m, p, q) feature array with m, p, q >= 1")
@@ -49,8 +48,10 @@ class Dataset:
             raise InvalidArgumentError("label count does not match sample count")
         if not np.isfinite(xs).all():
             raise InvalidArgumentError("dataset features must be finite")
+        # Checked before the cast, which would wrap 255 to -1 and truncate 1.5 to 1.
         if not np.isin(ys, (-1, 1)).all():
             raise InvalidArgumentError("labels must be -1 or +1")
+        ys = ys.astype(np.int8, copy=False)
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -98,24 +99,31 @@ class Dataset:
 # Concrete types: checks against the numbers ABCs are several times slower.
 _KINDS = {int: ((int, np.integer), "an integer"),
           float: ((int, float, np.integer, np.floating), "a real number")}
+# Rules as (kind, test, requirement): most hyperparameters', and the rank bound's.
+_POSITIVE = (float, lambda v: 0 < v < np.inf, "be positive and finite")
+_RANK = (int, lambda v: v >= 1, "be a positive integer")
 
 
-def _store(owner, names, convert, valid, rule: str) -> None:
-    """Store named fields of a frozen dataclass as built-in ``convert`` values; a
-    value of another kind (a bool is neither) or one ``valid`` refuses is an error."""
+def _checked(name: str, value, rule: tuple = _POSITIVE):
+    """``value`` as a built-in of ``rule``'s kind (a bool is neither), if its test passes."""
+    convert, valid, requirement = rule
     types, kind = _KINDS[convert]
+    if type(value) is not convert:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise InvalidArgumentError(f"{name} must be {kind}, got {value!r}")
+        try:
+            value = convert(value)
+        except OverflowError:  # an int beyond the float range
+            value = np.inf
+    if not valid(value):
+        raise InvalidArgumentError(f"{name} must {requirement}")
+    return value
+
+
+def _store(owner, names, rule: tuple = _POSITIVE) -> None:
+    """Store named fields of a frozen dataclass as :func:`_checked` values."""
     for name in names:
-        value = getattr(owner, name)
-        if type(value) is not convert:
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise InvalidArgumentError(f"{name} must be {kind}, got {value!r}")
-            try:
-                value = convert(value)
-            except OverflowError:  # an int beyond the float range
-                value = np.inf
-            object.__setattr__(owner, name, value)
-        if not valid(value):
-            raise InvalidArgumentError(f"{name} must {rule}")
+        object.__setattr__(owner, name, _checked(name, getattr(owner, name), rule))
 
 
 @dataclass(frozen=True)
@@ -140,10 +148,9 @@ class StepPolicy:
         if self.kind not in ("backtracking", "fixed"):
             raise InvalidArgumentError(f"unknown step policy {self.kind!r}")
         if self.alpha0 is not None:
-            _store(self, ("alpha0",), float, lambda v: 0 < v < np.inf,
-                   "be positive and finite")
-        _store(self, ("shrink",), float, lambda v: 0 < v < 1, "lie in (0, 1)")
-        _store(self, ("max_halvings",), int, lambda v: v >= 0, "be non-negative")
+            _store(self, ("alpha0",))
+        _store(self, ("shrink",), (float, lambda v: 0 < v < 1, "lie in (0, 1)"))
+        _store(self, ("max_halvings",), (int, lambda v: v >= 0, "be non-negative"))
 
 
 @dataclass(frozen=True)
@@ -172,10 +179,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"),
-               float, lambda v: 0 < v < np.inf, "be positive and finite")
-        _store(self, ("rank",), int, lambda v: v >= 1, "be a positive integer")
-        _store(self, ("maxit", "seed"), int, lambda v: v >= 0, "be non-negative")
+        _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"))
+        _store(self, ("rank",), _RANK)
+        _store(self, ("maxit", "seed"), (int, lambda v: v >= 0, "be non-negative"))
         if self.z_update not in ("exact", "paper"):
             raise InvalidArgumentError(f"unknown z_update mode {self.z_update!r}")
 
@@ -258,11 +264,14 @@ def _margins(s: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, v, out=v)
 
 
-def _hard_threshold(x: np.ndarray, gamma) -> np.ndarray:
-    """Zero the entries of ``x`` in (0, sqrt(2 gamma)], in place; ``gamma`` broadcasts.
+def _heaviside(z: np.ndarray):
+    """||z_+||_0, the 0/1 loss: the count of positive entries along the last axis."""
+    return np.count_nonzero(z > 0, axis=-1)
 
-    Unvalidated, as the solver's iterates may diverge: its own checks report that.
-    """
+
+def _hard_threshold(x: np.ndarray, gamma) -> np.ndarray:
+    """The 0/1 loss's prox: zero the entries of ``x`` in (0, sqrt(2 gamma)], in place;
+    ``gamma`` broadcasts.  Unvalidated: the solver's own checks report divergence."""
     x[(x > 0) & (x <= np.sqrt(2.0 * gamma))] = 0.0
     return x
 
@@ -289,17 +298,7 @@ def heaviside_count(z) -> int:
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all():
         raise InvalidArgumentError("z must be finite")
-    return int(np.count_nonzero(z > 0))
-
-
-def penalized_objective(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
-    """f(W, z, b) = 1/2 ||W||_F^2 + beta ||z_+||_0 + sigma ||z - v(W, b)||^2."""
-    _check_shapes(data, z=state.z)
-    v = margin_residuals(state.w, state.b, data)
-    gap = state.z - v
-    return (0.5 * fro_inner(state.w, state.w)
-            + hp.beta * heaviside_count(state.z)
-            + hp.sigma * float(gap @ gap))
+    return int(_heaviside(z.ravel()))
 
 
 def prox_heaviside(x, gamma: float) -> np.ndarray:
@@ -311,8 +310,7 @@ def prox_heaviside(x, gamma: float) -> np.ndarray:
     the two candidates {0, x}; the tie breaks to 0, matching the inclusive
     upper bound of the case split.
     """
-    if not gamma > 0:
-        raise InvalidArgumentError("gamma must be positive")
+    gamma = _checked("gamma", gamma)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise InvalidArgumentError("x must be finite")

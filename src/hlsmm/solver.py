@@ -35,7 +35,7 @@ import numpy as np
 from .errors import HlsmmError, InvalidArgumentError, NumericalError
 from .linalg import project_rank, svd
 from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _check_shapes,
-                    _hard_threshold, _margins, _scores)
+                    _checked, _hard_threshold, _heaviside, _margins, _scores)
 
 # Slack allowed on the monotone-objective and sufficient-decrease assertions.
 MONOTONE_SLACK = 1e-10
@@ -134,7 +134,7 @@ class _Problem:
         gap = self.gap(s, z, b)
         sq_norm = _sq_norms(w)
         h = self.smooth(sq_norm, gap, sigma)
-        return h + beta * np.count_nonzero(z > 0, axis=1), h, sq_norm, gap
+        return h + beta * _heaviside(z), h, sq_norm, gap
 
     def gradient(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         pull = (self.X.T @ (self.ys * gap)[..., None]).reshape(w.shape)
@@ -286,14 +286,13 @@ def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
     grad h(W) = W + 2 sigma sum_i y_i (z_i - 1 + y_i <W, X_i> + b y_i) X_i.
     The proximal term tau1/2 ||W - W^k||^2 contributes nothing at W = W^k.
     """
-    if not sigma > 0:
-        raise InvalidArgumentError("sigma must be positive")
+    sigma = _checked("sigma", sigma)
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64).ravel()
     _check_shapes(data, w, z)
     problem = _Problem(data)
     gap = problem.gap(problem.scores(w[None]), z[None], np.array([float(b)]))
-    return problem.gradient(w[None], gap, np.array([float(sigma)]))[0]
+    return problem.gradient(w[None], gap, np.array([sigma]))[0]
 
 
 def _project(v: np.ndarray, rank: int, rows: np.ndarray, errors: dict,
@@ -459,6 +458,13 @@ def update_b(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     """Closed-form bias update, assuming W and z are already updated."""
     problem, lanes, _, s, z, b = _one_lane(state, data, hp)
     return float(_b_step(problem, lanes, s, z, b)[0])
+
+
+def penalized_objective(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
+    """f(W, z, b) = 1/2 ||W||_F^2 + beta ||z_+||_0 + sigma ||z - v(W, b)||^2, as the
+    kernel evaluates it for one lane, so :func:`fit` traces the same number."""
+    problem, lanes, w, s, z, b = _one_lane(state, data, hp)
+    return float(problem.objective(w, s, z, b, lanes.sigma, lanes.beta)[0][0])
 
 
 def _start_check(data: Dataset, init: ModelState | None):

@@ -329,6 +329,13 @@ class TestKktCheck:
         capsys.readouterr()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_zero_tol_must_be_non_negative_and_finite(self, trained, capsys, tol):
+        model_path, _, data_path, _ = trained
+        assert main(["kkt-check", "--model", str(model_path), f"--zero-tol={tol}",
+                     "--data", str(data_path), "--format", "smm1"]) == 2
+        assert "tol must be non-negative and finite" in capsys.readouterr().err
+
     def test_text_mode(self, trained, capsys):
         model_path, _, data_path, _ = trained
         assert main(["kkt-check", "--model", str(model_path), "--text",

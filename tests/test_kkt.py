@@ -12,6 +12,7 @@ from hlsmm import (
     estimate_multiplier,
     fit,
     fro_inner,
+    grad_h,
     kkt_report,
     margin_residuals,
     projection_ambiguous,
@@ -104,6 +105,21 @@ class TestWStationarity:
         data = random_dataset(57, p=4, q=3)
         state = ModelState(w=np.zeros((4, 3)), b=0.0, z=np.zeros(data.m))
         assert w_stationarity(state, np.zeros(data.m), data, r=2) == 0.0
+
+    @pytest.mark.parametrize("r", [True, 2.0])
+    def test_rank_bound_must_be_an_integer(self, r):
+        data = random_dataset(69, p=4, q=3)
+        state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
+        with pytest.raises(InvalidArgumentError, match="rank bound must be an integer"):
+            w_stationarity(state, np.zeros(data.m), data, r=r)
+
+    def test_mismatched_w_is_refused_like_kkt_report(self):
+        data = random_dataset(70, m=8, p=4, q=3)
+        state = ModelState(w=np.ones((3, 3)), b=0.0, z=np.zeros(data.m))
+        for check in (lambda: w_stationarity(state, np.zeros(data.m), data, r=2),
+                      lambda: kkt_report(state, data, Hyperparams(0.1, 0.1, 2))):
+            with pytest.raises(InvalidArgumentError, match="does not match sample"):
+                check()
 
     def _rank_r_state(self, gen, p, q, r):
         w = gen.standard_normal((p, r)) @ gen.standard_normal((r, q))
@@ -238,6 +254,21 @@ class TestKktReport:
                                 "feasibility_residual", "rank_at_solution"}
         text = report.to_text()
         assert "w_residual" in text and "lambda" not in text
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, True, 0.0])
+    def test_scalars_follow_the_hyperparameter_rule(self, value):
+        data = random_dataset(71)
+        state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
+        lam = np.zeros(data.m)
+        calls = [lambda: grad_h(state.w, state.z, 0.0, data, sigma=value),
+                 lambda: estimate_multiplier(state, data, value),
+                 lambda: z_stationarity(state.z, lam, beta=value),
+                 lambda: prox_heaviside(state.z, value)]
+        if value != 0.0:  # a zero tolerance is valid
+            calls.append(lambda: z_stationarity(state.z, lam, 0.5, tol=value))
+        for call in calls:
+            with pytest.raises(InvalidArgumentError):
+                call()
 
     def test_bad_multiplier_length(self):
         data = random_dataset(68)

@@ -113,6 +113,12 @@ class TestProjectRank:
             with pytest.raises(InvalidArgumentError):
                 project_rank(w, bad)
 
+    def test_bool_rank_bound_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="must be an integer, got True"):
+            project_rank(np.eye(4), True)
+        with pytest.raises(InvalidArgumentError, match="must be an integer, got True"):
+            projection_ambiguous(np.eye(4), True)
+
     def test_ambiguity_flag(self):
         assert projection_ambiguous(np.diag([2.0, 1.0, 1.0]), 2)
         assert not projection_ambiguous(np.diag([2.0, 1.0, 0.5]), 2)

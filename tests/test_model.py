@@ -201,6 +201,15 @@ class TestDomainTypes:
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.zeros((2, 1, 1)), ys=np.array([1, 0]))
 
+    @pytest.mark.parametrize("ys", [
+        np.array([255, 1, 1, 255]),  # wraps to -1 as int8
+        [1.5, -1.2, 1.0, -1.0],      # truncates to +-1
+        [np.nan, 1.0, 1.0, -1.0],    # no integer at all
+    ])
+    def test_dataset_checks_labels_before_the_cast(self, ys):
+        with pytest.raises(InvalidArgumentError, match="labels must be -1 or \\+1"):
+            Dataset(xs=np.zeros((4, 1, 1)), ys=ys)
+
     def test_dataset_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.zeros((0, 1, 1)), ys=np.array([]))

@@ -3,7 +3,8 @@
 File formats: round trips, truncation, corruption, and JSON documents with one
 fault (an added key, a missing key, a value of another JSON kind).  Solver (exact z mode,
 every step policy): sufficient decrease along every returned trace and a
-rank-feasible returned model, whatever the stop status.
+rank-feasible returned model, whatever the stop status; the public objective
+equals the first row of the trace bit for bit.
 """
 
 import json
@@ -21,9 +22,11 @@ from hlsmm import (
     DatasetManifest,
     Hyperparams,
     StepPolicy,
+    ModelState,
     fit,
     load_model,
     load_smm1,
+    penalized_objective,
     save_model,
     save_smm1,
     svd,
@@ -341,3 +344,30 @@ class TestSolverInvariants:
         result = fit(synthetic[0], hp)
         assert result.trace.status == status
         assert_descent_and_feasibility(result, hp)
+
+
+@st.composite
+def objective_points(draw):
+    """A small dataset, a configuration and a state whose W has rank <= r."""
+    p, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    m = draw(st.integers(2, 30))
+    data = random_dataset(draw(st.integers(0, 10_000)), m=m, p=p, q=q)
+    rank = draw(st.integers(1, min(p, q) - 1))
+    entries = st.floats(-3.0, 3.0)
+    w = (draw(arrays(np.float64, (p, rank), elements=entries))
+         @ draw(arrays(np.float64, (rank, q), elements=entries)))
+    # Exact zeros sit on the loss's boundary z > 0.
+    z = draw(arrays(np.float64, m, elements=st.just(0.0) | entries))
+    state = ModelState(w=w, b=draw(entries), z=z)
+    scale = st.floats(1e-3, 1e2)
+    hp = Hyperparams(beta=draw(scale), sigma=draw(scale), rank=rank)
+    return state, data, hp
+
+
+class TestObjective:
+    @settings(max_examples=200, deadline=None)
+    @given(point=objective_points())
+    def test_public_objective_is_the_traced_one(self, point):
+        state, data, hp = point
+        traced = fit(data, hp.with_(maxit=0), init=state).trace.objective[0]
+        assert penalized_objective(state, data, hp) == traced
