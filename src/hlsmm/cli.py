@@ -19,7 +19,7 @@ from . import data as datamod
 from . import experiments as exp
 from .errors import DataError, InvalidArgumentError, NumericalError
 from .kkt import completed_kkt_report
-from .model import Dataset, Hyperparams, ModelState, StepPolicy, predict_batch
+from .model import Dataset, Hyperparams, ModelState, StepPolicy, _checked, predict_batch
 from .modelfile import load_model, save_model
 from .solver import fit
 
@@ -28,12 +28,17 @@ _EXIT_DATA = 3
 _EXIT_NUMERIC = 4
 
 
-def _default_seed() -> int:
-    text = os.environ.get("HLSMM_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidArgumentError(f"HLSMM_SEED must be an integer, got {text!r}") from None
+def _seed(args) -> int:
+    """The split, fold and provenance seed: ``--seed``, else HLSMM_SEED, else 0."""
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("HLSMM_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"HLSMM_SEED must be an integer, got {text!r}") from None
+    return _checked("seed", seed, (int, lambda v: v >= 0, "be non-negative"))
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -83,12 +88,11 @@ def _parse_step(text: str) -> StepPolicy:
 
 
 def _hyperparams(args) -> Hyperparams:
-    seed = args.seed if args.seed is not None else _default_seed()
     return Hyperparams(beta=args.beta, sigma=args.sigma, rank=args.rank,
                        tau1=args.tau1, tau2=args.tau2, tau3=args.tau3,
                        maxit=args.maxit, tol_step=args.tol_step,
                        tol_obj=args.tol_obj, step=_parse_step(args.step),
-                       z_update=args.z_update, seed=seed)
+                       z_update=args.z_update)
 
 
 def _load_dataset(args, for_training: bool = False) -> Dataset:
@@ -133,11 +137,12 @@ def _print_json(obj) -> None:
 def _cmd_train(args) -> int:
     ds = _load_dataset(args, for_training=True)
     hp = _hyperparams(args)
+    seed = _seed(args)
     result = fit(ds, hp)
     train_metrics = exp.evaluate(result.model, ds)
     if args.out:
         save_model(args.out, result.model.w, result.model.b, hp,
-                   dataset_name=ds.name, seed=hp.seed)
+                   dataset_name=ds.name, seed=seed)
     if args.trace:
         exp.export_convergence_trace(result.trace, args.trace)
     _print_json({
@@ -181,14 +186,14 @@ def _cmd_sweep(args) -> int:
         beta=tuple(args.grid_beta), sigma=tuple(args.grid_sigma),
         rank=tuple(args.grid_rank), tau1=tuple(args.grid_tau),
         tau2=tuple(args.grid_tau), tau3=tuple(args.grid_tau))
-    train, test = datamod.split(ds, args.split_ratio, stratified=True,
-                                seed=hp.seed)
+    seed = _seed(args)
+    train, test = datamod.split(ds, args.split_ratio, stratified=True, seed=seed)
     if args.tune_on_test:
         best, table = exp.grid_search(train, test, grid, hp)
         mode = "tune_on_test"
     else:
         best, table = exp.grid_search_cv(train, grid, hp,
-                                         folds=args.cv_folds, seed=hp.seed)
+                                         folds=args.cv_folds, seed=seed)
         mode = f"cv{args.cv_folds}"
     if args.out_csv:
         exp.write_sweep_csv(table, args.out_csv)
@@ -205,7 +210,7 @@ def _cmd_sweep(args) -> int:
         summary["test_accuracy"] = round(test_metrics.accuracy, 2)
         if args.out_model:
             save_model(args.out_model, refit.model.w, refit.model.b, best,
-                       dataset_name=ds.name, seed=best.seed)
+                       dataset_name=ds.name, seed=seed)
     _print_json(summary)
     return 0
 
@@ -213,8 +218,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_noise_bench(args) -> int:
     ds = _load_dataset(args, for_training=True)
     hp = _hyperparams(args)
-    train, test = datamod.split(ds, args.split_ratio, stratified=True,
-                                seed=hp.seed)
+    seed = _seed(args)
+    train, test = datamod.split(ds, args.split_ratio, stratified=True, seed=seed)
     table, means = exp.noise_sweep(train, test, hp, args.kind,
                                    args.levels, args.noise_seeds)
     if args.out_csv:
@@ -230,8 +235,8 @@ def _cmd_noise_bench(args) -> int:
 def _cmd_sensitivity(args) -> int:
     ds = _load_dataset(args, for_training=True)
     hp = _hyperparams(args)
-    train, test = datamod.split(ds, args.split_ratio, stratified=True,
-                                seed=hp.seed)
+    seed = _seed(args)
+    train, test = datamod.split(ds, args.split_ratio, stratified=True, seed=seed)
     surface = exp.sensitivity_grid(train, test, hp, args.r_values,
                                    args.beta_values)
     exp.write_sensitivity_csv(surface, args.r_values, args.beta_values,

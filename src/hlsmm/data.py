@@ -282,11 +282,9 @@ def load_smm1(path) -> Dataset:
         xs = np.empty((m, p, q), dtype="<f8")
         if handle.readinto(ys) + handle.readinto(xs) != expected - 32:
             raise DataError(f"{path}: file changed while it was read")
-    if not np.isin(ys, (-1, 1)).all():
-        raise DataError(f"{path}: labels must be -1 or +1")
     try:
         return Dataset(xs=xs, ys=ys, name=path.stem)
-    except InvalidArgumentError as exc:  # non-finite features
+    except InvalidArgumentError as exc:  # bad labels or non-finite features
         raise DataError(f"{path}: {exc}") from exc
 
 

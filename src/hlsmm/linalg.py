@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import _RANK, _checked
+from .model import _rank_for_shape
 
 # Relative tolerance below which a singular value counts as zero.
 ZERO_TOL_REL = 1e-12
@@ -93,14 +93,6 @@ def svd(w) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, v=vh.T, gamma=gamma, zero_tol=zero_tol)
 
 
-def _check_rank_bound(r: int, p: int, q: int) -> int:
-    r = _checked("rank bound", r, _RANK)
-    if not r < min(p, q):
-        raise InvalidArgumentError(
-            f"rank bound must satisfy 1 <= r < min(p, q) = {min(p, q)}, got r={r}")
-    return r
-
-
 def project_rank(w, r: int) -> np.ndarray:
     """Nearest matrix of rank at most ``r`` in Frobenius distance.
 
@@ -113,7 +105,7 @@ def project_rank(w, r: int) -> np.ndarray:
     each result equals the projection of that matrix alone bit for bit.
     """
     w = _as_matrix(w, stack=True)
-    r = _check_rank_bound(r, *w.shape[-2:])
+    r = _rank_for_shape(r, *w.shape[-2:])
     u, s, vh = np.linalg.svd(w, full_matrices=False)
     return (u[..., :r] * s[..., None, :r]) @ vh[..., :r, :]
 
@@ -125,7 +117,7 @@ def projection_ambiguous(w, r: int) -> bool:
     ``sigma_r - sigma_{r+1} <= AMBIGUITY_TOL_REL * sigma_1``.
     """
     w = _as_matrix(w)
-    r = _check_rank_bound(r, *w.shape)
+    r = _rank_for_shape(r, *w.shape)
     return _ambiguous(np.linalg.svd(w, compute_uv=False), r)
 
 

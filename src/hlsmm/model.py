@@ -46,11 +46,12 @@ class Dataset:
                 "dataset needs an (m, p, q) feature array with m, p, q >= 1")
         if ys.shape[0] != xs.shape[0]:
             raise InvalidArgumentError("label count does not match sample count")
+        # Labels as given (the cast would wrap 255 to -1, np.isin takes True for 1),
+        # and before the features, so that bad labels skip the pass over them.
+        if ys.dtype == bool or not np.isin(ys, (-1, 1)).all():
+            raise InvalidArgumentError("labels must be -1 or +1")
         if not np.isfinite(xs).all():
             raise InvalidArgumentError("dataset features must be finite")
-        # Checked before the cast, which would wrap 255 to -1 and truncate 1.5 to 1.
-        if not np.isin(ys, (-1, 1)).all():
-            raise InvalidArgumentError("labels must be -1 or +1")
         ys = ys.astype(np.int8, copy=False)
         xs.setflags(write=False)
         ys.setflags(write=False)
@@ -120,6 +121,15 @@ def _checked(name: str, value, rule: tuple = _POSITIVE):
     return value
 
 
+def _rank_for_shape(r, p: int, q: int) -> int:
+    """``r`` as a rank bound for p-by-q samples: a positive integer below min(p, q)."""
+    r = _checked("rank bound", r, _RANK)
+    if not r < min(p, q):
+        raise InvalidArgumentError(
+            f"rank bound r={r} must be < min(p, q) = {min(p, q)} for {p}x{q} samples")
+    return r
+
+
 def _store(owner, names, rule: tuple = _POSITIVE) -> None:
     """Store named fields of a frozen dataclass as :func:`_checked` values."""
     for name in names:
@@ -132,7 +142,7 @@ class StepPolicy:
 
     ``backtracking``: start each iteration at ``alpha0`` (or, when ``alpha0``
     is None, at the exact line-minimizing Cauchy step of the smooth quadratic)
-    and halve by ``shrink`` until the proximal decrease test accepts, at most
+    and halve it until the proximal decrease test accepts, at most
     ``max_halvings`` times.
 
     ``fixed``: constant step ``alpha0``; when None, the provably safe
@@ -141,7 +151,6 @@ class StepPolicy:
 
     kind: str = "backtracking"
     alpha0: float | None = None
-    shrink: float = 0.5
     max_halvings: int = 30
 
     def __post_init__(self):
@@ -149,7 +158,6 @@ class StepPolicy:
             raise InvalidArgumentError(f"unknown step policy {self.kind!r}")
         if self.alpha0 is not None:
             _store(self, ("alpha0",))
-        _store(self, ("shrink",), (float, lambda v: 0 < v < 1, "lie in (0, 1)"))
         _store(self, ("max_halvings",), (int, lambda v: v >= 0, "be non-negative"))
 
 
@@ -176,21 +184,16 @@ class Hyperparams:
     tol_obj: float = 1e-8
     step: StepPolicy = field(default_factory=StepPolicy)
     z_update: str = "exact"
-    seed: int = 0
 
     def __post_init__(self):
         _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"))
         _store(self, ("rank",), _RANK)
-        _store(self, ("maxit", "seed"), (int, lambda v: v >= 0, "be non-negative"))
+        _store(self, ("maxit",), (int, lambda v: v >= 0, "be non-negative"))
         if self.z_update not in ("exact", "paper"):
             raise InvalidArgumentError(f"unknown z_update mode {self.z_update!r}")
 
     def validate_for_shape(self, p: int, q: int) -> None:
-        if not self.rank < min(p, q):
-            raise InvalidArgumentError(
-                f"rank bound r={self.rank} must be < min(p, q) = {min(p, q)} "
-                f"for {p}x{q} samples"
-            )
+        _rank_for_shape(self.rank, p, q)
 
     def with_(self, **kwargs) -> "Hyperparams":
         return replace(self, **kwargs)

@@ -19,18 +19,17 @@ from .data import _NUMBER, _json_object, _unique_keys
 from .errors import DataError
 from .model import Hyperparams, StepPolicy
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BUILD_ID = "hlsmm-0.1.0"
 
 # Every key save_model writes, at every level, with its JSON kind.
 _MODEL_KINDS = {
-    "format_version": int, "p": int, "q": int, "rank_bound": int, "b": _NUMBER,
+    "format_version": int, "p": int, "q": int, "b": _NUMBER,
     "hyperparams": {
         "beta": _NUMBER, "sigma": _NUMBER, "rank": int, "tau1": _NUMBER,
         "tau2": _NUMBER, "tau3": _NUMBER, "maxit": int, "tol_step": _NUMBER,
-        "tol_obj": _NUMBER, "z_update": str, "seed": int,
-        "step": {"kind": str, "alpha0": (*_NUMBER, None), "shrink": _NUMBER,
-                 "max_halvings": int}},
+        "tol_obj": _NUMBER, "z_update": str,
+        "step": {"kind": str, "alpha0": (*_NUMBER, None), "max_halvings": int}},
     "w_b64": str, "w_sha256": str,
     "provenance": {"dataset": str, "seed": int, "build": str}}
 
@@ -57,7 +56,6 @@ def save_model(path, w: np.ndarray, b: float, hp: Hyperparams,
         "format_version": FORMAT_VERSION,
         "p": int(w.shape[0]),
         "q": int(w.shape[1]),
-        "rank_bound": int(hp.rank),
         "b": float(b),
         "hyperparams": asdict(hp),
         "w_b64": base64.b64encode(blob).decode("ascii"),
@@ -80,7 +78,9 @@ def load_model(path) -> LoadedModel:
     if not isinstance(document, dict):
         raise DataError(f"{path}: not a valid model file: not a JSON object")
     if document.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported model format version")
+        raise DataError(f"{path}: unsupported model format version "
+                        f"{document.get('format_version')!r}; this build reads "
+                        f"version {FORMAT_VERSION}")
     try:
         document = _json_object(document, _MODEL_KINDS, "model file")
         raw_hp = document["hyperparams"]
@@ -90,9 +90,6 @@ def load_model(path) -> LoadedModel:
     except (ValueError, OverflowError) as exc:  # bad hyperparameters, base64 or bias
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     p, q = document["p"], document["q"]
-    if document["rank_bound"] != hp.rank:
-        raise DataError(f"{path}: rank_bound {document['rank_bound']} does not match "
-                        f"hyperparams.rank {hp.rank}")
     if p < 1 or q < 1:
         raise DataError(f"{path}: weight shape {p}x{q} is not at least 1x1")
     if len(blob) != p * q * 8:

@@ -184,7 +184,6 @@ class _Lanes:
         for name in self._COLUMNS:
             setattr(self, name, np.array([getattr(hp, name) for hp in first],
                                          dtype=np.float64))
-        self.width = len(riders)
         self._ride(riders)
 
     def _ride(self, riders: list) -> None:
@@ -205,10 +204,6 @@ class _Lanes:
     def alone(cls, configurations) -> "_Lanes":
         """One lane per configuration, each its lane's only rider."""
         return cls(configurations, ([index] for index in range(len(configurations))))
-
-    def __len__(self) -> int:
-        """The batch width: the lanes it was built with, stopped ones included."""
-        return self.width
 
     def begin(self, problem: _Problem, start: ModelState) -> None:
         """Put every lane at ``start``, with its objective and a trace of one row."""
@@ -389,7 +384,7 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
         halvings[pending[ok]] = trial
         stalled[pending[ok]] = False
         pending = pending[~ok & live]
-        alpha[pending] *= policy.shrink
+        alpha[pending] *= 0.5
     # Stalled lanes keep their iterate.
     if pending.size:
         new_w[pending] = w[pending]

@@ -120,7 +120,7 @@ def run_wdbc(out_dir: Path) -> dict:
     wdbc = load_wdbc()
     train_raw, test_raw = split(wdbc, 0.7, stratified=True, seed=WDBC_SPLIT_SEED)
     train, test = standardize_features(train_raw, test_raw)
-    base = Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=1000, seed=1)
+    base = Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=1000)
     t0 = time.perf_counter()
     best, table = grid_search(train, test, HyperparamGrid(), base)
     results["timing"]["c7"] = time.perf_counter() - t0
@@ -431,7 +431,7 @@ def test_c08_iono_end_to_end():
     data = load_iono(path)
     train_raw, test_raw = split(data, 0.7, stratified=True, seed=1)
     train, test = standardize_features(train_raw, test_raw)
-    base = Hyperparams(beta=0.1, sigma=0.01, rank=1, maxit=1000, seed=1)
+    base = Hyperparams(beta=0.1, sigma=0.01, rank=1, maxit=1000)
     grid = HyperparamGrid(rank=(1,))  # feasible rank axis for 2x17 samples
     best, table = grid_search(train, test, grid, base)
     refit = fit(train, best)

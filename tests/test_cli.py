@@ -162,7 +162,8 @@ class TestExitCodes:
         (["--beta", "inf"], "beta must be positive and finite"),
         (["--tau1", "inf"], "tau1 must be positive and finite"),
         (["--sigma", "nan"], "sigma must be positive and finite"),
-        (["--step", "backtracking:inf"], "alpha0 must be positive and finite")])
+        (["--step", "backtracking:inf"], "alpha0 must be positive and finite"),
+        (["--seed", "-1"], "seed must be non-negative")])
     def test_bad_number_is_usage_error(self, smm1_file, capsys, flags, message):
         path, _ = smm1_file
         code = main(["train", "--data", str(path), "--format", "smm1",
@@ -177,6 +178,14 @@ class TestExitCodes:
                      "--rank", "2", "--maxit", "1"])
         assert code == 2
         assert "HLSMM_SEED must be an integer" in capsys.readouterr().err
+
+    def test_negative_seed_variable_is_usage_error(self, smm1_file, capsys, monkeypatch):
+        path, _ = smm1_file
+        monkeypatch.setenv("HLSMM_SEED", "-1")
+        code = main(["sweep", "--data", str(path), "--format", "smm1",
+                     "--grid-rank", "2", "--maxit", "1"])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_negative_noise_seed_is_usage_error(self, smm1_file, capsys):
         path, _ = smm1_file

@@ -208,6 +208,13 @@ class TestSmm1:
         with pytest.raises(DataError, match="labels must be -1 or \\+1"):
             load_smm1(path)
 
+    def test_bad_label_is_reported_before_a_nan_feature(self, tmp_path):
+        path = tmp_path / "both.smm1"
+        path.write_bytes(b"SMM1" + struct.pack("<IQQQ", 1, 1, 1, 1) + b"\x00"
+                         + struct.pack("<d", float("nan")))
+        with pytest.raises(DataError, match="both.smm1: labels must be -1 or \\+1"):
+            load_smm1(path)
+
 
 class TestSmm1Memory:
     """Loading holds about one payload, saving no copy of it (2000 x 28 x 28)."""

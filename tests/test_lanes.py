@@ -96,9 +96,9 @@ class TestLockstepLanes:
         # The budget sets the batch width: one lane per batch, a few, or all.
         data, configurations = batch
         with mock.patch.object(solver, "BATCH_FLOATS", budget), \
-                calls_to(solver, "_lockstep") as batches:
+                calls_to(solver._Lanes, "__init__") as builds:
             outcomes = dict(fit_many(data, configurations))
-        widths = [len(call.args[1]) for call in batches]
+        widths = [len(call.args[2]) for call in builds]
         assert max(widths) <= max(1, budget // (4 * data.m))
         assert sorted(outcomes) == list(range(len(configurations)))
         for index, hp in enumerate(configurations):
@@ -180,9 +180,10 @@ class TestBatchWidth:
         configurations = [Hyperparams(beta=beta, sigma=sigma, rank=1, maxit=3)
                           for beta in (0.01, 0.1, 0.5) for sigma in (0.01, 0.1, 1.0, 10.0)]
         with mock.patch.object(solver, "BATCH_FLOATS", budget), \
-                calls_to(solver, "_lockstep") as batches:
+                calls_to(solver._Lanes, "__init__") as builds:
             outcomes = dict(fit_many(data, configurations))
-        assert [len(call.args[1]) for call in batches] == widths
+        # The riders each batch is built with: one list per lane.
+        assert [len(call.args[2]) for call in builds] == widths
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 

@@ -205,6 +205,8 @@ class TestDomainTypes:
         np.array([255, 1, 1, 255]),  # wraps to -1 as int8
         [1.5, -1.2, 1.0, -1.0],      # truncates to +-1
         [np.nan, 1.0, 1.0, -1.0],    # no integer at all
+        [True] * 4,                  # np.isin takes True for 1
+        [True, False, True, False],
     ])
     def test_dataset_checks_labels_before_the_cast(self, ys):
         with pytest.raises(InvalidArgumentError, match="labels must be -1 or \\+1"):
@@ -254,7 +256,7 @@ class TestDomainTypes:
         with pytest.raises(InvalidArgumentError):
             StepPolicy(kind="newton")
         with pytest.raises(InvalidArgumentError):
-            StepPolicy(shrink=1.0)
+            StepPolicy(max_halvings=-1)
 
     @pytest.mark.parametrize("name", ["beta", "sigma", "tau1", "tau2", "tau3",
                                       "tol_step", "tol_obj"])
@@ -271,7 +273,7 @@ class TestDomainTypes:
     @pytest.mark.parametrize("build, message", [
         (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2, maxit=10.5),
          "maxit must be an integer, got 10.5"),
-        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2, seed=2.0), "seed must be an integer"),
+        (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2, maxit=2.0), "maxit must be an integer"),
         (lambda: Hyperparams(beta=True, sigma=0.1, rank=2), "beta must be a real number"),
         (lambda: Hyperparams(beta=0.1, sigma="0.1", rank=2), "sigma must be a real number"),
         (lambda: Hyperparams(beta=0.1, sigma=0.1, rank=2.7), "rank must be an integer"),
@@ -283,20 +285,19 @@ class TestDomainTypes:
         (lambda: StepPolicy(max_halvings=2.5), "max_halvings must be an integer"),
         (lambda: StepPolicy(max_halvings=np.True_), "max_halvings must be an integer"),
         (lambda: StepPolicy(alpha0=True), "alpha0 must be a real number"),
-        (lambda: StepPolicy(shrink="0.5"), "shrink must be a real number"),
-    ], ids=["maxit-float", "seed-float", "beta-bool", "sigma-str", "rank-float",
+        (lambda: StepPolicy(alpha0="0.5"), "alpha0 must be a real number"),
+    ], ids=["maxit-float", "maxit-integral-float", "beta-bool", "sigma-str", "rank-float",
             "rank-bool", "rank-np-float", "tau1-huge-int", "halvings-float",
-            "halvings-np-bool", "alpha0-bool", "shrink-str"])
+            "halvings-np-bool", "alpha0-bool", "alpha0-str"])
     def test_ill_typed_numbers_are_refused(self, build, message):
         with pytest.raises(InvalidArgumentError, match=message):
             build()
 
     def test_numbers_are_stored_as_builtins(self):
         hp = Hyperparams(beta=np.float32(0.5), sigma=1, rank=np.int64(2),
-                         maxit=np.int32(7), seed=np.uint64(3),
+                         maxit=np.uint64(7),
                          step=StepPolicy(alpha0=np.float64(0.25), max_halvings=np.int8(4)))
-        values = [hp.beta, hp.sigma, hp.rank, hp.maxit, hp.seed,
-                  hp.step.alpha0, hp.step.shrink, hp.step.max_halvings]
-        assert values == [0.5, 1.0, 2, 7, 3, 0.25, 0.5, 4]
-        assert [type(value) for value in values] == [float, float, int, int, int,
-                                                     float, float, int]
+        values = [hp.beta, hp.sigma, hp.rank, hp.maxit, hp.step.alpha0,
+                  hp.step.max_halvings]
+        assert values == [0.5, 1.0, 2, 7, 0.25, 4]
+        assert [type(value) for value in values] == [float, float, int, int, float, int]

@@ -23,6 +23,15 @@ def write_doc(path, doc):
     return path
 
 
+def version_1(doc):
+    """``doc`` as format version 1 wrote it, with the three keys version 2 dropped."""
+    doc["format_version"] = 1
+    doc["rank_bound"] = doc["hyperparams"]["rank"]
+    doc["hyperparams"]["seed"] = doc["provenance"]["seed"]
+    doc["hyperparams"]["step"]["shrink"] = 0.5
+    return doc
+
+
 SECTIONS = ["", "hyperparams", "hyperparams.step", "provenance"]
 
 
@@ -43,7 +52,7 @@ class TestLoadModel:
 
     def test_numpy_valued_hyperparams_round_trip(self, tmp_path):
         hp = Hyperparams(beta=np.float32(0.1), sigma=np.float64(0.2), rank=np.int64(1),
-                         maxit=np.int32(50), seed=np.uint8(9))
+                         maxit=np.uint8(50))
         path = tmp_path / "model.json"
         save_model(path, np.eye(2, 3), 0.5, hp)
         assert load_model(path).hyperparams == hp
@@ -61,7 +70,7 @@ class TestLoadModel:
         with pytest.raises(DataError, match="not a valid model file"):
             load_model(path)
 
-    @pytest.mark.parametrize("key", ["rank_bound", "p", "b", "w_b64",
+    @pytest.mark.parametrize("key", ["q", "p", "b", "w_b64",
                                      "hyperparams"])
     def test_missing_field(self, model_doc, key):
         path, doc = model_doc
@@ -87,15 +96,14 @@ class TestLoadModel:
         with pytest.raises(DataError, match=re.escape("unknown keys ['gamma']")):
             load_model(write_doc(path, doc))
 
-    def test_rank_bound_must_equal_rank(self, model_doc):
+    def test_version_1_file_is_refused(self, model_doc):
         path, doc = model_doc
-        doc["rank_bound"] = 7
-        with pytest.raises(DataError, match="rank_bound 7 does not match"):
-            load_model(write_doc(path, doc))
+        with pytest.raises(DataError, match="version 1; this build reads version 2"):
+            load_model(write_doc(path, version_1(doc)))
 
-    def test_provenance_seed_may_differ(self, model_doc):
+    def test_provenance_holds_the_only_seed(self, model_doc):
         path, doc = model_doc
-        assert doc["provenance"]["seed"] != doc["hyperparams"]["seed"]
+        assert "seed" not in doc["hyperparams"] and "rank_bound" not in doc
         assert load_model(path).seed == 3
 
     def test_missing_hyperparameter(self, model_doc):
@@ -119,7 +127,7 @@ class TestLoadModel:
             load_model(write_doc(path, doc))
 
     @pytest.mark.parametrize("key, value", [
-        ("p", "2"), ("p", 2.0), ("p", True), ("rank_bound", None),
+        ("p", "2"), ("p", 2.0), ("p", True), ("q", None),
         ("b", "0.25"), ("b", "nan"), ("b", True)])
     def test_ill_typed_field(self, model_doc, key, value):
         path, doc = model_doc
@@ -143,7 +151,7 @@ class TestLoadModel:
 
     @pytest.mark.parametrize("key, value", [
         ("rank", 1.7), ("rank", "1"), ("rank", True), ("maxit", 5.9),
-        ("beta", True), ("sigma", "0.2"), ("tol_obj", None), ("seed", 1.0),
+        ("beta", True), ("sigma", "0.2"), ("tol_obj", None), ("maxit", 1.0),
         ("z_update", 1)])
     def test_ill_typed_hyperparameter(self, model_doc, key, value):
         path, doc = model_doc
@@ -152,7 +160,7 @@ class TestLoadModel:
             load_model(write_doc(path, doc))
 
     @pytest.mark.parametrize("key, value", [
-        ("kind", 0), ("alpha0", "1e-3"), ("alpha0", False), ("shrink", "0.5"),
+        ("kind", 0), ("alpha0", "1e-3"), ("alpha0", False), ("max_halvings", "30"),
         ("max_halvings", 30.0)])
     def test_ill_typed_step_field(self, model_doc, key, value):
         path, doc = model_doc
@@ -163,9 +171,9 @@ class TestLoadModel:
     def test_numeric_fields_of_either_json_type_load(self, model_doc):
         path, doc = model_doc
         doc["hyperparams"].update(beta=1, tau1=2)
-        doc["hyperparams"]["step"].update(alpha0=3, shrink=0.25)
+        doc["hyperparams"]["step"].update(alpha0=3)
         hp = load_model(write_doc(path, doc)).hyperparams
-        assert (hp.beta, hp.tau1, hp.step.alpha0, hp.step.shrink) == (1, 2, 3, 0.25)
+        assert (hp.beta, hp.tau1, hp.step.alpha0) == (1, 2, 3)
 
     @pytest.mark.parametrize("key", ["beta", "tau1", "tol_step", "alpha0"])
     def test_infinite_hyperparameter(self, model_doc, key):
@@ -209,7 +217,7 @@ class TestLoadModel:
         assert code == 3
         assert "beta must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change", ["unknown", "missing", "rank_bound"])
+    @pytest.mark.parametrize("change", ["unknown", "missing", "version_1"])
     def test_cli_exit_code_of_malformed_document(self, model_doc, tmp_path, capsys,
                                                  change):
         path, doc = model_doc
@@ -218,7 +226,7 @@ class TestLoadModel:
         elif change == "missing":
             del doc["provenance"]["build"]
         else:
-            doc["rank_bound"] = 2
+            version_1(doc)
         write_doc(path, doc)
         data = tmp_path / "d.csv"
         data.write_text("1,0,0,0,0,0,0\n-1,1,1,1,1,1,1\n")

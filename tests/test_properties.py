@@ -63,10 +63,8 @@ def models(draw):
         maxit=draw(st.integers(0, 5000)),
         step=StepPolicy(kind=draw(st.sampled_from(["backtracking", "fixed"])),
                         alpha0=draw(st.none() | positive),
-                        shrink=draw(st.floats(0.01, 0.99)),
                         max_halvings=draw(st.integers(0, 60))),
-        z_update=draw(st.sampled_from(["exact", "paper"])),
-        seed=draw(st.integers(0, 2**32)))
+        z_update=draw(st.sampled_from(["exact", "paper"])))
     return w, draw(finite), hp, draw(st.text(max_size=12)), draw(st.integers(0, 99))
 
 

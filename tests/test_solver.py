@@ -120,7 +120,7 @@ class TestUpdateW:
         z = gen.standard_normal(4)
         state = ModelState(w=w, b=0.1, z=z)
         new_w, halvings = update_w(state, data, hp)
-        taken = alpha * hp.step.shrink ** halvings
+        taken = alpha * 0.5 ** halvings
         expected = rank1_truncation_2x2(w - taken * grad_h(w, z, 0.1, data, hp.sigma))
         np.testing.assert_allclose(new_w, expected, atol=1e-10)
 
@@ -422,7 +422,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("change", [
         {"beta": 0.2}, {"sigma": 0.2}, {"rank": 1}, {"tau2": 0.5}, {"tau3": 0.5},
         {"maxit": 7}, {"tol_step": 1e-3}, {"tol_obj": 1e-3}, {"z_update": "paper"},
-        {"seed": 3}, {"step": StepPolicy(alpha0=2.0)}])
+        {"step": StepPolicy(max_halvings=5)}, {"step": StepPolicy(alpha0=2.0)}])
     def test_every_other_field_is_kept(self, default_hp, change):
         assert _trajectory(default_hp) != _trajectory(default_hp.with_(**change))
 
