@@ -19,7 +19,8 @@ from . import data as datamod
 from . import experiments as exp
 from .errors import DataError, InvalidArgumentError, NumericalError
 from .kkt import completed_kkt_report
-from .model import Dataset, Hyperparams, ModelState, StepPolicy, _checked, predict_batch
+from .model import (_COUNT, Dataset, Hyperparams, ModelState, StepPolicy, _checked,
+                    predict_batch)
 from .modelfile import load_model, save_model
 from .solver import fit
 
@@ -38,7 +39,7 @@ def _seed(args) -> int:
         except ValueError:
             raise InvalidArgumentError(
                 f"HLSMM_SEED must be an integer, got {text!r}") from None
-    return _checked("seed", seed, (int, lambda v: v >= 0, "be non-negative"))
+    return _checked("seed", seed, _COUNT)
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .model import Dataset, decision_scores
+from .model import _COUNT, _FRACTION, _NON_NEGATIVE, Dataset, _checked, decision_scores
 
 _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
@@ -339,6 +339,7 @@ def split(data: Dataset, ratio: float, stratified: bool = True,
     """
     if not 0.0 < ratio < 1.0:
         raise InvalidArgumentError("split ratio must lie in (0, 1)")
+    seed = _checked("seed", seed, _COUNT)
     train_idx: list[int] = []
     test_idx: list[int] = []
     if stratified:
@@ -366,8 +367,8 @@ def add_gaussian_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
     After per-sample normalization s = 1, so ``level`` is the noise std in
     data units.  Level 0 returns the input unchanged.
     """
-    if level < 0:
-        raise InvalidArgumentError("noise level must be non-negative")
+    level = _checked("noise level", level, _NON_NEGATIVE)
+    seed = _checked("seed", seed, _COUNT)
     if level == 0:
         return data
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -384,8 +385,8 @@ def add_salt_pepper_noise(data: Dataset, level: float, seed: int = 0) -> Dataset
     one half.  A level that corrupts no entry, level 0 among them, returns
     the input unchanged.
     """
-    if not 0.0 <= level <= 1.0:
-        raise InvalidArgumentError("salt-and-pepper level must lie in [0, 1]")
+    level = _checked("salt-and-pepper level", level, _FRACTION)
+    seed = _checked("seed", seed, _COUNT)
     entries = data.p * data.q
     n_corrupt = int(round(level * entries))
     if n_corrupt == 0:
@@ -414,6 +415,7 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
     """
     if m < 2:
         raise InvalidArgumentError("need at least two samples")
+    seed = _checked("seed", seed, _COUNT)
     rng = np.random.Generator(np.random.PCG64(seed))
     w_star = rng.standard_normal((p, rank)) @ rng.standard_normal((q, rank)).T
     w_star /= np.linalg.norm(w_star)

@@ -20,10 +20,13 @@ import numpy as np
 
 from .data import add_gaussian_noise, add_salt_pepper_noise, _shuffled_classes
 from .errors import InvalidArgumentError
-from .model import Dataset, Hyperparams, ModelState, SolverTrace, predict_batch
+from .model import (_COUNT, _FRACTION, _NON_NEGATIVE, Dataset, Hyperparams, ModelState,
+                    SolverTrace, _checked, predict_batch)
 from .solver import FitResult, fit, fit_many
 
-_NOISE = {"gaussian": add_gaussian_noise, "salt_pepper": add_salt_pepper_noise}
+# Each noise kind's corruption and the rule of its level.
+_NOISE = {"gaussian": (add_gaussian_noise, _NON_NEGATIVE),
+          "salt_pepper": (add_salt_pepper_noise, _FRACTION)}
 NOISE_KINDS = tuple(_NOISE)
 
 
@@ -250,8 +253,8 @@ def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
     Each configuration is scored by the pooled confusion counts over a
     deterministic stratified k-fold partition of ``train``; rows have status "cv".
     """
-    if folds < 2:
-        raise InvalidArgumentError("need at least 2 folds")
+    folds = _checked("folds", folds, (int, lambda v: v >= 2, "be at least 2"))
+    seed = _checked("seed", seed, _COUNT)
     train.require_both_labels()
 
     pairs = ((train.subset(keep), train.subset(held_out))
@@ -271,10 +274,10 @@ def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
     """
     if kind not in NOISE_KINDS:
         raise InvalidArgumentError(f"unknown noise kind {kind!r}")
-    levels = [float(level) for level in levels]
-    seeds = [int(seed) for seed in seeds]
-    if any(value < 0 for value in levels + seeds):
-        raise InvalidArgumentError("noise levels and seeds must be non-negative")
+    corrupt, rule = _NOISE[kind]
+    # Checked before the fit, so that a bad level or seed costs none.
+    levels = [_checked(f"noise level {level}", level, rule) for level in levels]
+    seeds = [_checked("noise seeds", seed, _COUNT) for seed in seeds]
     if not levels or not seeds:
         raise InvalidArgumentError("need at least one level and one seed")
     fitted = fit(train, hp)
@@ -282,7 +285,7 @@ def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
     index = 0
     for level in levels:
         for seed in seeds:
-            corrupted = _NOISE[kind](test, level, seed)
+            corrupted = corrupt(test, level, seed)
             metrics = evaluate(fitted.model, corrupted)
             rows.append(SweepRow(index=index, hyperparams=hp, noise_kind=kind,
                                  noise_level=level, noise_seed=seed,

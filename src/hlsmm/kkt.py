@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import SvdFactors, _ambiguous, svd
-from .model import (_RANK, Dataset, Hyperparams, ModelState, _check_shapes, _checked,
-                    decision_scores, margin_residuals, prox_heaviside)
+from .model import (_NON_NEGATIVE, _RANK, Dataset, Hyperparams, ModelState, _check_shapes,
+                    _checked, decision_scores, margin_residuals, prox_heaviside)
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ def z_stationarity(z, lam, beta: float, tol: float = 0.0) -> float:
     |z_i| <= tol are treated as zero.
     """
     _checked("beta", beta)
-    tol = _checked("tol", tol, (float, lambda v: 0 <= v < np.inf,
-                                "be non-negative and finite"))
+    tol = _checked("tol", tol, _NON_NEGATIVE)
     z = np.asarray(z, dtype=np.float64).ravel()
     lam = np.asarray(lam, dtype=np.float64).ravel()
     if z.shape != lam.shape:

@@ -100,9 +100,14 @@ class Dataset:
 # Concrete types: checks against the numbers ABCs are several times slower.
 _KINDS = {int: ((int, np.integer), "an integer"),
           float: ((int, float, np.integer, np.floating), "a real number")}
-# Rules as (kind, test, requirement): most hyperparameters', and the rank bound's.
+# Rules as (kind, test, requirement): most hyperparameters', the rank bound's,
+# counts' and seeds', tolerances' and Gaussian noise levels', and fractions'
+# (salt-and-pepper noise levels).
 _POSITIVE = (float, lambda v: 0 < v < np.inf, "be positive and finite")
 _RANK = (int, lambda v: v >= 1, "be a positive integer")
+_COUNT = (int, lambda v: v >= 0, "be non-negative")
+_NON_NEGATIVE = (float, lambda v: 0 <= v < np.inf, "be non-negative and finite")
+_FRACTION = (float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
 
 
 def _checked(name: str, value, rule: tuple = _POSITIVE):
@@ -158,7 +163,7 @@ class StepPolicy:
             raise InvalidArgumentError(f"unknown step policy {self.kind!r}")
         if self.alpha0 is not None:
             _store(self, ("alpha0",))
-        _store(self, ("max_halvings",), (int, lambda v: v >= 0, "be non-negative"))
+        _store(self, ("max_halvings",), _COUNT)
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,7 @@ class Hyperparams:
     def __post_init__(self):
         _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"))
         _store(self, ("rank",), _RANK)
-        _store(self, ("maxit",), (int, lambda v: v >= 0, "be non-negative"))
+        _store(self, ("maxit",), _COUNT)
         if self.z_update not in ("exact", "paper"):
             raise InvalidArgumentError(f"unknown z_update mode {self.z_update!r}")
 
@@ -218,17 +223,6 @@ class ModelState:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "b", float(self.b))
-
-    @classmethod
-    def initial(cls, data: Dataset) -> "ModelState":
-        """Cold start: W = 0, b = 0, z = 0.
-
-        The zero slack vector is deliberately infeasible (z != v at the zero
-        model): it makes every sample exert pull on the first W step.  The
-        feasible start z = v = 1 is a fixed point of the block updates
-        whenever beta <= sigma + tau2/2 and must be avoided.
-        """
-        return cls(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m), iter=0)
 
 
 @dataclass

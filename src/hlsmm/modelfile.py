@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import _NUMBER, _json_object, _unique_keys
 from .errors import DataError
-from .model import Hyperparams, StepPolicy
+from .model import _COUNT, Hyperparams, StepPolicy, _checked
 
 FORMAT_VERSION = 2
 BUILD_ID = "hlsmm-0.1.0"
@@ -60,7 +60,8 @@ def save_model(path, w: np.ndarray, b: float, hp: Hyperparams,
         "hyperparams": asdict(hp),
         "w_b64": base64.b64encode(blob).decode("ascii"),
         "w_sha256": hashlib.sha256(blob).hexdigest(),
-        "provenance": {"dataset": dataset_name, "seed": int(seed), "build": BUILD_ID},
+        "provenance": {"dataset": dataset_name, "seed": _checked("seed", seed, _COUNT),
+                       "build": BUILD_ID},
     }
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 

@@ -42,8 +42,9 @@ MONOTONE_SLACK = 1e-10
 DECREASE_SLACK = 1e-9
 
 # Working memory of one lockstep batch, in float64 values (1 MiB).  A lane
-# holds about four m-vectors at once (in the W block: slack, accepted
-# scores, trial scores and trial gap), so a batch takes
+# holds at most four m-vectors at once: in the z block the previous slack,
+# the accepted scores, the center and tau2 z; in the b block the scores,
+# the slack, z - 1 and the labels cast for their product.  So a batch takes
 # BATCH_FLOATS // (4 m) lanes, at least one.  The trace is not reserved: it
 # grows by doubling with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
@@ -92,20 +93,21 @@ class _Problem:
       margins    V = 1 - y (S + b)
       gradient   W + 2 sigma unflatten(X.T (y (Z - V)))
       curvature  ||G||^2 + 2 sigma ||X vec(G)||^2 along a direction G
-    y is +-1, so multiplying by it only flips signs, which is exact in
-    floating point: these products equal those of the signed design
-    y_i vec(X_i) bit for bit without storing it.  ``X @ W[..., None]`` and
-    ``X.T @ G[..., None]`` broadcast the design into one matrix-vector
-    product per lane, so a lane's numbers are those of a one-lane run
-    whatever the other lanes hold.  With the scores cached an iteration
-    reads the design three times per lane (gradient, Cauchy step, candidate
-    scores), plus once more per backtracking halving.
+    y is the dataset's int8 labels, +-1, which cast to float64 exactly, so
+    multiplying by them only flips signs, which is exact in floating point:
+    these products equal those of the signed design y_i vec(X_i) bit for
+    bit without storing it or a float64 copy of the labels.
+    ``X @ W[..., None]`` and ``X.T @ G[..., None]`` broadcast the design
+    into one matrix-vector product per lane, so a lane's numbers are those
+    of a one-lane run whatever the other lanes hold.  With the scores cached
+    an iteration reads the design three times per lane (gradient, Cauchy
+    step, candidate scores), plus once more per backtracking halving.
     """
 
     def __init__(self, data: Dataset):
-        self.m = data.m
+        self.m, self.sample_shape = data.m, data.sample_shape
         self.X = data.xs.reshape(data.m, -1)
-        self.ys = data.ys.astype(np.float64)
+        self.ys = data.ys
 
     @functools.cached_property
     def sq_norm(self) -> float:
@@ -205,12 +207,24 @@ class _Lanes:
         """One lane per configuration, each its lane's only rider."""
         return cls(configurations, ([index] for index in range(len(configurations))))
 
-    def begin(self, problem: _Problem, start: ModelState) -> None:
-        """Put every lane at ``start``, with its objective and a trace of one row."""
+    def begin(self, problem: _Problem, init: ModelState | None) -> None:
+        """Put every lane at ``init``, with its objective and a trace of one row.
+
+        Without ``init`` every lane cold-starts at W = 0, b = 0, z = 0.  The
+        zero slack vector is deliberately infeasible (z != v at the zero
+        model): it makes every sample exert pull on the first W step.  The
+        feasible start z = v = 1 is a fixed point of the block updates
+        whenever beta <= sigma + tau2/2 and must be avoided.
+        """
         count = len(self.riders)
-        self.w = np.repeat(start.w[None], count, axis=0)
-        self.z = np.repeat(start.z[None], count, axis=0)
-        self.b = np.full(count, start.b)
+        if init is None:
+            self.w = np.zeros((count, *problem.sample_shape))
+            self.z = np.zeros((count, problem.m))
+            self.b = np.zeros(count)
+        else:
+            self.w = np.repeat(init.w[None], count, axis=0)
+            self.z = np.repeat(init.z[None], count, axis=0)
+            self.b = np.full(count, init.b)
         self.g, self.h, self.sq_norm, self.gap = problem.objective(
             self.w, problem.scores(self.w), self.z, self.b, self.sigma, self.beta)
         # Trace columns (objective, W, z and b step norms, halvings) by lane and
@@ -499,8 +513,10 @@ def _start_check(data: Dataset, init: ModelState | None):
     return check
 
 
-def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: float):
-    """Run one batch of lanes from ``start``; yield (position, outcome) as each rider stops.
+def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
+              t_start: float):
+    """Run one batch of lanes from ``init`` (see :meth:`_Lanes.begin`); yield
+    (position, outcome) as each rider stops.
 
     The outcome is a :class:`FitResult`, the rider's NumericalError, or None
     when the rider split from its lane (see :func:`_w_step`) and has to be
@@ -509,7 +525,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
     other.  The sufficient-decrease check reads tau1, so it runs per rider
     and ends that rider alone; the other checks end every rider of the lane.
     """
-    lanes.begin(problem, start)
+    lanes.begin(problem, init)
     k = 0
     # Per lane: whether the last iteration met the tolerances, whether its W
     # block stalled, and the error it failed with; per rider that leaves its
@@ -534,7 +550,8 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
         # The carried gap, the previous slack and the scores are dropped as
-        # soon as they are used.
+        # soon as they are used, so that a lane holds at most four m-vectors
+        # (see BATCH_FLOATS).
         with np.errstate(over="ignore", invalid="ignore"):
             grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
             lanes.gap = None
@@ -542,10 +559,10 @@ def _lockstep(problem: _Problem, lanes: _Lanes, start: ModelState, t_start: floa
                 problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
             del grad
             z_old, lanes.z = lanes.z, _z_step(problem, lanes, s, lanes.z, lanes.b)
-            b = _b_step(problem, lanes, s, lanes.z, lanes.b)
             np.subtract(lanes.z, z_old, out=z_old)
             dz = np.sqrt(_dots(z_old, z_old))
             del z_old
+            b = _b_step(problem, lanes, s, lanes.z, lanes.b)
             finite = (np.isfinite(w).all(axis=(1, 2)) & np.isfinite(lanes.z).all(axis=1)
                       & np.isfinite(b))
             g, lanes.h, sq_norm, lanes.gap = problem.objective(w, s, lanes.z, b,
@@ -617,7 +634,6 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     if not queues:
         return
     problem = _Problem(data)
-    start = init if init is not None else ModelState.initial(data)
     width = max(1, BATCH_FLOATS // (4 * data.m))
     for queue in queues.values():
         # A lane of one rider cannot split, so the second round is the last.
@@ -625,7 +641,7 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
             split = []
             for first in range(0, len(queue), width):
                 batch = _Lanes(configurations, queue[first:first + width])
-                for index, outcome in _lockstep(problem, batch, start, t_start):
+                for index, outcome in _lockstep(problem, batch, init, t_start):
                     if outcome is None:
                         split.append([index])
                     else:

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -15,6 +16,16 @@ def pytest_runtest_logreport(report):
         match = re.search(r"test_c(\d+)", report.nodeid)
         if match:
             print(f"\n[C{int(match.group(1))}] FAIL ({report.when})")
+
+
+def peak_bytes(call) -> int:
+    """Peak bytes that tracemalloc saw allocated while ``call()`` ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hlsmm import (Hyperparams, load_model, make_lowrank_separable, model, save_model,
-                   save_smm1)
+from hlsmm import (Hyperparams, experiments, load_model, make_lowrank_separable, model,
+                   save_model, save_smm1)
 from hlsmm.cli import main
+
+from conftest import calls_to
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,19 @@ class TestExitCodes:
                      "--noise-seeds", "-1"])
         assert code == 2
         assert "seeds must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels, named", [
+        ("nan", "nan"), ("0.1,inf", "inf"), ("1e400", "inf"), ("-1", "-1.0")])
+    def test_bad_noise_level_is_usage_error_before_any_fit(self, smm1_file, capsys,
+                                                           levels, named):
+        path, _ = smm1_file
+        with calls_to(experiments, "fit") as fits:
+            code = main(["noise-bench", "--data", str(path), "--format", "smm1",
+                         "--rank", "2", "--maxit", "1", "--levels", levels])
+        assert code == 2
+        assert not fits
+        assert (f"usage error: noise level {named} must be non-negative and finite"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, flag", [
         (["train", "--rank", "2"], "--out"),

@@ -1,7 +1,6 @@
 import json
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from hlsmm import (
     standardize_features,
 )
 
-from conftest import make_rng, random_dataset
+from conftest import make_rng, peak_bytes, random_dataset
 
 
 class TestLoadCsv:
@@ -226,22 +225,13 @@ class TestSmm1Memory:
         save_smm1(data, path)
         return data, path
 
-    @staticmethod
-    def peak_bytes(call) -> int:
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_load_peak_is_about_one_payload(self, big):
         data, path = big
-        assert self.peak_bytes(lambda: load_smm1(path)) < 1.25 * data.xs.nbytes
+        assert peak_bytes(lambda: load_smm1(path)) < 1.25 * data.xs.nbytes
 
     def test_save_peak_holds_no_payload_copy(self, big, tmp_path):
         data, _ = big
-        peak = self.peak_bytes(lambda: save_smm1(data, tmp_path / "copy.smm1"))
+        peak = peak_bytes(lambda: save_smm1(data, tmp_path / "copy.smm1"))
         assert peak < 0.25 * data.xs.nbytes
 
 
@@ -328,6 +318,23 @@ class TestSplit:
             split(data, 1.5, stratified=True, seed=1)
 
 
+# Every seeded operation follows the CLI's seed rule: a non-negative integer,
+# not a bool.
+@pytest.mark.parametrize("draw", [
+    lambda seed: split(random_dataset(82, m=6), 0.5, stratified=True, seed=seed),
+    lambda seed: split(random_dataset(82, m=6), 0.5, stratified=False, seed=seed),
+    lambda seed: add_gaussian_noise(random_dataset(86), 0.1, seed=seed),
+    lambda seed: add_salt_pepper_noise(random_dataset(86), 0.1, seed=seed),
+    lambda seed: make_lowrank_separable(m=4, seed=seed)],
+    ids=["split-stratified", "split", "gaussian", "salt_pepper", "synthetic"])
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be non-negative"), (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True")])
+def test_bad_seed_rejected(draw, seed, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        draw(seed)
+
+
 class TestGaussianNoise:
     def test_level_zero_identity(self):
         data = random_dataset(83)
@@ -349,6 +356,13 @@ class TestGaussianNoise:
         c = add_gaussian_noise(data, 0.1, seed=2)
         np.testing.assert_array_equal(a.xs, b.xs)
         assert not np.array_equal(a.xs, c.xs)
+
+    @pytest.mark.parametrize("level", [-0.1, np.nan, np.inf, 10**400])
+    def test_level_must_be_non_negative_and_finite(self, level):
+        data = random_dataset(86)
+        with pytest.raises(InvalidArgumentError,
+                           match="noise level must be non-negative and finite"):
+            add_gaussian_noise(data, level, seed=1)
 
     def test_labels_and_shape_preserved(self):
         data = random_dataset(86)
@@ -380,10 +394,9 @@ class TestSaltPepperNoise:
 
     def test_level_bounds(self):
         data = random_dataset(89)
-        with pytest.raises(InvalidArgumentError):
-            add_salt_pepper_noise(data, -0.1, seed=1)
-        with pytest.raises(InvalidArgumentError):
-            add_salt_pepper_noise(data, 1.1, seed=1)
+        for level in (-0.1, 1.1, np.nan, np.inf, "0.1"):
+            with pytest.raises(InvalidArgumentError, match="salt-and-pepper level must"):
+                add_salt_pepper_noise(data, level, seed=1)
 
     def test_deterministic(self):
         data = random_dataset(90, m=4, p=6, q=6)

@@ -162,6 +162,18 @@ class TestGridSearch:
         assert best is not None
         assert table.rows[0].metrics.total == train.m  # pooled over folds
 
+    @pytest.mark.parametrize("folds, seed, message", [
+        (1, 0, "folds must be at least 2"), (2.5, 0, "folds must be an integer"),
+        (True, 0, "folds must be an integer"), (3, -1, "seed must be non-negative"),
+        (3, 1.5, "seed must be an integer"), (3, True, "seed must be an integer")])
+    def test_cv_refuses_bad_folds_and_seeds(self, synthetic, default_hp, folds, seed,
+                                            message):
+        data, _, _ = synthetic
+        grid = HyperparamGrid(beta=(0.1,), sigma=(0.1,), rank=(2,),
+                              tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
+        with pytest.raises(InvalidArgumentError, match=message):
+            grid_search_cv(data, grid, default_hp, folds=folds, seed=seed)
+
     def test_best_reproduces_reported_accuracy(self, synthetic, default_hp):
         data, _, _ = synthetic
         train, validation = split(data, 0.7, seed=1)
@@ -279,12 +291,29 @@ class TestNoiseSweep:
             (0.0, 1), (0.0, 2), (0.05, 1), (0.05, 2)]
 
 
-    @pytest.mark.parametrize("levels, seeds", [([0.0], [-1]), ([-0.1], [1])])
+    # Each is refused before the fit.
+    @pytest.mark.parametrize("levels, seeds", [
+        ([0.0], [-1]), ([-0.1], [1]), ([0.1, np.nan], [1]), ([np.inf], [1]),
+        ([10**400], [1]), ([0.0], [1.5]), ([0.0], [True])])
     def test_negative_level_or_seed_rejected(self, synthetic, default_hp, levels, seeds):
         data, _, _ = synthetic
         train, test = split(data, 0.7, seed=1)
-        with pytest.raises(InvalidArgumentError, match="must be non-negative"):
+        with calls_to(experiments, "fit") as fits, \
+                pytest.raises(InvalidArgumentError,
+                              match="must be (non-negative|an integer)"):
             noise_sweep(train, test, default_hp, "gaussian", levels, seeds)
+        assert not fits
+
+    @pytest.mark.parametrize("level", [1.5, np.nan])
+    def test_salt_pepper_level_outside_zero_one_rejected(self, synthetic, default_hp,
+                                                         level):
+        data, _, _ = synthetic
+        train, test = split(data, 0.7, seed=1)
+        with calls_to(experiments, "fit") as fits, \
+                pytest.raises(InvalidArgumentError,
+                              match=f"^noise level {level} must lie in \\[0, 1\\]$"):
+            noise_sweep(train, test, default_hp, "salt_pepper", [0.1, level], [1])
+        assert not fits
 
 
 class TestSensitivityGrid:

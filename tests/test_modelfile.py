@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hlsmm import DataError, Hyperparams, load_model, save_model
+from hlsmm import DataError, Hyperparams, InvalidArgumentError, load_model, save_model
 from hlsmm.cli import main
 
 
@@ -105,6 +105,15 @@ class TestLoadModel:
         path, doc = model_doc
         assert "seed" not in doc["hyperparams"] and "rank_bound" not in doc
         assert load_model(path).seed == 3
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative"), (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True")])
+    def test_save_refuses_a_bad_seed(self, tmp_path, seed, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            save_model(tmp_path / "model.json", np.zeros((2, 3)), 0.0,
+                       Hyperparams(beta=0.1, sigma=0.2, rank=1), seed=seed)
+        assert not (tmp_path / "model.json").exists()
 
     def test_missing_hyperparameter(self, model_doc):
         path, doc = model_doc

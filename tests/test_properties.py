@@ -9,7 +9,6 @@ equals the first row of the trace bit for bit.
 
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from hlsmm import (
 )
 from hlsmm.cli import main
 
-from conftest import random_dataset
+from conftest import peak_bytes, random_dataset
 
 FILES = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -118,14 +117,12 @@ class TestSmm1Files:
     def test_huge_sample_count_is_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "huge.smm1"
         path.write_bytes(b"SMM1" + struct.pack("<IQQQ", 1, 2**40, 28, 28) + b"\x01")
-        tracemalloc.start()
-        try:
+
+        def load_refused():
             with pytest.raises(DataError, match="expected"):
                 load_smm1(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+
+        assert peak_bytes(load_refused) < 64 * 1024
 
 
 class TestModelFiles:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -28,7 +26,7 @@ from hlsmm import solver
 from hlsmm.model import _margins
 from hlsmm.solver import _Lanes, _Problem, _trajectory, _w_step, _z_step
 
-from conftest import make_rng, random_dataset
+from conftest import make_rng, peak_bytes, random_dataset
 
 
 def smooth_part(w, z, b, data, sigma):
@@ -531,10 +529,4 @@ class TestProblemKernel:
         # per-sample vectors and p-by-q matrices.
         data = random_dataset(65, m=4000, p=12, q=12)
         hp = Hyperparams(beta=0.1, sigma=0.1, rank=2, maxit=5)
-        tracemalloc.start()
-        try:
-            fit(data, hp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < data.xs.nbytes / 10
+        assert peak_bytes(lambda: fit(data, hp)) < data.xs.nbytes / 10
