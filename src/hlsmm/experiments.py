@@ -30,7 +30,7 @@ _NOISE = {"gaussian": (add_gaussian_noise, _NON_NEGATIVE),
 NOISE_KINDS = tuple(_NOISE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metrics:
     """Confusion counts with y = +1 as the positive class."""
 
@@ -94,7 +94,7 @@ class HyperparamGrid:
                           tau1=tau1, tau2=tau2, tau3=tau3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One completed (or failed) configuration of a sweep."""
 

@@ -88,7 +88,9 @@ def load_model(path) -> LoadedModel:
         hp = Hyperparams(**{**raw_hp, "step": StepPolicy(**raw_hp["step"])})
         blob = base64.b64decode(document["w_b64"])
         b = float(document["b"])
-    except (ValueError, OverflowError) as exc:  # bad hyperparameters, base64 or bias
+        provenance = document["provenance"]
+        seed = _checked("seed", provenance["seed"], _COUNT)
+    except (ValueError, OverflowError) as exc:  # bad hyperparameters, base64, bias or seed
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     p, q = document["p"], document["q"]
     if p < 1 or q < 1:
@@ -101,6 +103,5 @@ def load_model(path) -> LoadedModel:
     w = np.frombuffer(blob, dtype="<f8").reshape(p, q).copy()
     if not (np.isfinite(w).all() and np.isfinite(b)):
         raise DataError(f"{path}: weights and bias must be finite")
-    provenance = document["provenance"]
     return LoadedModel(w=w, b=b, hyperparams=hp, dataset_name=provenance["dataset"],
-                       seed=provenance["seed"], build=provenance["build"])
+                       seed=seed, build=provenance["build"])

@@ -41,13 +41,18 @@ from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _check_shapes
 MONOTONE_SLACK = 1e-10
 DECREASE_SLACK = 1e-9
 
-# Working memory of one lockstep batch, in float64 values (1 MiB).  A lane
-# holds at most four m-vectors at once: in the z block the previous slack,
-# the accepted scores, the center and tau2 z; in the b block the scores,
-# the slack, z - 1 and the labels cast for their product.  So a batch takes
-# BATCH_FLOATS // (4 m) lanes, at least one.  The trace is not reserved: it
-# grows by doubling with the iterations the live lanes have run.
+# Working memory of one lockstep batch, in float64 values (1 MiB).  The z
+# and W blocks of K lanes hold three (K, m) arrays: in the z block the
+# previous slack, the accepted scores and the center, whose tau2 z term is
+# added in row blocks of at most _BLOCK_FLOATS values.  The b block holds
+# the scores, the slack and z - 1, plus the labels cast once for their
+# product, so a lone lane still holds four m-vectors at once.  A batch takes
+# BATCH_FLOATS // (4 m) lanes, at least one, which covers that lone lane;
+# a wider batch holds about three m-vectors per lane.  The trace is not
+# reserved: it grows by doubling with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
+# Largest temporary of the z block's tau2 z term, in float64 values.
+_BLOCK_FLOATS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -214,19 +219,23 @@ class _Lanes:
         zero slack vector is deliberately infeasible (z != v at the zero
         model): it makes every sample exert pull on the first W step.  The
         feasible start z = v = 1 is a fixed point of the block updates
-        whenever beta <= sigma + tau2/2 and must be avoided.
+        whenever beta <= sigma + tau2/2 and must be avoided.  The scores of
+        W = 0 are zeros, as the features are finite, so the cold start
+        takes no pass over the design.
         """
         count = len(self.riders)
         if init is None:
             self.w = np.zeros((count, *problem.sample_shape))
             self.z = np.zeros((count, problem.m))
             self.b = np.zeros(count)
+            scores = np.zeros((count, problem.m))
         else:
             self.w = np.repeat(init.w[None], count, axis=0)
             self.z = np.repeat(init.z[None], count, axis=0)
             self.b = np.full(count, init.b)
+            scores = problem.scores(self.w)
         self.g, self.h, self.sq_norm, self.gap = problem.objective(
-            self.w, problem.scores(self.w), self.z, self.b, self.sigma, self.beta)
+            self.w, scores, self.z, self.b, self.sigma, self.beta)
         # Trace columns (objective, W, z and b step norms, halvings) by lane and
         # iteration; the iteration axis doubles when full, up to maxit + 1.
         self.history = np.empty((5, count, min(int(self.maxit.max()), 63) + 1))
@@ -412,7 +421,12 @@ def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
     sigma, tau2, beta = lanes.sigma[:, None], lanes.tau2[:, None], lanes.beta[:, None]
     center = _margins(s_new, b, problem.ys)
     center *= 2.0 * sigma
-    center += tau2 * z
+    # Rows are lanes, so a block of rows takes the same products as the
+    # whole stack; only the temporary shrinks.
+    rows = max(1, _BLOCK_FLOATS // problem.m)
+    for first in range(0, len(center), rows):
+        block = slice(first, first + rows)
+        center[block] += tau2[block] * z[block]
     if lanes.z_update == "exact":
         # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
         # complete the square (curvature 2 sigma + tau2), then take the prox of
@@ -550,8 +564,9 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
         # The carried gap, the previous slack and the scores are dropped as
-        # soon as they are used, so that a lane holds at most four m-vectors
-        # (see BATCH_FLOATS).
+        # soon as they are used, so that the batch holds at most three (K, m)
+        # arrays in the W and z blocks and a lone lane four m-vectors in the
+        # b block (see BATCH_FLOATS).
         with np.errstate(over="ignore", invalid="ignore"):
             grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
             lanes.gap = None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,19 @@ class TestSweepEngine:
         assert [row.ok for row in table.rows] == [True, False, True, False]
         assert "rank" in table.rows[1].error
         assert all(row.metrics.total == train.m for row in table.rows if row.ok)
+
+    def test_sweep_records_are_slotted_and_frozen(self, synthetic, default_hp):
+        # A sweep holds one Hyperparams (with its StepPolicy), SweepRow and
+        # Metrics per configuration; slots keep each without a __dict__.
+        data, _, _ = synthetic
+        train, validation = split(data, 0.7, seed=1)
+        _, table = grid_search(train, validation, self.GRID, default_hp)
+        row = table.rows[0]
+        for record in (row, row.hyperparams, row.hyperparams.step, row.metrics):
+            assert not hasattr(record, "__dict__")
+            for field in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, None)
 
     @pytest.mark.parametrize("m,folds,seed", [(7, 2, 1), (30, 3, 0), (31, 4, 5),
                                               (200, 3, 7)])

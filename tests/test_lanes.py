@@ -168,7 +168,13 @@ class TestLockstepLanes:
 
 
 class TestBatchWidth:
-    """A batch takes BATCH_FLOATS // (4 m) lanes: about four m-vectors each."""
+    """A batch takes BATCH_FLOATS // (4 m) lanes.
+
+    A lone lane holds four m-vectors in its b block: the scores, the slack,
+    z - 1 and the labels cast for their product.  A wider batch holds three
+    (K, m) arrays in its W and z blocks and about three m-vectors per lane
+    in its b block, so the width's four per lane cover the lone lane.
+    """
 
     @pytest.mark.parametrize("budget,widths", [
         (1, [1] * 12), (400, [2] * 6), (1 << 16, [12])])
@@ -205,10 +211,12 @@ class TestBatchWidth:
 
     @pytest.mark.parametrize("maxit", [30, 1000])
     def test_peak_memory_of_the_reference_grid(self, maxit):
-        # One batch of 54 lanes holds about four 398-vectors per lane (0.66
-        # MiB) plus the trace, which grows by doubling with the iterations
-        # run: measured 0.84-0.91 MiB over three proxies at either maxit.
-        # One more live 54 x 398 array (0.164 MiB) would cross the bound.
+        # One batch of 54 lanes holds three 54 x 398 arrays (0.49 MiB) in its
+        # z block, plus the prox's masks, the configurations and the trace,
+        # which grows by doubling with the iterations run: measured
+        # 0.71-0.83 MiB over three proxies at either maxit.  A fourth live
+        # 54 x 398 array (0.164 MiB), such as tau2 z taken whole, would cross
+        # the bound.
         data = wdbc_proxy(73)
         configurations = list(HyperparamGrid(rank=(4,)).configurations(
             Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=maxit)))
@@ -216,14 +224,28 @@ class TestBatchWidth:
         def run():  # counts the outcomes without keeping them
             assert sum(1 for _ in fit_many(data, configurations)) == 162
 
-        assert peak_bytes(run) < 1.0 * 2**20
+        assert peak_bytes(run) < 0.875 * 2**20
+
+    def test_lanes_in_blocks_of_one_equal_lone_fits(self):
+        # With a block of one value every lane's tau2 z is its own block.
+        data = wdbc_proxy(75, m=60)
+        configurations = list(HyperparamGrid(beta=(0.01, 0.5), sigma=(0.1,),
+                                             rank=(2,)).configurations(
+            Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=15)))
+        with mock.patch.object(solver, "_BLOCK_FLOATS", 1), \
+                calls_to(solver._Lanes, "__init__") as builds:
+            outcomes = dict(fit_many(data, configurations))
+        assert [len(call.args[2]) for call in builds] == [18]
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 
     def test_one_lane_holds_four_m_vectors(self):
         # The z block holds the previous slack, the scores, the center and
-        # tau2 z; the labels enter as the dataset's int8 array and the cold
-        # start is built in the lane arrays.  Measured: 4.35 m-vectors, the
-        # rest being p-by-q matrices and the trace.  A fifth live m-vector
-        # crosses the bound.
+        # tau2 z, a block of one lane; the b block the scores, the slack,
+        # z - 1 and the labels cast for their product.  The cold start is
+        # built in the lane arrays.  Measured: 4.35 m-vectors, the rest being
+        # p-by-q matrices and the trace.  A fifth live m-vector crosses the
+        # bound.
         data = random_dataset(76, m=8000, p=6, q=6)
         hp = Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=5)
         assert peak_bytes(lambda: fit(data, hp)) < 5 * 8 * data.m
@@ -246,6 +268,22 @@ class TestOncePerIteration:
             result = fit(data, default_hp)
         assert result.model.iter > 1 and sum(result.trace.halvings) == 0
         assert len(calls) == 1 + 3 * result.model.iter
+
+    def test_cold_start_takes_no_design_pass(self, synthetic, default_hp):
+        # An iteration without halvings computes scores twice: the Cauchy
+        # step's and the candidate's.  The scores of W = 0 are zeros, so
+        # only a given init costs one pass more.
+        data, _, _ = synthetic
+        with calls_to(solver, "_scores") as calls:
+            cold = fit(data, default_hp)
+        n = cold.model.iter
+        assert n > 1 and sum(cold.trace.halvings) == 0
+        assert len(calls) == 2 * n
+        init = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
+        with calls_to(solver, "_scores") as calls:
+            warm = fit(data, default_hp, init=init)
+        assert outcome_bits(warm) == outcome_bits(cold)
+        assert len(calls) == 2 * n + 1
 
 
 class TestStartChecks:

@@ -115,6 +115,12 @@ class TestLoadModel:
                        Hyperparams(beta=0.1, sigma=0.2, rank=1), seed=seed)
         assert not (tmp_path / "model.json").exists()
 
+    def test_negative_seed(self, model_doc):
+        path, doc = model_doc
+        doc["provenance"]["seed"] = -1
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            load_model(write_doc(path, doc))
+
     def test_missing_hyperparameter(self, model_doc):
         path, doc = model_doc
         del doc["hyperparams"]["beta"]
@@ -226,7 +232,7 @@ class TestLoadModel:
         assert code == 3
         assert "beta must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change", ["unknown", "missing", "version_1"])
+    @pytest.mark.parametrize("change", ["unknown", "missing", "version_1", "seed"])
     def test_cli_exit_code_of_malformed_document(self, model_doc, tmp_path, capsys,
                                                  change):
         path, doc = model_doc
@@ -234,6 +240,8 @@ class TestLoadModel:
             doc["hyperparams"]["step"]["bogus"] = "x"
         elif change == "missing":
             del doc["provenance"]["build"]
+        elif change == "seed":
+            doc["provenance"]["seed"] = -1
         else:
             version_1(doc)
         write_doc(path, doc)
