@@ -6,7 +6,7 @@ the noise-robustness experiment protocol.
 """
 
 from .errors import DataError, HlsmmError, InvalidArgumentError, NumericalError
-from .linalg import SvdFactors, fro_inner, project_rank, projection_ambiguous, svd
+from .linalg import SvdFactors, project_rank, projection_ambiguous, svd
 from .model import (
     Dataset,
     Hyperparams,
@@ -20,8 +20,7 @@ from .model import (
     predict_batch,
     prox_heaviside,
 )
-from .solver import (FitResult, fit, grad_h, penalized_objective, update_b, update_w,
-                     update_z)
+from .solver import FitResult, fit, grad_h, penalized_objective
 from .kkt import (KktReport, completed_kkt_report, estimate_multiplier, kkt_report,
                   w_stationarity, z_stationarity)
 from .data import (
@@ -55,11 +54,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "HlsmmError", "InvalidArgumentError", "NumericalError",
-    "SvdFactors", "fro_inner", "project_rank", "projection_ambiguous", "svd",
+    "SvdFactors", "project_rank", "projection_ambiguous", "svd",
     "Dataset", "Hyperparams", "ModelState", "SolverTrace",
     "StepPolicy", "decision_scores", "heaviside_count", "margin_residuals",
     "penalized_objective", "predict", "predict_batch", "prox_heaviside",
-    "FitResult", "fit", "grad_h", "update_b", "update_w", "update_z",
+    "FitResult", "fit", "grad_h",
     "KktReport", "completed_kkt_report", "estimate_multiplier", "kkt_report",
     "w_stationarity", "z_stationarity",
     "DatasetManifest", "add_gaussian_noise", "add_salt_pepper_noise",

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .model import _COUNT, _FRACTION, _NON_NEGATIVE, Dataset, _checked, decision_scores
+from .model import _COUNT, _FRACTION, _NON_NEGATIVE, _RANK, Dataset, _checked, decision_scores
 
 _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
@@ -337,8 +337,7 @@ def split(data: Dataset, ratio: float, stratified: bool = True,
     ``round(ratio * m_c)`` samples per class, preserving class proportions to
     within one sample.  Indices within each side keep dataset order.
     """
-    if not 0.0 < ratio < 1.0:
-        raise InvalidArgumentError("split ratio must lie in (0, 1)")
+    ratio = _checked("split ratio", ratio, (float, lambda v: 0 < v < 1, "lie in (0, 1)"))
     seed = _checked("seed", seed, _COUNT)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -407,14 +406,19 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
     """Synthetic margin-separated data from a planted low-rank direction.
 
     Draws W* = U V^T with standard normal factors, rescales it to unit
-    Frobenius norm so scores are roughly N(0, ||X|| scale) and the ``margin``
-    cutoff is meaningful, then samples standard normal matrices, labels them
-    by sign(<W*, X> + bias), and rejects draws with |score| < margin.
+    Frobenius norm so that the scores <W*, X> + bias of standard normal
+    matrices X are N(bias, 1) and the ``margin`` cutoff is meaningful, then
+    samples such matrices, labels them by the sign of their score, and
+    rejects draws with |score| < margin.  A margin that keeps fewer than m
+    of the first 1000 m draws is an error.
 
     Returns (dataset, W*, bias).
     """
-    if m < 2:
-        raise InvalidArgumentError("need at least two samples")
+    m = _checked("sample count", m, (int, lambda v: v >= 2, "be at least 2"))
+    p, q, rank = (_checked(name, value, _RANK)
+                  for name, value in (("p", p), ("q", q), ("rank", rank)))
+    bias = _checked("bias", bias, (float, lambda v: abs(v) < np.inf, "be finite"))
+    margin = _checked("margin", margin, _NON_NEGATIVE)
     seed = _checked("seed", seed, _COUNT)
     rng = np.random.Generator(np.random.PCG64(seed))
     w_star = rng.standard_normal((p, rank)) @ rng.standard_normal((q, rank)).T
@@ -422,7 +426,7 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
     xs = np.empty((m, p, q))
     ys = np.empty(m, dtype=np.int8)
     count = 0
-    while count < m:
+    for _ in range(1000 * m):
         x = rng.standard_normal((p, q))
         score = float(decision_scores(w_star, bias, x[None])[0])
         if abs(score) < margin:
@@ -430,6 +434,11 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
         xs[count] = x
         ys[count] = 1 if score > 0 else -1
         count += 1
+        if count == m:
+            break
+    else:
+        raise InvalidArgumentError(f"margin {margin} kept {count} of {1000 * m} draws, "
+                                   f"fewer than the {m} samples requested")
     data = Dataset(xs=xs, ys=ys, name="synthetic-lowrank")
     data.require_both_labels()
     return data, w_star, bias

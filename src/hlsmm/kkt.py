@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .linalg import SvdFactors, _ambiguous, svd
 from .model import (_NON_NEGATIVE, _RANK, Dataset, Hyperparams, ModelState, _check_shapes,
-                    _checked, decision_scores, margin_residuals, prox_heaviside)
+                    _checked, margin_residuals, prox_heaviside)
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ class KktReport:
         del d["lambda"]
         lines = [f"{key} = {value}" for key, value in d.items()]
         return "\n".join(lines)
-
-
-def apply_operator(w, data: Dataset) -> np.ndarray:
-    """A(W) with A_i = -y_i X_i, i.e. entries -y_i <W, X_i>."""
-    w = np.asarray(w, dtype=np.float64)
-    _check_shapes(data, w)
-    # A bias of -0.0 adds nothing to any score, a zero's sign included.
-    return -data.ys * decision_scores(w, -0.0, data.xs)
 
 
 def apply_adjoint(lam, data: Dataset) -> np.ndarray:

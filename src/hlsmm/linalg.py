@@ -1,6 +1,6 @@
-"""Dense linear-algebra core: full SVD, rank-r projection, Frobenius inner product.
+"""Dense linear-algebra core: full SVD and rank-r projection.
 
-Everything downstream (solver, KKT diagnostics) is built on these three
+Everything downstream (solver, KKT diagnostics) is built on these two
 operations.  Computations are delegated to LAPACK through numpy; this module
 owns the conventions: singular values sorted non-increasing, full orthonormal
 bases, and a relative zero tolerance for rank decisions.
@@ -56,15 +56,6 @@ class SvdFactors:
         return int(self.gamma.size)
 
     @property
-    def u_gamma(self) -> np.ndarray:
-        """Left singular vectors spanning the row space (columns in gamma)."""
-        return self.u[:, : self.rank]
-
-    @property
-    def v_gamma(self) -> np.ndarray:
-        return self.v[:, : self.rank]
-
-    @property
     def u_gamma_perp(self) -> np.ndarray:
         """Orthonormal basis of the left null space (complement of gamma)."""
         return self.u[:, self.rank :]
@@ -72,10 +63,6 @@ class SvdFactors:
     @property
     def v_gamma_perp(self) -> np.ndarray:
         return self.v[:, self.rank :]
-
-    def reconstruct(self) -> np.ndarray:
-        k = self.sigma.size
-        return (self.u[:, :k] * self.sigma) @ self.v[:, :k].T
 
 
 def svd(w) -> SvdFactors:
@@ -127,11 +114,3 @@ def _ambiguous(s: np.ndarray, r: int) -> bool:
         return False  # zero matrix projects to itself, uniquely
     return bool(s[r - 1] - s[r] <= AMBIGUITY_TOL_REL * s[0])
 
-
-def fro_inner(a, b) -> float:
-    """Frobenius inner product ``tr(a.T @ b)`` of two same-shape matrices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))

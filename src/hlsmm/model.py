@@ -93,7 +93,12 @@ class Dataset:
         return Dataset(xs=xs, ys=self.ys, name=self.name)
 
     def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx, dtype=np.int64)
+        """The samples at integer positions ``idx``; a mask or a float is refused."""
+        idx = np.asarray(idx)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise InvalidArgumentError(
+                f"subset indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return Dataset(xs=self.xs[idx], ys=self.ys[idx], name=self.name)
 
 
@@ -198,9 +203,6 @@ class Hyperparams:
         _store(self, ("maxit",), _COUNT)
         if self.z_update not in ("exact", "paper"):
             raise InvalidArgumentError(f"unknown z_update mode {self.z_update!r}")
-
-    def validate_for_shape(self, p: int, q: int) -> None:
-        _rank_for_shape(self.rank, p, q)
 
     def with_(self, **kwargs) -> "Hyperparams":
         return replace(self, **kwargs)

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import HlsmmError, InvalidArgumentError, NumericalError
 from .linalg import project_rank, svd
 from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _check_shapes,
-                    _checked, _hard_threshold, _heaviside, _margins, _scores)
+                    _checked, _hard_threshold, _heaviside, _margins, _rank_for_shape,
+                    _scores)
 
 # Slack allowed on the monotone-objective and sufficient-decrease assertions.
 MONOTONE_SLACK = 1e-10
@@ -206,11 +207,6 @@ class _Lanes:
         every = np.array([value for values in tau1 for value in values], dtype=np.float64)
         self.tau_min = np.minimum(np.minimum(every, self.tau2[self.lane_of]),
                                   self.tau3[self.lane_of])
-
-    @classmethod
-    def alone(cls, configurations) -> "_Lanes":
-        """One lane per configuration, each its lane's only rider."""
-        return cls(configurations, ([index] for index in range(len(configurations))))
 
     def begin(self, problem: _Problem, init: ModelState | None) -> None:
         """Put every lane at ``init``, with its objective and a trace of one row.
@@ -451,43 +447,14 @@ def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarr
     return (tau3 * b - 2.0 * sigma * residual_no_b) / (2.0 * sigma * problem.m + tau3)
 
 
-def _one_lane(state: ModelState, data: Dataset, hp: Hyperparams):
-    _check_shapes(data, state.w, state.z)
-    problem = _Problem(data)
-    w, z, b = state.w[None], state.z[None], np.array([state.b])
-    return problem, _Lanes.alone([hp]), w, problem.scores(w), z, b
-
-
-def update_w(state: ModelState, data: Dataset, hp: Hyperparams) -> tuple[np.ndarray, int]:
-    """Public one-shot W update; see the module docstring for the scheme."""
-    hp.validate_for_shape(*data.sample_shape)
-    problem, lanes, w, s, z, b = _one_lane(state, data, hp)
-    _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
-    grad = problem.gradient(w, gap, lanes.sigma)
-    w_new, _, halvings, _, errors, _ = _w_step(problem, lanes, w, z, b, grad, h,
-                                               state.iter)
-    if errors:
-        raise errors[0]
-    return w_new[0], int(halvings[0])
-
-
-def update_z(state: ModelState, data: Dataset, hp: Hyperparams) -> np.ndarray:
-    """Exact (or paper-mode) slack update, assuming ``state.w`` is the new W."""
-    problem, lanes, _, s, z, b = _one_lane(state, data, hp)
-    return _z_step(problem, lanes, s, z, b)[0]
-
-
-def update_b(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
-    """Closed-form bias update, assuming W and z are already updated."""
-    problem, lanes, _, s, z, b = _one_lane(state, data, hp)
-    return float(_b_step(problem, lanes, s, z, b)[0])
-
-
 def penalized_objective(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     """f(W, z, b) = 1/2 ||W||_F^2 + beta ||z_+||_0 + sigma ||z - v(W, b)||^2, as the
     kernel evaluates it for one lane, so :func:`fit` traces the same number."""
-    problem, lanes, w, s, z, b = _one_lane(state, data, hp)
-    return float(problem.objective(w, s, z, b, lanes.sigma, lanes.beta)[0][0])
+    _check_shapes(data, state.w, state.z)
+    problem = _Problem(data)
+    w, z, b = state.w[None], state.z[None], np.array([state.b])
+    return float(problem.objective(w, problem.scores(w), z, b, np.array([hp.sigma]),
+                                   np.array([hp.beta]))[0][0])
 
 
 def _start_check(data: Dataset, init: ModelState | None):
@@ -516,7 +483,7 @@ def _start_check(data: Dataset, init: ModelState | None):
     def check(hp: Hyperparams) -> None:
         if labels:
             raise InvalidArgumentError(labels)
-        hp.validate_for_shape(*data.sample_shape)
+        _rank_for_shape(hp.rank, *data.sample_shape)
         if init_shapes:
             raise InvalidArgumentError(init_shapes)
         if init_rank > hp.rank:

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import re
+import signal
 import struct
 
 import numpy as np
@@ -22,6 +24,21 @@ from hlsmm import (
 )
 
 from conftest import make_rng, peak_bytes, random_dataset
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds`` (POSIX timers)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestLoadCsv:
@@ -317,6 +334,17 @@ class TestSplit:
         with pytest.raises(InvalidArgumentError):
             split(data, 1.5, stratified=True, seed=1)
 
+    @pytest.mark.parametrize("ratio, message", [
+        ("0.5", "split ratio must be a real number, got '0.5'"),
+        (True, "split ratio must be a real number, got True"),
+        (None, "split ratio must be a real number, got None"),
+        (float("nan"), "split ratio must lie in \\(0, 1\\)"),
+        (0, "split ratio must lie in \\(0, 1\\)"),
+        (1.0, "split ratio must lie in \\(0, 1\\)")])
+    def test_ratio_follows_the_scalar_rule(self, ratio, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            split(random_dataset(82, m=6), ratio, seed=1)
+
 
 # Every seeded operation follows the CLI's seed rule: a non-negative integer,
 # not a bool.
@@ -531,3 +559,28 @@ class TestSyntheticGenerator:
         a, _, _ = make_lowrank_separable(m=20, seed=93)
         b, _, _ = make_lowrank_separable(m=20, seed=93)
         np.testing.assert_array_equal(a.xs, b.xs)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"p": 0}, "p must be a positive integer"),
+        ({"q": 0}, "q must be a positive integer"),
+        ({"rank": 0}, "rank must be a positive integer"),
+        ({"m": 1}, "sample count must be at least 2"),
+        ({"m": 2.0}, "sample count must be an integer"),
+        ({"margin": -0.5}, "margin must be non-negative and finite"),
+        ({"margin": np.nan}, "margin must be non-negative and finite"),
+        ({"bias": np.inf}, "bias must be finite"),
+        ({"margin": 50.0, "m": 4}, "margin 50.0 kept 0 of 4000 draws")],
+        ids=["p=0", "q=0", "rank=0", "m=1", "m-float", "margin-negative", "margin-nan",
+             "bias-inf", "margin=50"])
+    def test_refuses_arguments_it_cannot_meet(self, change, message):
+        # The time limit turns a draw loop without end into a failure.
+        with time_limit(10.0), pytest.raises(InvalidArgumentError, match=message):
+            make_lowrank_separable(**{"seed": 94, **change})
+
+    def test_wide_margin_that_can_be_met_still_completes(self):
+        # Scores are N(bias, 1): a margin of 2.5 keeps about one draw in 80.
+        with time_limit(10.0):
+            data, w_star, bias = make_lowrank_separable(m=20, margin=2.5, seed=95)
+        scores = data.xs.reshape(20, -1) @ w_star.ravel() + bias
+        assert np.abs(scores).min() >= 2.5
+

@@ -9,9 +9,9 @@ from hlsmm import (
     InvalidArgumentError,
     ModelState,
     completed_kkt_report,
+    decision_scores,
     estimate_multiplier,
     fit,
-    fro_inner,
     grad_h,
     kkt_report,
     margin_residuals,
@@ -22,9 +22,14 @@ from hlsmm import (
     z_stationarity,
 )
 from hlsmm import model
-from hlsmm.kkt import apply_adjoint, apply_operator
+from hlsmm.kkt import apply_adjoint
 
 from conftest import make_rng, random_dataset
+
+
+def signed_product(w, data):
+    """A(W) with A_i = -y_i X_i: the plain signed product -y_i <W, X_i>."""
+    return -data.ys * (data.xs.reshape(data.m, -1) @ w.ravel())
 
 
 class TestAdjoint:
@@ -35,8 +40,8 @@ class TestAdjoint:
             data = random_dataset(int(gen.integers(0, 10_000)), m=5, p=3, q=4)
             w = gen.standard_normal((3, 4))
             lam = gen.standard_normal(5)
-            lhs = float(apply_operator(w, data) @ lam)
-            rhs = fro_inner(w, apply_adjoint(lam, data))
+            lhs = float(signed_product(w, data) @ lam)
+            rhs = float(np.dot(w.ravel(), apply_adjoint(lam, data).ravel()))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_operator_matches_margins(self):
@@ -48,17 +53,17 @@ class TestAdjoint:
         b = 0.4
         v = margin_residuals(w, b, data)
         np.testing.assert_allclose(
-            v, 1.0 + apply_operator(w, data) - b * data.ys, rtol=1e-12)
+            v, 1.0 + signed_product(w, data) - b * data.ys, rtol=1e-12)
 
     def test_operator_is_signed_product_bit_for_bit(self):
-        # A zero matrix gives products of either sign of zero; the operator
-        # must keep them, as the plain product -y_i <W, X_i> does.
+        # A zero matrix gives products of either sign of zero; A(W) from the
+        # public scores with a bias of -0.0 must keep them, as the plain
+        # product -y_i <W, X_i> does.
         data = random_dataset(55, m=40, p=3, q=4)
         gen = make_rng(56)
-        X = data.xs.reshape(data.m, -1)
         for w in (np.zeros(data.sample_shape), gen.standard_normal(data.sample_shape)):
-            expected = -data.ys * (X @ w.ravel())
-            assert apply_operator(w, data).tobytes() == expected.tobytes()
+            scored = -data.ys * decision_scores(w, -0.0, data.xs)
+            assert scored.tobytes() == signed_product(w, data).tobytes()
 
 
 class TestEstimateMultiplier:
@@ -173,9 +178,9 @@ class TestWStationarity:
             return u_perp @ (u_perp.T @ mat @ v_perp) @ v_perp.T
 
         projected = cone_project(g)
-        np.testing.assert_allclose(factors.u_gamma.T @ projected,
+        np.testing.assert_allclose(factors.u[:, :factors.rank].T @ projected,
                                    np.zeros((2, 4)), atol=1e-12)
-        np.testing.assert_allclose(projected @ factors.v_gamma,
+        np.testing.assert_allclose(projected @ factors.v[:, :factors.rank],
                                    np.zeros((6, 2)), atol=1e-12)
         np.testing.assert_allclose(cone_project(projected), projected, atol=1e-12)
 

@@ -8,6 +8,7 @@ from hlsmm import (
     ModelState,
     StepPolicy,
     decision_scores,
+    fit,
     heaviside_count,
     margin_residuals,
     penalized_objective,
@@ -212,6 +213,25 @@ class TestDomainTypes:
         with pytest.raises(InvalidArgumentError, match="labels must be -1 or \\+1"):
             Dataset(xs=np.zeros((4, 1, 1)), ys=ys)
 
+    @pytest.mark.parametrize("idx", [np.array([True, False, True]), [0.7, 2.2],
+                                     np.array([0.0, 2.0])])
+    def test_subset_refuses_masks_and_floats(self, idx):
+        # Cast to int64, the mask picked rows [1, 0, 1] and the floats rows 0 and 2.
+        with pytest.raises(InvalidArgumentError, match="subset indices must be integers"):
+            random_dataset(19, m=3).subset(idx)
+
+    @pytest.mark.parametrize("idx", [[2, 0], np.array([2, 0], dtype=np.uint8)])
+    def test_subset_takes_integer_positions(self, idx):
+        data = random_dataset(19, m=3)
+        picked = data.subset(idx)
+        assert picked.xs.tobytes() == data.xs[[2, 0]].tobytes()
+        assert picked.ys.tobytes() == data.ys[[2, 0]].tobytes()
+
+    def test_empty_subset_is_an_empty_dataset(self):
+        # An empty list has a float dtype; it reaches the dataset's own check.
+        with pytest.raises(InvalidArgumentError, match="m, p, q >= 1"):
+            random_dataset(19, m=3).subset([])
+
     def test_dataset_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.zeros((0, 1, 1)), ys=np.array([]))
@@ -249,8 +269,8 @@ class TestDomainTypes:
         with pytest.raises(InvalidArgumentError):
             Hyperparams(beta=0.1, sigma=0.1, rank=2, z_update="bogus")
         hp = Hyperparams(beta=0.1, sigma=0.1, rank=3)
-        with pytest.raises(InvalidArgumentError):
-            hp.validate_for_shape(2, 3)  # needs rank < min(p, q)
+        with pytest.raises(InvalidArgumentError, match="rank bound"):
+            fit(random_dataset(7, m=6, p=2, q=3), hp)  # needs rank < min(p, q)
 
     def test_step_policy_validation(self):
         with pytest.raises(InvalidArgumentError):

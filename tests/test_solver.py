@@ -18,13 +18,10 @@ from hlsmm import (
     project_rank,
     prox_heaviside,
     svd,
-    update_b,
-    update_w,
-    update_z,
 )
 from hlsmm import solver
-from hlsmm.model import _margins
-from hlsmm.solver import _Lanes, _Problem, _trajectory, _w_step, _z_step
+from hlsmm.model import _check_shapes, _margins
+from hlsmm.solver import _b_step, _Lanes, _Problem, _trajectory, _w_step, _z_step
 
 from conftest import make_rng, peak_bytes, random_dataset
 
@@ -33,6 +30,41 @@ def smooth_part(w, z, b, data, sigma):
     """h(W) evaluated from scratch: quadratic + coupling penalty, no loss term."""
     gap = z - margin_residuals(w, b, data)
     return 0.5 * float(np.sum(w * w)) + sigma * float(gap @ gap)
+
+
+def one_lane(state, data, hp):
+    """The kernel's problem and one-lane batch at ``state``: its stacked W, scores, z, b.
+
+    The kernel blocks trust their input; ``state`` passes the library's shape
+    rule first, as at every public entry point.
+    """
+    _check_shapes(data, state.w, state.z)
+    problem = _Problem(data)
+    w, z, b = state.w[None], state.z[None], np.array([state.b])
+    return problem, _Lanes([hp], [[0]]), w, problem.scores(w), z, b
+
+
+def w_block(state, data, hp):
+    """The kernel's W block from ``state``: (new W, halvings used)."""
+    problem, lanes, w, s, z, b = one_lane(state, data, hp)
+    _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
+    grad = problem.gradient(w, gap, lanes.sigma)
+    new_w, _, halvings, _, errors, _ = _w_step(problem, lanes, w, z, b, grad, h,
+                                               state.iter)
+    assert not errors
+    return new_w[0], int(halvings[0])
+
+
+def z_block(state, data, hp):
+    """The kernel's z block, with ``state.w`` as the new W."""
+    problem, lanes, _, s, z, b = one_lane(state, data, hp)
+    return _z_step(problem, lanes, s, z, b)[0]
+
+
+def b_block(state, data, hp):
+    """The kernel's b block, with ``state.w`` and ``state.z`` as the new W and z."""
+    problem, lanes, _, s, z, b = one_lane(state, data, hp)
+    return float(_b_step(problem, lanes, s, z, b)[0])
 
 
 def rank1_truncation_2x2(g):
@@ -99,7 +131,7 @@ class TestUpdateW:
         data = random_dataset(25)
         hp = Hyperparams(beta=0.5, sigma=0.5, rank=1)
         state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.ones(data.m))
-        new_w, halvings = update_w(state, data, hp)
+        new_w, halvings = w_block(state, data, hp)
         np.testing.assert_array_equal(new_w, state.w)
         assert halvings == 0
 
@@ -117,7 +149,7 @@ class TestUpdateW:
         w = rank1_truncation_2x2(w)  # feasible start
         z = gen.standard_normal(4)
         state = ModelState(w=w, b=0.1, z=z)
-        new_w, halvings = update_w(state, data, hp)
+        new_w, halvings = w_block(state, data, hp)
         taken = alpha * 0.5 ** halvings
         expected = rank1_truncation_2x2(w - taken * grad_h(w, z, 0.1, data, hp.sigma))
         np.testing.assert_allclose(new_w, expected, atol=1e-10)
@@ -131,7 +163,7 @@ class TestUpdateW:
         values = [smooth_part(w, z, b, data, hp.sigma)]
         for _ in range(50):
             state = ModelState(w=w, b=b, z=z)
-            w, _ = update_w(state, data, hp)
+            w, _ = w_block(state, data, hp)
             values.append(smooth_part(w, z, b, data, hp.sigma))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-10)
@@ -142,7 +174,7 @@ class TestUpdateW:
         state = ModelState(w=np.zeros((5, 4)), b=0.0, z=np.zeros(10))
         w = state.w
         for _ in range(10):
-            w, _ = update_w(ModelState(w=w, b=0.0, z=state.z), data, hp)
+            w, _ = w_block(ModelState(w=w, b=0.0, z=state.z), data, hp)
             assert svd(w).rank <= hp.rank
 
 
@@ -156,7 +188,7 @@ class TestUpdateZ:
         state = ModelState(w=w, b=0.3, z=z_prev)
         v = margin_residuals(w, 0.3, data)
         expected = (2 * 0.4 * v + 0.2 * z_prev) / (2 * 0.4 + 0.2)
-        np.testing.assert_allclose(update_z(state, data, hp), expected, rtol=1e-12)
+        np.testing.assert_allclose(z_block(state, data, hp), expected, rtol=1e-12)
 
     def test_tau2_to_zero_sigma_half_reduces_to_prox(self):
         data = random_dataset(31, m=6)
@@ -165,7 +197,7 @@ class TestUpdateZ:
         hp = Hyperparams(beta=0.7, sigma=0.5, tau2=1e-300, rank=1)
         state = ModelState(w=w, b=-0.2, z=gen.standard_normal(6))
         v = margin_residuals(w, -0.2, data)
-        np.testing.assert_allclose(update_z(state, data, hp),
+        np.testing.assert_allclose(z_block(state, data, hp),
                                    prox_heaviside(v, 0.7), atol=1e-12)
 
     def test_beats_dense_grid(self):
@@ -191,7 +223,7 @@ class TestUpdateZ:
             def objective(z):
                 return beta * (z > 0) + sigma * (z - v) ** 2 + 0.5 * tau2 * (z - z_prev) ** 2
 
-            returned = update_z(state, data, hp)[0]
+            returned = z_block(state, data, hp)[0]
             assert objective(returned) <= objective(grid).min() + 1e-12
 
     def test_update_z_matches_manual_formula(self):
@@ -205,7 +237,7 @@ class TestUpdateZ:
         center = (2 * hp.sigma * v + hp.tau2 * z_prev) / (2 * hp.sigma + hp.tau2)
         threshold = np.sqrt(2 * hp.beta / (2 * hp.sigma + hp.tau2))
         expected = np.where((center > 0) & (center <= threshold), 0.0, center)
-        np.testing.assert_array_equal(update_z(state, data, hp), expected)
+        np.testing.assert_array_equal(z_block(state, data, hp), expected)
 
     def test_paper_mode_uses_printed_constants(self):
         data = random_dataset(36, m=5)
@@ -218,7 +250,7 @@ class TestUpdateZ:
         center = (2 * hp.sigma * v + hp.tau2 * z_prev) / (hp.sigma + hp.tau2)
         threshold = np.sqrt(4 * hp.beta / (hp.sigma + hp.tau2))
         expected = np.where((center > 0) & (center <= threshold), 0.0, center)
-        np.testing.assert_array_equal(update_z(state, data, hp), expected)
+        np.testing.assert_array_equal(z_block(state, data, hp), expected)
 
 
 class TestUpdateB:
@@ -230,7 +262,7 @@ class TestUpdateB:
         z = margin_residuals(w, b_prev, data)  # coupling residual zero at b_prev
         hp = Hyperparams(beta=0.1, sigma=0.3, tau3=1e-3, rank=1)
         state = ModelState(w=w, b=b_prev, z=z)
-        assert update_b(state, data, hp) == pytest.approx(b_prev, abs=1e-12)
+        assert b_block(state, data, hp) == pytest.approx(b_prev, abs=1e-12)
 
     def test_huge_tau3_freezes_block(self):
         data = random_dataset(40, m=6)
@@ -238,7 +270,7 @@ class TestUpdateB:
         state = ModelState(w=gen.standard_normal(data.sample_shape), b=-0.7,
                            z=gen.standard_normal(6))
         hp = Hyperparams(beta=0.1, sigma=0.3, tau3=1e16, rank=1)
-        assert update_b(state, data, hp) == pytest.approx(-0.7, abs=1e-10)
+        assert b_block(state, data, hp) == pytest.approx(-0.7, abs=1e-10)
 
     def test_matches_golden_section_search(self):
         data = random_dataset(42, m=8, p=2, q=3)
@@ -255,10 +287,11 @@ class TestUpdateB:
         oracle = minimize_scalar(objective, bracket=(-10.0, 10.0),
                                  method="golden", options={"xtol": 1e-12})
         state = ModelState(w=w, b=b_prev, z=z)
-        assert update_b(state, data, hp) == pytest.approx(oracle.x, abs=1e-8)
+        assert b_block(state, data, hp) == pytest.approx(oracle.x, abs=1e-8)
 
 
-@pytest.mark.parametrize("update", [update_w, update_z, update_b])
+@pytest.mark.parametrize("update", [w_block, z_block, b_block],
+                         ids=["update_w", "update_z", "update_b"])
 @pytest.mark.parametrize("w_shape,m_z", [((3, 3), 50), ((8, 6), 7)],
                          ids=["w-shape", "z-length"])
 def test_one_shot_update_refuses_mismatched_state(update, w_shape, m_z):
@@ -268,6 +301,18 @@ def test_one_shot_update_refuses_mismatched_state(update, w_shape, m_z):
     state = ModelState(w=np.zeros(w_shape), b=0.0, z=np.zeros(m_z))
     with pytest.raises(InvalidArgumentError, match="does not match"):
         update(state, data, Hyperparams(beta=0.1, sigma=0.1, rank=1))
+
+
+@pytest.mark.parametrize("w_shape,m_z", [((3, 3), 50), ((8, 6), 7)],
+                         ids=["w-shape", "z-length"])
+def test_objective_and_gradient_refuse_mismatched_state(w_shape, m_z):
+    # The shape rule of fit's init check, not a numpy broadcasting error.
+    data = random_dataset(44, m=50, p=8, q=6)
+    state = ModelState(w=np.zeros(w_shape), b=0.0, z=np.zeros(m_z))
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        penalized_objective(state, data, Hyperparams(beta=0.1, sigma=0.1, rank=1))
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        grad_h(state.w, state.z, state.b, data, 0.1)
 
 
 class TestFit:
@@ -391,11 +436,8 @@ class TestStall:
         # The start is a few iterations in, so that the scores are not zero.
         data, _, _ = synthetic
         start = fit(data, default_hp.with_(maxit=3)).model
-        problem = _Problem(data)
-        lanes = _Lanes.alone([default_hp.with_(step=policy)])
-        w, z, b = start.w[None], start.z[None], np.array([start.b])
-        _, h, _, gap = problem.objective(w, problem.scores(w), z, b,
-                                         lanes.sigma, lanes.beta)
+        problem, lanes, w, s, z, b = one_lane(start, data, default_hp.with_(step=policy))
+        _, h, _, gap = problem.objective(w, s, z, b, lanes.sigma, lanes.beta)
         new_w, scores, halvings, stalled, errors, split = _w_step(
             problem, lanes, w, z, b, problem.gradient(w, gap, lanes.sigma), h, 1)
         assert (halvings[0], stalled[0], errors, split) == (
@@ -476,7 +518,7 @@ class TestProblemKernel:
         z = gen.standard_normal((4, 60))
         b = gen.standard_normal(4)
         problem = _Problem(data)
-        z_new = _z_step(problem, _Lanes.alone(configs), problem.scores(w), z, b)
+        z_new = _z_step(problem, _Lanes(configs, [[k] for k in range(len(configs))]), problem.scores(w), z, b)
         zeroed = kept = 0
         for k, hp in enumerate(configs):
             v = margin_residuals(w[k], b[k], data)
@@ -516,7 +558,7 @@ class TestProblemKernel:
                          step=StepPolicy(kind="fixed"))
         w = np.outer(gen.standard_normal(4), gen.standard_normal(3))
         state = ModelState(w=w, b=0.1, z=gen.standard_normal(30))
-        new_w, halvings = update_w(state, data, hp)
+        new_w, halvings = w_block(state, data, hp)
         X = data.xs.reshape(data.m, -1)
         alpha = 1.0 / (1.0 + 2.0 * hp.sigma * float(np.dot(X.ravel(), X.ravel()))
                        + hp.tau1)
