@@ -21,7 +21,7 @@ import numpy as np
 from .data import add_gaussian_noise, add_salt_pepper_noise, _shuffled_classes
 from .errors import InvalidArgumentError
 from .model import (_COUNT, _FRACTION, _NON_NEGATIVE, Dataset, Hyperparams, ModelState,
-                    SolverTrace, _checked, predict_batch)
+                    SolverTrace, _checked, _record, predict_batch)
 from .solver import FitResult, fit, fit_many
 
 # Each noise kind's corruption and the rule of its level.
@@ -30,7 +30,7 @@ _NOISE = {"gaussian": (add_gaussian_noise, _NON_NEGATIVE),
 NOISE_KINDS = tuple(_NOISE)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Metrics:
     """Confusion counts with y = +1 as the positive class."""
 
@@ -94,7 +94,7 @@ class HyperparamGrid:
                           tau1=tau1, tau2=tau2, tau3=tau3)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SweepRow:
     """One completed (or failed) configuration of a sweep."""
 

@@ -93,11 +93,17 @@ class Dataset:
         return Dataset(xs=xs, ys=self.ys, name=self.name)
 
     def subset(self, idx) -> "Dataset":
-        """The samples at integer positions ``idx``; a mask or a float is refused."""
+        """The samples at integer positions ``idx`` in [0, m); a mask, a float or a
+        position outside that range (a negative one too) is refused."""
         idx = np.asarray(idx)
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise InvalidArgumentError(
                 f"subset indices must be integers, got dtype {idx.dtype}")
+        # Checked in the given dtype, before a cast could wrap a large unsigned value.
+        outside = (idx < 0) | (idx >= self.m)
+        if outside.any():
+            raise InvalidArgumentError(
+                f"subset index {idx[outside].flat[0]} is outside [0, {self.m})")
         idx = idx.astype(np.int64, copy=False)
         return Dataset(xs=self.xs[idx], ys=self.ys[idx], name=self.name)
 
@@ -140,13 +146,33 @@ def _rank_for_shape(r, p: int, q: int) -> int:
     return r
 
 
+def _record(cls):
+    """``dataclass(frozen=True, slots=True)``, whose refusals name the class it returns.
+
+    Slotted records hold no ``__dict__``: a sweep holds one per
+    configuration, a Hyperparams of about 129 bytes where one with a
+    ``__dict__`` takes 177.  ``slots=True`` returns a new class, but the
+    generated ``__setattr__`` and ``__delattr__`` close over the one it
+    replaced, and for a name that is not a field they would raise
+    ``TypeError`` from ``super()`` on Python 3.10-3.13.  Rebinding that
+    closure cell to the new class makes every assignment and deletion raise
+    ``FrozenInstanceError``.
+    """
+    new = dataclass(frozen=True, slots=True)(cls)
+    for name in ("__setattr__", "__delattr__"):
+        for cell in getattr(new, name).__closure__ or ():
+            if cell.cell_contents is cls:
+                cell.cell_contents = new
+    return new
+
+
 def _store(owner, names, rule: tuple = _POSITIVE) -> None:
     """Store named fields of a frozen dataclass as :func:`_checked` values."""
     for name in names:
         object.__setattr__(owner, name, _checked(name, getattr(owner, name), rule))
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StepPolicy:
     """W-block step-size rule.
 
@@ -171,9 +197,7 @@ class StepPolicy:
         _store(self, ("max_halvings",), _COUNT)
 
 
-# Slotted, as are StepPolicy and the sweep records: a sweep holds one per
-# configuration, about 129 bytes where one with a __dict__ takes 177.
-@dataclass(frozen=True, slots=True)
+@_record
 class Hyperparams:
     """Solver hyperparameters.
 

@@ -42,15 +42,18 @@ from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _check_shapes
 MONOTONE_SLACK = 1e-10
 DECREASE_SLACK = 1e-9
 
-# Working memory of one lockstep batch, in float64 values (1 MiB).  The z
-# and W blocks of K lanes hold three (K, m) arrays: in the z block the
-# previous slack, the accepted scores and the center, whose tau2 z term is
-# added in row blocks of at most _BLOCK_FLOATS values.  The b block holds
-# the scores, the slack and z - 1, plus the labels cast once for their
-# product, so a lone lane still holds four m-vectors at once.  A batch takes
-# BATCH_FLOATS // (4 m) lanes, at least one, which covers that lone lane;
-# a wider batch holds about three m-vectors per lane.  The trace is not
-# reserved: it grows by doubling with the iterations the live lanes have run.
+# Working memory of one lockstep batch, in float64 values (1 MiB).  A lone
+# lane holds three m-vectors in every block: in the W block the slack, a
+# candidate's scores and its gap; in the z block the previous slack, the
+# accepted scores and the center, whose tau2 z term is added in blocks of at
+# most _BLOCK_FLOATS values; in the b block the scores, the slack and the
+# signed z - 1.  Products with the int8 labels cast them through numpy's
+# fixed 64 KiB buffer, never as a whole m-vector.  K lanes hold three (K, m)
+# arrays in the same places, and more in a W block whose later trials run on
+# some of the lanes.  A batch takes BATCH_FLOATS // (4 m) lanes, at least
+# one: the fourth m-vector per lane covers the buffer and the bool masks of
+# the z block and the loss.  The trace is not reserved: it grows by
+# doubling with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
 # Largest temporary of the z block's tau2 z term, in float64 values.
 _BLOCK_FLOATS = 1 << 12
@@ -138,11 +141,16 @@ class _Problem:
         return 0.5 * sq_norm + sigma * _dots(gap, gap)
 
     def objective(self, w, s, z, b, sigma, beta):
-        """(f, h(W), ||W||^2, Z - V) per lane; the next W block reads the last three."""
+        """(f, h(W), ||W||^2, Z - V) per lane; the next W block reads the last three.
+
+        The loss term is counted first, so that its mask and the gap are
+        never live together.
+        """
+        loss = beta * _heaviside(z)
         gap = self.gap(s, z, b)
         sq_norm = _sq_norms(w)
         h = self.smooth(sq_norm, gap, sigma)
-        return h + beta * _heaviside(z), h, sq_norm, gap
+        return h + loss, h, sq_norm, gap
 
     def gradient(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         pull = (self.X.T @ (self.ys * gap)[..., None]).reshape(w.shape)
@@ -370,10 +378,11 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
              else problem.cauchy_step(grad, lanes.sigma))
     stalled[:] = True
     pending = np.flatnonzero(finite)
-    # A first trial on every lane writes its arrays straight into the result;
-    # later trials overwrite the rows they accept.
-    new_w, new_s = ((None, None) if pending.size == count
-                    else (w.copy(), np.empty((count, problem.m))))
+    # A trial on every lane that some lane accepts, before any other trial
+    # does, becomes the result; later trials overwrite the rows they accept.
+    # A trial that no lane accepts is dropped before the next one runs, so a
+    # lone lane never holds two candidates' scores.
+    new_w = new_s = None
     for trial in range(policy.max_halvings + 1):
         if not pending.size:
             break
@@ -395,20 +404,26 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
                 split += [index for index in lanes.riders[pending[j]]
                           if not (smooth[j] + 0.5 * lanes.configurations[index].tau1
                                   * step_sq[j] <= h[j])]
-        if new_w is None:
-            new_w, new_s = candidate, s_candidate
-        else:
-            new_w[pending[ok]] = candidate[ok]
-            new_s[pending[ok]] = s_candidate[ok]
+        if ok.any():
+            if new_w is None and pending.size == count:
+                new_w, new_s = candidate, s_candidate
+            else:
+                if new_w is None:
+                    new_w, new_s = w.copy(), np.empty((count, problem.m))
+                new_w[pending[ok]] = candidate[ok]
+                new_s[pending[ok]] = s_candidate[ok]
+        del candidate, s_candidate
         halvings[pending[ok]] = trial
         stalled[pending[ok]] = False
         pending = pending[~ok & live]
         alpha[pending] *= 0.5
     # Stalled lanes keep their iterate.
-    if pending.size:
+    if new_w is None:  # no lane accepted a step: each stalled or failed
+        new_w, new_s = w.copy(), problem.scores(w)
+    elif pending.size:
         new_w[pending] = w[pending]
         new_s[pending] = problem.scores(w[pending])
-        halvings[pending] = policy.max_halvings
+    halvings[pending] = policy.max_halvings
     return new_w, new_s, halvings, stalled, errors, split
 
 
@@ -417,12 +432,16 @@ def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
     sigma, tau2, beta = lanes.sigma[:, None], lanes.tau2[:, None], lanes.beta[:, None]
     center = _margins(s_new, b, problem.ys)
     center *= 2.0 * sigma
-    # Rows are lanes, so a block of rows takes the same products as the
-    # whole stack; only the temporary shrinks.
+    # The products are elementwise, so a block of rows, or of one lane's
+    # samples when its row is longer than a block, takes the same products
+    # as the whole stack; only the temporary shrinks.
     rows = max(1, _BLOCK_FLOATS // problem.m)
+    samples = min(problem.m, _BLOCK_FLOATS)
     for first in range(0, len(center), rows):
-        block = slice(first, first + rows)
-        center[block] += tau2[block] * z[block]
+        lanes_block = slice(first, first + rows)
+        for start in range(0, problem.m, samples):
+            block = (lanes_block, slice(start, start + samples))
+            center[block] += tau2[lanes_block] * z[block]
     if lanes.z_update == "exact":
         # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
         # complete the square (curvature 2 sigma + tau2), then take the prox of
@@ -441,9 +460,13 @@ def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
 def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarray,
             b: np.ndarray) -> np.ndarray:
     # First-order condition of  sigma ||z - 1 + A(W) + b y||^2 + tau3/2 (b - b^k)^2,
-    # with s_new = A(W) the scores <W, X_i> of the new W.
+    # with s_new = A(W) the scores <W, X_i> of the new W.  sum_i y_i (z_i - 1)
+    # flips the signs of z - 1 in place, which is exact, and sums each row
+    # pairwise, so the labels are never cast to a float64 m-vector.
     sigma, tau3 = lanes.sigma, lanes.tau3
-    residual_no_b = _dots(z_new - 1.0, problem.ys) + s_new.sum(axis=1)
+    signed = z_new - 1.0
+    signed *= problem.ys
+    residual_no_b = signed.sum(axis=1) + s_new.sum(axis=1)
     return (tau3 * b - 2.0 * sigma * residual_no_b) / (2.0 * sigma * problem.m + tau3)
 
 
@@ -531,9 +554,8 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
         # Overflow warnings are silenced: divergence (possible in the
         # paper-mode z-update) is caught by the finiteness guards below.
         # The carried gap, the previous slack and the scores are dropped as
-        # soon as they are used, so that the batch holds at most three (K, m)
-        # arrays in the W and z blocks and a lone lane four m-vectors in the
-        # b block (see BATCH_FLOATS).
+        # soon as they are used, so that a lone lane holds three m-vectors in
+        # every block (see BATCH_FLOATS).
         with np.errstate(over="ignore", invalid="ignore"):
             grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
             lanes.gap = None

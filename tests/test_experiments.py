@@ -248,16 +248,21 @@ class TestSweepEngine:
 
     def test_sweep_records_are_slotted_and_frozen(self, synthetic, default_hp):
         # A sweep holds one Hyperparams (with its StepPolicy), SweepRow and
-        # Metrics per configuration; slots keep each without a __dict__.
+        # Metrics per configuration; slots keep each without a __dict__.  A
+        # name that is not a field is refused as a field is: the __setattr__
+        # and __delattr__ that dataclass generates name the class that
+        # slots=True replaces, and raised TypeError from super() for it.
         data, _, _ = synthetic
         train, validation = split(data, 0.7, seed=1)
         _, table = grid_search(train, validation, self.GRID, default_hp)
         row = table.rows[0]
         for record in (row, row.hyperparams, row.hyperparams.step, row.metrics):
             assert not hasattr(record, "__dict__")
-            for field in dataclasses.fields(record):
+            for name in [field.name for field in dataclasses.fields(record)] + ["note"]:
                 with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(record, field.name, None)
+                    setattr(record, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
 
     @pytest.mark.parametrize("m,folds,seed", [(7, 2, 1), (30, 3, 0), (31, 4, 5),
                                               (200, 3, 7)])

@@ -170,10 +170,10 @@ class TestLockstepLanes:
 class TestBatchWidth:
     """A batch takes BATCH_FLOATS // (4 m) lanes.
 
-    A lone lane holds four m-vectors in its b block: the scores, the slack,
-    z - 1 and the labels cast for their product.  A wider batch holds three
-    (K, m) arrays in its W and z blocks and about three m-vectors per lane
-    in its b block, so the width's four per lane cover the lone lane.
+    A lone lane holds three m-vectors in every block, plus numpy's fixed
+    64 KiB buffer wherever the int8 labels are cast for a product.  A wider
+    batch holds three (K, m) arrays in its z and b blocks, so the width's
+    four per lane cover the lone lane with its buffer.
     """
 
     @pytest.mark.parametrize("budget,widths", [
@@ -239,16 +239,34 @@ class TestBatchWidth:
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 
-    def test_one_lane_holds_four_m_vectors(self):
-        # The z block holds the previous slack, the scores, the center and
-        # tau2 z, a block of one lane; the b block the scores, the slack,
-        # z - 1 and the labels cast for their product.  The cold start is
-        # built in the lane arrays.  Measured: 4.35 m-vectors, the rest being
-        # p-by-q matrices and the trace.  A fifth live m-vector crosses the
-        # bound.
-        data = random_dataset(76, m=8000, p=6, q=6)
-        hp = Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=5)
-        assert peak_bytes(lambda: fit(data, hp)) < 5 * 8 * data.m
+    def test_one_lane_holds_three_m_vectors(self):
+        # The W block holds the slack, a candidate's scores and its gap, and
+        # drops a candidate that fails the decrease test before the next
+        # one; the z block the previous slack, the scores and the center,
+        # whose tau2 z term is added in blocks of _BLOCK_FLOATS values; the
+        # b block the scores, the slack and the signed z - 1.  Casting the
+        # labels takes numpy's 64 KiB buffer, so m is large enough that the
+        # buffer is a small part of an m-vector (at m = 8000 it is a whole
+        # one).  Measured: 3.28 m-vectors with and without halvings, where
+        # the labels cast whole (4.03) or a rejected candidate's scores kept
+        # (4.24) cross the bound.
+        data = random_dataset(76, m=40_000, p=6, q=6)
+        for step in (StepPolicy(), StepPolicy(alpha0=0.1)):
+            hp = Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=5, step=step)
+            halvings = fit(data, hp).trace.halvings
+            assert (max(halvings) > 0) == (step.alpha0 is not None)
+            assert peak_bytes(lambda: fit(data, hp)) < 4 * 8 * data.m
+
+    def test_b_block_casts_no_labels(self):
+        # z - 1 with its signs flipped in place, plus the cast buffer; with
+        # the labels cast to float64 for a dot product it took two m-vectors.
+        data = random_dataset(78, m=40_000, p=6, q=6)
+        gen = make_rng(79)
+        problem = solver._Problem(data)
+        lanes = solver._Lanes([Hyperparams(beta=0.1, sigma=0.01, rank=2)], [[0]])
+        s, z = gen.standard_normal((2, 1, data.m))
+        b = np.array([0.3])
+        assert peak_bytes(lambda: solver._b_step(problem, lanes, s, z, b)) < 1.5 * 8 * data.m
 
     def test_cold_start_is_the_zero_state(self):
         data = random_dataset(77, m=40, p=4, q=5)

@@ -227,6 +227,16 @@ class TestDomainTypes:
         assert picked.xs.tobytes() == data.xs[[2, 0]].tobytes()
         assert picked.ys.tobytes() == data.ys[[2, 0]].tobytes()
 
+    @pytest.mark.parametrize("idx,bad", [([5], 5), ([0, 3], 3), ([-1], -1), ([2, -3], -3),
+                                         (np.array([2**64 - 1], dtype=np.uint64),
+                                          2**64 - 1)])
+    def test_subset_refuses_positions_outside_the_dataset(self, idx, bad):
+        # [5] raised numpy's bare IndexError, [-1] picked the last row, and
+        # the largest uint64 would wrap to -1 in the cast to int64.
+        with pytest.raises(InvalidArgumentError,
+                           match=f"subset index {bad} is outside \\[0, 3\\)"):
+            random_dataset(19, m=3).subset(idx)
+
     def test_empty_subset_is_an_empty_dataset(self):
         # An empty list has a float dtype; it reaches the dataset's own check.
         with pytest.raises(InvalidArgumentError, match="m, p, q >= 1"):

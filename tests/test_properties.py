@@ -4,10 +4,12 @@ File formats: round trips, truncation, corruption, and JSON documents with one
 fault (an added key, a missing key, a value of another JSON kind).  Solver (exact z mode,
 every step policy): sufficient decrease along every returned trace and a
 rank-feasible returned model, whatever the stop status; the public objective
-equals the first row of the trace bit for bit.
+equals the first row of the trace bit for bit; the b block's closed form
+agrees with an exactly rounded sum.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -31,8 +33,9 @@ from hlsmm import (
     svd,
 )
 from hlsmm.cli import main
+from hlsmm.solver import _b_step, _Lanes, _Problem
 
-from conftest import peak_bytes, random_dataset
+from conftest import make_rng, peak_bytes, random_dataset
 
 FILES = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -366,3 +369,42 @@ class TestObjective:
         state, data, hp = point
         traced = fit(data, hp.with_(maxit=0), init=state).trace.objective[0]
         assert penalized_objective(state, data, hp) == traced
+
+
+@st.composite
+def bias_blocks(draw):
+    """A dataset and the b block's input on a few lanes: configurations, scores,
+    slack and previous biases, each lane's entries on its own scale."""
+    count, m = draw(st.integers(1, 4)), draw(st.integers(2, 3000))
+    data = random_dataset(draw(st.integers(0, 10_000)), m=m, p=1, q=1)
+    scales = st.sampled_from((1e-3, 1.0, 1e3))
+    configurations = [Hyperparams(beta=0.1, sigma=draw(scales), rank=1, tau3=draw(scales))
+                      for _ in range(count)]
+    gen = make_rng(draw(st.integers(0, 10_000)))
+    size = np.array([draw(scales) for _ in range(count)])[:, None]
+    s, z = gen.standard_normal((2, count, m)) * size
+    return data, configurations, s, z, gen.standard_normal(count)
+
+
+class TestBiasBlock:
+    # numpy's pairwise sum errs by at most about (16 + log2(m / 128)) eps
+    # times the sum of the magnitudes, under 6e-15 at m = 3000.
+    TOLERANCE = 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=bias_blocks())
+    def test_closed_form_within_tolerance_of_an_exact_sum(self, block):
+        data, configurations, s, z, b = block
+        problem = _Problem(data)
+        lanes = _Lanes(configurations, [[k] for k in range(len(configurations))])
+        result = _b_step(problem, lanes, s, z, b)
+        ys = data.ys.tolist()
+        for k, hp in enumerate(configurations):
+            terms = [y * (zi - 1.0) for y, zi in zip(ys, z[k].tolist())] + s[k].tolist()
+            denominator = 2.0 * hp.sigma * data.m + hp.tau3
+            exact = (hp.tau3 * b[k] - 2.0 * hp.sigma * math.fsum(terms)) / denominator
+            scale = (hp.tau3 * abs(b[k]) + 2.0 * hp.sigma * math.fsum(map(abs, terms)))
+            assert abs(result[k] - exact) <= self.TOLERANCE * scale / denominator
+            # A row's sum does not read the other rows.
+            alone = _b_step(problem, _Lanes([hp], [[0]]), s[k:k + 1], z[k:k + 1], b[k:k + 1])
+            assert alone.tobytes() == result[k:k + 1].tobytes()
