@@ -22,13 +22,15 @@ import csv
 import json
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .model import _COUNT, _FRACTION, _NON_NEGATIVE, _RANK, Dataset, _checked, decision_scores
+from .model import (_COUNT, _FRACTION, _NON_NEGATIVE, _RANK, Dataset, _all_finite, _checked,
+                    decision_scores)
 
 _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
@@ -171,18 +173,57 @@ def _map_labels(raw_labels: list[float], path: str) -> np.ndarray:
     return np.where(np.equal(raw_labels, 1.0), 1, -1).astype(np.int8)
 
 
-def load_csv(path, label_column: int = 0,
-             reshape: tuple[int, int] | None = None,
-             has_header: bool = False) -> Dataset:
-    """Load a numeric CSV with one sample per row.
+def _dataset(path: Path, features: np.ndarray, raw_labels: list[float],
+             reshape: tuple[int, int] | None) -> Dataset:
+    """The dataset of parsed, finite CSV rows: labels mapped, samples reshaped."""
+    ys = _map_labels(raw_labels, str(path))
+    d = features.shape[1]
+    if reshape is not None:
+        p, q = reshape
+        if p < 1 or q < 1 or p * q != d:
+            raise DataError(
+                f"{path}: reshape {p}x{q} = {p * q} does not match "
+                f"{d} features per row")
+        xs = features.reshape(-1, p, q)
+    else:
+        xs = features.reshape(-1, 1, d)
+    return Dataset(xs=xs, ys=ys, name=path.stem)
 
-    Raises :class:`DataError` naming the offending line for ragged rows,
-    unparseable or non-finite numbers, and raises it for unknown label
-    encodings or a reshape that does not match the feature count.
+
+def _read_table(path: Path, label_column: int,
+                has_header: bool) -> tuple[np.ndarray, list[float]] | None:
+    """(features, labels) of a CSV file that numpy's C reader parses whole into
+    rows of at least two finite fields, or None.
+
+    The file is read as :func:`_read_rows` reads it: the header is its first
+    csv record, even one that a quoted field spans over several lines, and
+    every field is a float as ``float()`` reads it, bit for bit.  Whatever
+    the C reader refuses or warns about (an empty file), and any row the
+    row loop would refuse, gives None.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{path}: no such file")
+    with path.open(newline="") as handle, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if has_header:
+                next(csv.reader(handle), None)
+            table = np.loadtxt(handle, dtype=np.float64, delimiter=",", comments=None,
+                               quotechar='"', ndmin=2)
+        except Exception:  # the row loop decides, and names the line
+            return None
+    width = table.shape[1]
+    if width < 2 or not -width <= label_column < width or not _all_finite(table):
+        return None
+    labels = table[:, label_column].tolist()
+    return np.delete(table, label_column % width, axis=1), labels
+
+
+def _read_rows(path: Path, label_column: int, reshape: tuple[int, int] | None,
+               has_header: bool) -> Dataset:
+    """:func:`load_csv` by ``csv.reader`` and ``float()``, one row at a time.
+
+    This loop defines what the loader accepts, and names the offending line
+    (the csv record) in every DataError it raises for a row.
+    """
     rows: list[list[float]] = []
     raw_labels: list[float] = []
     line_numbers: list[int] = []
@@ -222,18 +263,32 @@ def load_csv(path, label_column: int = 0,
     if not finite.all():
         line_no = line_numbers[int(np.argmin(finite))]
         raise DataError(f"{path}, line {line_no}: non-finite value")
-    ys = _map_labels(raw_labels, str(path))
-    d = features.shape[1]
-    if reshape is not None:
-        p, q = reshape
-        if p < 1 or q < 1 or p * q != d:
-            raise DataError(
-                f"{path}: reshape {p}x{q} = {p * q} does not match "
-                f"{d} features per row")
-        xs = features.reshape(-1, p, q)
-    else:
-        xs = features.reshape(-1, 1, d)
-    return Dataset(xs=xs, ys=ys, name=path.stem)
+    return _dataset(path, features, raw_labels, reshape)
+
+
+def load_csv(path, label_column: int = 0,
+             reshape: tuple[int, int] | None = None,
+             has_header: bool = False) -> Dataset:
+    """Load a numeric CSV with one sample per row.
+
+    Raises :class:`DataError` naming the offending line for ragged rows,
+    unparseable or non-finite numbers, and raises it for unknown label
+    encodings or a reshape that does not match the feature count.
+
+    numpy's C reader parses the file in one pass.  Where it refuses the
+    file, or a row check fails, the row loop :func:`_read_rows` reads it
+    again and decides: it accepts what the C reader does not (``1_0``,
+    non-ASCII digits) and names the line of each fault.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{path}: no such file")
+    table = _read_table(path, label_column, has_header)
+    if table is None:
+        return _read_rows(path, label_column, reshape, has_header)
+    # The row loop would take the same rows and reach the same label and
+    # reshape checks, with the same labels in the same order.
+    return _dataset(path, *table, reshape)
 
 
 def save_smm1(data: Dataset, path) -> None:

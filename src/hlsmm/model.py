@@ -19,6 +19,21 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+# Values per block of a finiteness check: its mask is 64 KiB, whatever the array.
+_FINITE_BLOCK = 1 << 16
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, tested in blocks of _FINITE_BLOCK
+    values, so that no bool mask the size of ``a`` is formed."""
+    flat = a.reshape(-1)
+    mask = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        block = flat[start:start + _FINITE_BLOCK]
+        if not np.isfinite(block, out=mask[:block.size]).all():
+            return False
+    return True
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -50,7 +65,7 @@ class Dataset:
         # and before the features, so that bad labels skip the pass over them.
         if ys.dtype == bool or not np.isin(ys, (-1, 1)).all():
             raise InvalidArgumentError("labels must be -1 or +1")
-        if not np.isfinite(xs).all():
+        if not _all_finite(xs):
             raise InvalidArgumentError("dataset features must be finite")
         ys = ys.astype(np.int8, copy=False)
         xs.setflags(write=False)

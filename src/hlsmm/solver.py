@@ -49,8 +49,9 @@ DECREASE_SLACK = 1e-9
 # most _BLOCK_FLOATS values; in the b block the scores, the slack and the
 # signed z - 1.  Products with the int8 labels cast them through numpy's
 # fixed 64 KiB buffer, never as a whole m-vector.  K lanes hold three (K, m)
-# arrays in the same places, and more in a W block whose later trials run on
-# some of the lanes.  A batch takes BATCH_FLOATS // (4 m) lanes, at least
+# arrays in the same places; in a W block whose later trials run on some of
+# the lanes, the kept scores, the slack and the trial's scores, plus one
+# lane's gap at a time.  A batch takes BATCH_FLOATS // (4 m) lanes, at least
 # one: the fourth m-vector per lane covers the buffer and the bool masks of
 # the z block and the loss.  The trace is not reserved: it grows by
 # doubling with the iterations the live lanes have run.
@@ -390,9 +391,19 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
         candidate = _project(w[rows] - alpha[rows, None, None] * grad[rows],
                              lanes.rank, pending, errors, iteration)
         s_candidate = problem.scores(candidate)
-        smooth = problem.smooth(_sq_norms(candidate),
-                                problem.gap(s_candidate, z[rows], b[rows]),
-                                lanes.sigma[rows])
+        sq_norms = _sq_norms(candidate)
+        if pending.size == count:
+            smooth = problem.smooth(sq_norms, problem.gap(s_candidate, z, b), lanes.sigma)
+        else:
+            # Next to the kept scores, a trial on some lanes takes each lane's
+            # gap from slices, one m-vector at a time, not from copies of the
+            # slack rows: the same products, so the same bits.
+            smooth = np.array([
+                problem.smooth(sq_norms[j:j + 1],
+                               problem.gap(s_candidate[j:j + 1], z[row:row + 1],
+                                           b[row:row + 1]),
+                               lanes.sigma[row:row + 1])[0]
+                for j, row in enumerate(pending)])
         step_sq = _sq_norms(candidate - w[rows])
         h = h_ref[rows]
         ok = smooth + 0.5 * lanes.tau1_min[rows] * step_sq <= h

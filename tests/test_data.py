@@ -3,6 +3,7 @@ import json
 import re
 import signal
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from hlsmm import (
     split,
     standardize_features,
 )
+from hlsmm import data as data_module
 
-from conftest import make_rng, peak_bytes, random_dataset
+from conftest import calls_to, make_rng, peak_bytes, random_dataset
 
 
 @contextlib.contextmanager
@@ -141,6 +143,70 @@ class TestLoadCsv:
     def test_manifest_rejects_non_positive_reshape(self):
         with pytest.raises(InvalidArgumentError, match="reshape"):
             DatasetManifest(format="csv", path="x.csv", reshape=(-1, -2))
+
+
+class TestCsvReaders:
+    """numpy's C reader parses a CSV file; the row loop decides what it refuses.
+
+    ``tests/test_properties.py`` checks on generated files that both give
+    the same dataset or the same error.
+    """
+
+    def test_c_reader_parses_a_plain_file(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text('label,a,b\r\n1, 0.5 ,"2"\r\n\r\n0,-0,1e-3\r\n')
+        with calls_to(data_module, "_read_rows") as calls:
+            data = load_csv(path, 0, has_header=True)
+        assert not calls
+        assert data.xs.ravel().tolist() == [0.5, 2.0, -0.0, 0.001]
+        assert data.ys.tolist() == [1, -1]
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661\u0660", "\uff11\uff10"])
+    def test_row_loop_reads_what_the_c_reader_refuses(self, tmp_path, field):
+        # float() takes underscores and non-ASCII digits; the C reader does not.
+        path = tmp_path / "digits.csv"
+        path.write_bytes(f"1,{field}\n0,2\n".encode("utf-8"))
+        with calls_to(data_module, "_read_rows") as calls:
+            data = load_csv(path, 0)
+        assert len(calls) == 1
+        assert data.xs.ravel().tolist() == [10.0, 2.0]
+
+    @pytest.mark.parametrize("text,message", [
+        ("1,2\n \n0,3\n", "line 2: expected 2 fields, got 1"),
+        ("1,2\n0,3,\n", "line 2: expected 2 fields, got 3"),
+        ("1,2\n0,\n", "line 2: could not convert string to float: ''"),
+        ("", "no data rows"),
+        ("\r\n\n", "no data rows"),
+    ])
+    def test_row_loop_names_what_the_c_reader_refuses(self, tmp_path, text, message):
+        # The C reader warns on an empty file; that warning is not shown.
+        path = tmp_path / "refused.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(message)):
+                load_csv(path, 0)
+
+    def test_header_is_the_first_csv_record(self, tmp_path):
+        # A quoted header field spans lines: the header is the record.  One
+        # that never closes takes the whole file, so no data rows are left.
+        path = tmp_path / "header.csv"
+        path.write_text('"a\nb",c\n1,2\n0,3\n')
+        assert load_csv(path, 0, has_header=True).xs.ravel().tolist() == [2.0, 3.0]
+        path.write_text('"a\n1,2\n0,3\n')
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(path, 0, has_header=True)
+
+    def test_loading_holds_about_twice_the_design(self, tmp_path):
+        # The parsed table and the features cut from it.  Measured: 2.0x the
+        # design's bytes, where the row loop's lists of floats took 5.2x.
+        gen = make_rng(81)
+        table = gen.standard_normal((2000, 785))
+        table[:, 0] = gen.integers(0, 2, size=2000)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",")
+        design = 2000 * 784 * 8
+        assert peak_bytes(lambda: load_csv(path, 0, reshape=(28, 28))) < 2.5 * design
 
 
 class TestSmm1:

@@ -1,5 +1,6 @@
 """Lockstep lanes: every lane of ``fit_many`` equals a lone ``fit`` bit for bit."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlsmm import (Dataset, HyperparamGrid, Hyperparams, InvalidArgumentError,
-                   ModelState, NumericalError, StepPolicy, fit)
+                   ModelState, NumericalError, StepPolicy, fit, make_lowrank_separable)
 from hlsmm import solver
 from hlsmm.solver import fit_many
 
@@ -225,6 +226,34 @@ class TestBatchWidth:
             assert sum(1 for _ in fit_many(data, configurations)) == 162
 
         assert peak_bytes(run) < 0.875 * 2**20
+
+    def test_w_block_of_a_halving_batch_stays_in_budget(self):
+        # Above its entry the W block holds the kept scores and a trial's
+        # scores, plus one lane's gap at a time in a trial on some of the
+        # lanes.  Measured: 2.59 (K, m) arrays, where copying the slack rows
+        # of the pending lanes and stacking their gaps took 4.41, past the
+        # three that BATCH_FLOATS // (4 m) leaves beside the slack.
+        data, _, _ = make_lowrank_separable(m=398, p=5, q=6, rank=2, margin=0, seed=3)
+        configurations = list(HyperparamGrid(rank=(4,)).configurations(
+            Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=30, step=HALVING)))
+        original, rises = solver._w_step, []
+
+        def w_step(problem, lanes, w, *args):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = original(problem, lanes, w, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+            rises.append((peak - entry) / (8 * len(w) * problem.m))
+            return result
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(solver, "_w_step", w_step):
+                outcomes = dict(fit_many(data, configurations))
+        finally:
+            tracemalloc.stop()
+        assert max(max(outcome.trace.halvings) for outcome in outcomes.values()) > 0
+        assert max(rises) <= 3
 
     def test_lanes_in_blocks_of_one_equal_lone_fits(self):
         # With a block of one value every lane's tau2 z is its own block.

@@ -17,7 +17,7 @@ from hlsmm import (
     prox_heaviside,
 )
 
-from conftest import make_rng, random_dataset
+from conftest import make_rng, peak_bytes, random_dataset
 
 
 def prox_objective(z: float, x: float, gamma: float) -> float:
@@ -254,6 +254,22 @@ class TestDomainTypes:
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.array([[[np.inf]]]), ys=np.array([1]))
+
+    @pytest.mark.parametrize("at", [0, (1 << 16) - 1, 1 << 16, -1])
+    def test_non_finite_value_in_any_block_is_refused(self, at):
+        # The check runs in blocks of 2**16 values: the first and last value
+        # of a block, and the last of a short final block.
+        xs = np.zeros((3, 200, 200))
+        xs.flat[at] = np.nan
+        with pytest.raises(InvalidArgumentError, match="features must be finite"):
+            Dataset(xs=xs, ys=np.ones(3))
+
+    def test_finiteness_check_forms_no_mask_of_the_design(self):
+        # The large-m benchmark's 20000 x 28 x 28 training set: a mask of the
+        # whole design would take 14.96 MiB, a block's takes 64 KiB.
+        xs = np.zeros((20_000, 28, 28))
+        ys = np.ones(20_000, dtype=np.int8)
+        assert peak_bytes(lambda: Dataset(xs=xs, ys=ys)) < 2**20
 
     def test_dataset_arrays_read_only(self):
         data = random_dataset(18)

@@ -1,7 +1,8 @@
 """Property-based tests of the file formats and of the solver's invariants.
 
-File formats: round trips, truncation, corruption, and JSON documents with one
-fault (an added key, a missing key, a value of another JSON kind).  Solver (exact z mode,
+File formats: round trips, truncation, corruption, JSON documents with one
+fault (an added key, a missing key, a value of another JSON kind), and CSV
+texts that the C reader and the row loop must load alike.  Solver (exact z mode,
 every step policy): sufficient decrease along every returned trace and a
 rank-feasible returned model, whatever the stop status; the public objective
 equals the first row of the trace bit for bit; the b block's closed form
@@ -25,6 +26,7 @@ from hlsmm import (
     StepPolicy,
     ModelState,
     fit,
+    load_csv,
     load_model,
     load_smm1,
     penalized_objective,
@@ -32,6 +34,7 @@ from hlsmm import (
     save_smm1,
     svd,
 )
+from hlsmm import data as data_module
 from hlsmm.cli import main
 from hlsmm.solver import _b_step, _Lanes, _Problem
 
@@ -126,6 +129,91 @@ class TestSmm1Files:
                 load_smm1(path)
 
         assert peak_bytes(load_refused) < 64 * 1024
+
+
+@st.composite
+def csv_fields(draw, value: float) -> str:
+    """``value`` spelled as a CSV field: repr, %.6g, an exponent, an integer
+    or, for zero, a negative zero; perhaps padded with whitespace and
+    perhaps quoted."""
+    spellings = [repr(value), f"{value:.6g}", f"{value:.3e}", str(int(value))]
+    text = draw(st.sampled_from(spellings + ["-0"] * (value == 0)))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    if draw(st.booleans()):
+        text = draw(pad) + text + draw(pad)
+    if draw(st.booleans()):
+        text = f'"{text}"'
+    return text
+
+
+# Faults, one to a file: a ragged row, a whitespace-only line, a field
+# replaced, or an empty file.
+CSV_MUTATIONS = ("ragged", "blank", "x", "", "nan", "-inf", "1_0", "\u0661", "empty")
+
+
+@st.composite
+def csv_files(draw):
+    """(text, label_column, reshape, has_header): a CSV text near what
+    load_csv accepts, with one mutation at most.
+
+    Rows of one to five fields, the label anywhere (negative columns and
+    out-of-range ones too) in one of the three encodings or an unknown one;
+    blank lines; LF, CRLF and bare CR line endings; headers, one of them a
+    quoted field that spans lines and one a quote that never closes.
+    """
+    width = draw(st.integers(1, 5))
+    column = draw(st.integers(-width - 1, width))
+    labels = draw(st.sampled_from([(-1, 1), (0, 1), (1, 2), (1, 3)]))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        values = [draw(finite) for _ in range(width - 1)]
+        values.insert(column % width, float(draw(st.sampled_from(labels))))
+        lines.append([draw(csv_fields(value)) for value in values])
+    mutation = draw(st.none() | st.sampled_from(CSV_MUTATIONS))
+    row = draw(st.integers(0, len(lines) - 1))
+    if mutation == "ragged":
+        lines[row] = lines[row][:-1] if draw(st.booleans()) else lines[row] + ["1"]
+    elif mutation not in (None, "blank", "empty"):
+        lines[row][draw(st.integers(0, width - 1))] = mutation
+    lines = [",".join(fields) for fields in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if mutation == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([" ", "\t"])))
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, draw(st.sampled_from(["label,a,b", '"a\nb",c', '"a', ""])))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if mutation == "empty":
+        text = ""
+    reshape = draw(st.sampled_from([None, None, (1, max(1, width - 1)), (2, 2)]))
+    return text, column, reshape, has_header
+
+
+def csv_outcome(load, path, column, reshape, has_header):
+    """The loaded dataset's shape, feature bits, labels and name, or the
+    error's type and message."""
+    try:
+        data = load(path, column, reshape, has_header)
+    except Exception as exc:  # both loaders must raise alike, whatever they raise
+        return type(exc), str(exc)
+    return data.xs.shape, data.xs.view(np.int64).tolist(), data.ys.tolist(), data.name
+
+
+class TestCsvFiles:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file=csv_files())
+    def test_c_reader_agrees_with_the_row_loop(self, tmp_path, file):
+        # The row loop defines what load_csv accepts and what it reports.
+        text, *args = file
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (csv_outcome(load_csv, path, *args)
+                == csv_outcome(data_module._read_rows, path, *args))
 
 
 class TestModelFiles:
