@@ -229,33 +229,38 @@ def _read_rows(path: Path, label_column: int, reshape: tuple[int, int] | None,
     line_numbers: list[int] = []
     width: int | None = None
     with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise DataError(f"{path}, line {line_no}: no feature "
-                                    "columns besides the label")
-                if not -width <= label_column < width:
+        line_no = 0
+        try:
+            for line_no, row in enumerate(csv.reader(handle), start=1):
+                if has_header and line_no == 1:
+                    continue
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                    if width < 2:
+                        raise DataError(f"{path}, line {line_no}: no feature "
+                                        "columns besides the label")
+                    if not -width <= label_column < width:
+                        raise DataError(
+                            f"{path}: label column {label_column} out of range "
+                            f"for {width}-field rows")
+                if len(row) != width:
                     raise DataError(
-                        f"{path}: label column {label_column} out of range "
-                        f"for {width}-field rows")
-            if len(row) != width:
-                raise DataError(
-                    f"{path}, line {line_no}: expected {width} fields, "
-                    f"got {len(row)}")
-            try:
-                numbers = [float(field) for field in row]
-            except ValueError as exc:
-                raise DataError(f"{path}, line {line_no}: {exc}") from exc
-            raw_labels.append(numbers[label_column])
-            del numbers[label_column % width]
-            rows.append(numbers)
-            line_numbers.append(line_no)
+                        f"{path}, line {line_no}: expected {width} fields, "
+                        f"got {len(row)}")
+                try:
+                    numbers = [float(field) for field in row]
+                except ValueError as exc:
+                    raise DataError(f"{path}, line {line_no}: {exc}") from exc
+                raw_labels.append(numbers[label_column])
+                del numbers[label_column % width]
+                rows.append(numbers)
+                line_numbers.append(line_no)
+        except UnicodeDecodeError as exc:  # decoded in blocks: no line to name
+            raise DataError(f"{path}: not valid {exc.encoding} text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {line_no + 1}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)

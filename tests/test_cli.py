@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hlsmm import (Hyperparams, experiments, load_model, make_lowrank_separable, model,
-                   save_model, save_smm1)
-from hlsmm.cli import main
+                   save_model, save_smm1, solver)
+from hlsmm.cli import build_parser, main
 
 from conftest import calls_to
 
@@ -241,6 +244,16 @@ class TestExitCodes:
             argv += [name, str(tmp_path / file)]
         assert main(argv) == 3
         assert str(tmp_path / "missing" / "w") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"1,\xff2\n0,3\n",
+                                         b"1,2\n0,3\n1," + b"x" * 131073 + b"\n"],
+                             ids=["undecodable", "overlong-field"])
+    def test_unreadable_csv_is_one_line_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "f.csv"
+        path.write_bytes(content)
+        assert main(["train", "--data", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}") and len(err.splitlines()) == 1
 
     def test_shape_mismatch_is_data_error(self, trained, tmp_path, capsys):
         model_path, _, _, _ = trained
@@ -524,3 +537,75 @@ class TestSeedFallback:
                      "--rank", "2", "--maxit", "1"])
         assert code == 0
         capsys.readouterr()
+
+
+_SENSITIVITY = ["sensitivity", "--r-values", "2", "--beta-values", "0.1"]
+
+
+class TestEveryFlagIsRead:
+    """A command takes only the flags that change what it does."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        *((["sweep"], flag) for flag in
+          ("--beta", "--sigma", "--rank", "--tau1", "--tau2", "--tau3")),
+        (_SENSITIVITY, "--rank"), (_SENSITIVITY, "--beta")])
+    def test_weight_flag_a_grid_overwrites_is_usage_error(self, smm1_file, tmp_path,
+                                                          capsys, argv, flag):
+        path, _ = smm1_file
+        with calls_to(solver, "_lockstep") as fits:
+            code = main([*argv, "--data", str(path), "--format", "smm1",
+                         "--out-csv", str(tmp_path / "out.csv"), flag, "2"])
+        assert code == 2
+        assert not fits
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["2", "3", "5"])
+    def test_tune_on_test_refuses_cv_folds(self, smm1_file, capsys, folds):
+        # Even the default fold count is refused: the held-out mode has no folds.
+        path, _ = smm1_file
+        with calls_to(solver, "_lockstep") as fits:
+            code = main(["sweep", "--data", str(path), "--format", "smm1", "--tune-on-test",
+                         "--cv-folds", folds, "--grid-rank", "2"])
+        assert code == 2
+        assert not fits
+        err = capsys.readouterr().err
+        assert "--cv-folds" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_too_few_folds_is_usage_error(self, smm1_file, capsys, folds):
+        path, _ = smm1_file
+        with calls_to(solver, "_lockstep") as fits:
+            code = main(["sweep", "--data", str(path), "--format", "smm1",
+                         "--cv-folds", folds, "--grid-rank", "2"])
+        assert code == 2
+        assert not fits
+        assert capsys.readouterr().err == "usage error: folds must be at least 2\n"
+
+    def test_cv_folds_sets_the_mode(self, smm1_file, capsys):
+        path, _ = smm1_file
+        assert main(["sweep", "--data", str(path), "--format", "smm1", "--seed", "1",
+                     "--cv-folds", "2", "--grid-beta", "0.1", "--grid-sigma", "0.1",
+                     "--grid-rank", "2", "--grid-tau", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["validation_mode"] == "cv2"
+
+    def test_help_gives_one_default_per_flag(self, capsys):
+        assert main(["--help"]) == 0
+        commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+        assert len(commands) == 8
+        for command in commands:
+            assert main([command, "--help"]) == 0
+            text = capsys.readouterr().out
+            assert "(default: None)" not in text
+            options = text.split("options:\n", 1)[1]
+            for entry in re.split(r"\n(?=  -)", options):
+                assert entry.lower().count("default") <= 1, (command, entry)
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        lines = [shlex.split(line) for line in block.splitlines() if line.startswith("hlsmm ")]
+        assert len(lines) >= 8
+        parser = build_parser()
+        for argv in lines:
+            assert parser.parse_args(argv[1:]).command == argv[1]

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import re
 import signal
@@ -197,6 +198,21 @@ class TestCsvReaders:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path, 0, has_header=True)
 
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        # The text is decoded in blocks, so the error names the file, no line.
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"1,\xff2\n0,3\n")
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_csv(path, 0)
+
+    def test_overlong_field_names_its_line(self, tmp_path):
+        # csv.reader refuses a field longer than its limit; the C reader only
+        # takes one that is a number.
+        path = tmp_path / "long.csv"
+        path.write_text("1,2\n0,3\n1," + "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}, line 3: field larger")):
+            load_csv(path, 0)
+
     def test_loading_holds_about_twice_the_design(self, tmp_path):
         # The parsed table and the features cut from it.  Measured: 2.0x the
         # design's bytes, where the row loop's lists of floats took 5.2x.
@@ -392,6 +408,24 @@ class TestSplit:
             total = (data.ys == label).sum()
             got = (train.ys == label).sum()
             assert abs(got - 0.7 * total) <= 1.0
+
+    @pytest.mark.parametrize("m, ratio", [(17, 0.6), (10, 0.25), (7, 0.5), (3, 0.4)])
+    def test_unstratified_split(self, m, ratio):
+        # Each sample's features are its index, so the two sides name them.
+        data = Dataset(xs=np.arange(m, dtype=float).reshape(m, 1, 1),
+                       ys=np.where(np.arange(m) % 3 == 0, 1, -1))
+        train, test = split(data, ratio, stratified=False, seed=4)
+        picked = [side.xs.ravel().tolist() for side in (train, test)]
+        assert sorted(picked[0] + picked[1]) == list(range(m))
+        assert train.m == round(ratio * m)
+        np.testing.assert_array_equal(train.ys, data.ys[train.xs.ravel().astype(int)])
+        again = split(data, ratio, stratified=False, seed=4)
+        assert [side.xs.ravel().tolist() for side in again] == picked
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.99])
+    def test_unstratified_split_refuses_an_empty_side(self, ratio):
+        with pytest.raises(InvalidArgumentError, match="leaves an empty side for m=10"):
+            split(random_dataset(83, m=10), ratio, stratified=False, seed=1)
 
     def test_degenerate_ratio_rejected(self):
         data = random_dataset(82, m=3)
