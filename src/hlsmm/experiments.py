@@ -252,10 +252,22 @@ def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
 
     Each configuration is scored by the pooled confusion counts over a
     deterministic stratified k-fold partition of ``train``; rows have status "cv".
+
+    Every fold holds out at least one sample, so ``folds`` may not exceed
+    the larger class's size.  A smaller class with fewer samples than folds
+    is accepted: the folds past its size hold out none of it.  If it has one
+    sample, the fold that holds it out trains on one label, and every
+    configuration fails there (its row is "failed" and the best is None).
     """
     folds = _checked("folds", folds, (int, lambda v: v >= 2, "be at least 2"))
     seed = _checked("seed", seed, _COUNT)
     train.require_both_labels()
+    positives = int(np.count_nonzero(train.ys == 1))
+    negatives = train.m - positives
+    if folds > max(positives, negatives):
+        raise InvalidArgumentError(
+            f"{folds} folds need at least {folds} training samples of one label; "
+            f"there are {positives} of +1 and {negatives} of -1")
 
     pairs = ((train.subset(keep), train.subset(held_out))
              for keep, held_out in _cv_splits(train, folds, seed))

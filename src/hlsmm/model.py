@@ -311,9 +311,17 @@ def _heaviside(z: np.ndarray):
 
 def _hard_threshold(x: np.ndarray, gamma) -> np.ndarray:
     """The 0/1 loss's prox: zero the entries of ``x`` in (0, sqrt(2 gamma)], in place;
-    ``gamma`` broadcasts.  Unvalidated: the solver's own checks report divergence."""
-    mask = x > 0
-    mask &= x <= np.sqrt(2.0 * gamma)
+    ``gamma`` (>= 0, so the threshold t is in [+0.0, +inf]) broadcasts.
+    Unvalidated: the solver's own checks report divergence.
+
+    One mask, compared as unsigned 64-bit words: the bits of a non-negative
+    double order like its value, and those of -0.0, negatives and NaNs of
+    either sign sort above any t.  The mask also holds +0.0, which zeroing
+    leaves as it is, so the rule, and its tie at x = t, are those of
+    ``(x > 0) & (x <= t)`` bit for bit, with one bool array instead of two.
+    """
+    t = np.sqrt(2.0 * gamma)
+    mask = x.view(np.uint64) <= t.view(np.uint64)
     x[mask] = 0.0
     return x
 

@@ -25,6 +25,7 @@ lanes that stop or fail and riders that leave shrink it in place.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import operator
 import time
@@ -48,16 +49,35 @@ DECREASE_SLACK = 1e-9
 # accepted scores and the center, whose tau2 z term is added in blocks of at
 # most _BLOCK_FLOATS values; in the b block the scores, the slack and the
 # signed z - 1.  Products with the int8 labels cast them through numpy's
-# fixed 64 KiB buffer, never as a whole m-vector.  K lanes hold three (K, m)
-# arrays in the same places; in a W block whose later trials run on some of
-# the lanes, the kept scores, the slack and the trial's scores, plus one
-# lane's gap at a time.  A batch takes BATCH_FLOATS // (4 m) lanes, at least
-# one: the fourth m-vector per lane covers the buffer and the bool masks of
-# the z block and the loss.  The trace is not reserved: it grows by
-# doubling with the iterations the live lanes have run.
+# ufunc buffer, never as a whole m-vector, and the kernel runs with a buffer
+# of _BUFSIZE values (8 KiB).  K lanes hold three (K, m) arrays in the same
+# places; in a W block whose later trials run on some of the lanes, the kept
+# scores, the slack and the trial's scores, plus one lane's gap at a time.  A
+# batch takes BATCH_FLOATS // (4 m) lanes, at least one: the fourth m-vector
+# per lane covers the buffer, the z block's one bool mask and the loss's.
+# The trace is not reserved: it grows by doubling with the iterations the
+# live lanes have run.
 BATCH_FLOATS = 1 << 17
-# Largest temporary of the z block's tau2 z term, in float64 values.
-_BLOCK_FLOATS = 1 << 12
+# Largest temporary of the z block's tau2 z term, in float64 values: its
+# 16 KiB are no more than a lone lane's prox mask (m bytes) from m = 16384.
+_BLOCK_FLOATS = 1 << 11
+# numpy's ufunc buffer while the kernel runs, in values (its default is 8192).
+# The kernel takes no float reduction that casts, so the buffer's size, which
+# sets the blocks of such a sum, moves no bits.
+_BUFSIZE = 1 << 10
+
+
+@contextlib.contextmanager
+def _small_buffer():
+    """Run the block with numpy's ufunc buffer at _BUFSIZE values, then restore it.
+
+    Restored explicitly: exiting ``np.errstate`` restores it only on numpy >= 2.
+    """
+    old = np.setbufsize(_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 @dataclass(frozen=True)
@@ -540,7 +560,9 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
     other.  The sufficient-decrease check reads tau1, so it runs per rider
     and ends that rider alone; the other checks end every rider of the lane.
     """
-    lanes.begin(problem, init)
+    # The buffer setting is never in force across a yield.
+    with _small_buffer():
+        lanes.begin(problem, init)
     k = 0
     # Per lane: whether the last iteration met the tolerances, whether its W
     # block stalled, and the error it failed with; per rider that leaves its
@@ -567,7 +589,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
         # The carried gap, the previous slack and the scores are dropped as
         # soon as they are used, so that a lone lane holds three m-vectors in
         # every block (see BATCH_FLOATS).
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), _small_buffer():
             grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
             lanes.gap = None
             w, s, halvings, stalled, errors, split = _w_step(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hlsmm import (Hyperparams, experiments, load_model, make_lowrank_separable, model,
-                   save_model, save_smm1, solver)
+                   save_model, save_smm1, solver, split)
 from hlsmm.cli import build_parser, main
 
 from conftest import calls_to
@@ -580,6 +580,21 @@ class TestEveryFlagIsRead:
         assert code == 2
         assert not fits
         assert capsys.readouterr().err == "usage error: folds must be at least 2\n"
+
+    def test_more_folds_than_the_larger_class_is_usage_error(self, smm1_file, capsys):
+        path, data = smm1_file
+        train, _ = split(data, 0.7, seed=0)
+        positives = int((train.ys == 1).sum())
+        negatives = train.m - positives
+        folds = max(positives, negatives) + 1
+        with calls_to(solver, "_lockstep") as fits:
+            code = main(["sweep", "--data", str(path), "--format", "smm1",
+                         "--cv-folds", str(folds), "--grid-rank", "2"])
+        assert code == 2
+        assert not fits
+        assert capsys.readouterr().err == (
+            f"usage error: {folds} folds need at least {folds} training samples of one "
+            f"label; there are {positives} of +1 and {negatives} of -1\n")
 
     def test_cv_folds_sets_the_mode(self, smm1_file, capsys):
         path, _ = smm1_file

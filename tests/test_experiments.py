@@ -176,6 +176,55 @@ class TestGridSearch:
         with pytest.raises(InvalidArgumentError, match=message):
             grid_search_cv(data, grid, default_hp, folds=folds, seed=seed)
 
+    @staticmethod
+    def labelled(positives: int, negatives: int) -> Dataset:
+        """Random 3x4 samples, the first ``positives`` labelled +1, the rest -1."""
+        xs = make_rng(positives * 100 + negatives).standard_normal(
+            (positives + negatives, 3, 4))
+        return Dataset(xs=xs, ys=np.repeat(np.int8([1, -1]), [positives, negatives]))
+
+    GRID = HyperparamGrid(beta=(0.1,), sigma=(0.1,), rank=(2,),
+                          tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
+
+    @pytest.mark.parametrize("positives, negatives, folds", [
+        (15, 15, 16), (15, 15, 20), (4, 9, 10), (9, 4, 10)])
+    def test_cv_refuses_more_folds_than_the_larger_class(self, default_hp, positives,
+                                                          negatives, folds):
+        # A fold past the larger class's size would hold out no sample.
+        data = self.labelled(positives, negatives)
+        with calls_to(experiments, "fit_many") as fits, \
+                pytest.raises(InvalidArgumentError) as info:
+            grid_search_cv(data, self.GRID, default_hp.with_(maxit=5), folds=folds)
+        assert not fits
+        assert str(info.value) == (
+            f"{folds} folds need at least {folds} training samples of one label; "
+            f"there are {positives} of +1 and {negatives} of -1")
+
+    @pytest.mark.parametrize("positives, negatives, folds", [(15, 15, 15), (3, 9, 9)])
+    def test_cv_takes_as_many_folds_as_the_larger_class(self, default_hp, positives,
+                                                        negatives, folds):
+        # With the smaller class short, the folds past its size hold out
+        # none of it and still score; the pooled counts cover every sample.
+        data = self.labelled(positives, negatives)
+        held_out = [fold for _, fold in _cv_splits(data, folds, 0)]
+        assert min(map(len, held_out)) >= 1
+        smaller = 1 if positives <= negatives else -1
+        assert (sum(bool((data.ys[fold] == smaller).any()) for fold in held_out)
+                == min(positives, negatives))
+        best, table = grid_search_cv(data, self.GRID, default_hp.with_(maxit=5),
+                                     folds=folds)
+        assert best is not None
+        assert [row.status for row in table.rows] == ["cv"]
+        assert table.rows[0].metrics.total == data.m
+
+    def test_cv_with_one_sample_of_a_label_fails_every_configuration(self, default_hp):
+        # The fold that holds out the lone -1 trains on +1 samples only.
+        data = self.labelled(6, 1)
+        best, table = grid_search_cv(data, self.GRID, default_hp.with_(maxit=5), folds=3)
+        assert best is None
+        assert [(row.status, row.error) for row in table.rows] == [
+            ("failed", "training requires at least one sample of each label")]
+
     def test_best_reproduces_reported_accuracy(self, synthetic, default_hp):
         data, _, _ = synthetic
         train, validation = split(data, 0.7, seed=1)

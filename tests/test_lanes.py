@@ -1,5 +1,6 @@
 """Lockstep lanes: every lane of ``fit_many`` equals a lone ``fit`` bit for bit."""
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -171,10 +172,11 @@ class TestLockstepLanes:
 class TestBatchWidth:
     """A batch takes BATCH_FLOATS // (4 m) lanes.
 
-    A lone lane holds three m-vectors in every block, plus numpy's fixed
-    64 KiB buffer wherever the int8 labels are cast for a product.  A wider
-    batch holds three (K, m) arrays in its z and b blocks, so the width's
-    four per lane cover the lone lane with its buffer.
+    A lone lane holds three m-vectors in every block, plus the kernel's
+    8 KiB ufunc buffer wherever the int8 labels are cast for a product and
+    the prox's one bool mask.  A wider batch holds three (K, m) arrays in
+    its z and b blocks, so the width's four per lane cover the lone lane
+    with its buffer and mask.
     """
 
     @pytest.mark.parametrize("budget,widths", [
@@ -274,17 +276,17 @@ class TestBatchWidth:
         # one; the z block the previous slack, the scores and the center,
         # whose tau2 z term is added in blocks of _BLOCK_FLOATS values; the
         # b block the scores, the slack and the signed z - 1.  Casting the
-        # labels takes numpy's 64 KiB buffer, so m is large enough that the
-        # buffer is a small part of an m-vector (at m = 8000 it is a whole
-        # one).  Measured: 3.28 m-vectors with and without halvings, where
-        # the labels cast whole (4.03) or a rejected candidate's scores kept
-        # (4.24) cross the bound.
+        # labels takes the kernel's 8 KiB ufunc buffer, and the prox builds
+        # one bool mask (an eighth of an m-vector).  Measured: 3.16 m-vectors
+        # with and without halvings, where numpy's default 64 KiB buffer
+        # with the prox's second mask (3.28), the labels cast whole (4.03) or
+        # a rejected candidate's scores kept (4.24) cross the bound.
         data = random_dataset(76, m=40_000, p=6, q=6)
         for step in (StepPolicy(), StepPolicy(alpha0=0.1)):
             hp = Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=5, step=step)
             halvings = fit(data, hp).trace.halvings
             assert (max(halvings) > 0) == (step.alpha0 is not None)
-            assert peak_bytes(lambda: fit(data, hp)) < 4 * 8 * data.m
+            assert peak_bytes(lambda: fit(data, hp)) < 3.25 * 8 * data.m
 
     def test_b_block_casts_no_labels(self):
         # z - 1 with its signs flipped in place, plus the cast buffer; with
@@ -451,3 +453,64 @@ class TestRiders:
         assert getattr(outcomes[0], "iteration", None) != 1
         for index in range(2):
             assert outcome_bits(outcomes[index]) == outcome_bits(alone[index])
+
+
+@contextlib.contextmanager
+def caller_buffer(size: int = 1 << 12):
+    """Run the block with a ufunc buffer of ``size`` values, neither numpy's
+    default nor the kernel's, and restore the one before it."""
+    old = np.setbufsize(size)
+    try:
+        yield size
+    finally:
+        np.setbufsize(old)
+
+
+class TestUfuncBuffer:
+    """The kernel's blocks run with a buffer of _BUFSIZE values, and the
+    caller's buffer is back whenever the caller runs: at every yield of
+    fit_many, after a lane fails and after fit raises."""
+
+    def test_consumer_sees_its_own_buffer_between_yields(self, synthetic, default_hp):
+        # Three lanes of one batch stop at iterations 3, 6 and 9.
+        data, _, _ = synthetic
+        configurations = [default_hp.with_(maxit=maxit) for maxit in (3, 6, 9)]
+        original, inside, seen = solver._z_step, [], []
+
+        def z_step(*args):
+            inside.append(np.getbufsize())
+            return original(*args)
+
+        with caller_buffer() as size, mock.patch.object(solver, "_z_step", z_step), \
+                calls_to(solver._Lanes, "__init__") as builds:
+            for index, outcome in fit_many(data, configurations):
+                seen.append(np.getbufsize())
+                assert outcome.model.iter == configurations[index].maxit
+            assert np.getbufsize() == size
+        assert len(builds) == 1 and seen == [size] * 3
+        assert set(inside) == {solver._BUFSIZE}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failing_lane_restores_the_buffer(self, synthetic, default_hp):
+        # The huge sigma overflows its own lane's gradient at iteration 1.
+        data, _, _ = synthetic
+        configurations = [default_hp.with_(sigma=1e307), default_hp]
+        with caller_buffer() as size:
+            outcomes = []
+            for _, outcome in fit_many(data, configurations):
+                assert np.getbufsize() == size
+                outcomes.append(type(outcome).__name__)
+        assert outcomes == ["NumericalError", "FitResult"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_fit_that_raises_restores_the_buffer(self, synthetic, default_hp):
+        data, _, _ = synthetic
+        with caller_buffer() as size:
+            with pytest.raises(NumericalError):
+                fit(data, default_hp.with_(sigma=1e307))
+            assert np.getbufsize() == size
+            # An error raised inside a block leaves the kernel through it.
+            with mock.patch.object(solver, "project_rank", side_effect=RuntimeError("boom")), \
+                    pytest.raises(RuntimeError, match="boom"):
+                fit(data, default_hp)
+            assert np.getbufsize() == size

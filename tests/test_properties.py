@@ -36,6 +36,7 @@ from hlsmm import (
 )
 from hlsmm import data as data_module
 from hlsmm.cli import main
+from hlsmm.model import _hard_threshold
 from hlsmm.solver import _b_step, _Lanes, _Problem
 
 from conftest import make_rng, peak_bytes, random_dataset
@@ -496,3 +497,38 @@ class TestBiasBlock:
             # A row's sum does not read the other rows.
             alone = _b_step(problem, _Lanes([hp], [[0]]), s[k:k + 1], z[k:k + 1], b[k:k + 1])
             assert alone.tobytes() == result[k:k + 1].tobytes()
+
+
+@st.composite
+def threshold_stacks(draw):
+    """A (K, m) stack with one gamma >= 0 per lane.  A lane's entries mix
+    any double (NaNs with payloads, subnormals) with +-0.0, +-inf, NaN of
+    both signs, the smallest subnormals and its threshold t = sqrt(2 gamma)
+    with its neighbours."""
+    count, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    gammas = draw(arrays(np.float64, (count, 1),
+                         elements=st.one_of(
+                             st.floats(min_value=0.0, allow_nan=False).map(abs),
+                             st.sampled_from([0.0, 5e-324, 0.5, 2.0, np.inf]))))
+    rows = []
+    for t in np.sqrt(2.0 * gammas[:, 0]).tolist():
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   t, np.nextafter(t, 0.0), np.nextafter(t, np.inf)]
+        rows.append(draw(arrays(np.float64, m, elements=st.one_of(
+            st.floats(width=64), st.sampled_from(special)))))
+    return np.stack(rows), gammas
+
+
+class TestHardThreshold:
+    """The prox tie rule: one mask on the bits equals the two comparisons."""
+
+    # 2 gamma overflows to inf for the largest gammas, as it may in the solver.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(stack=threshold_stacks())
+    def test_one_mask_equals_two_comparisons(self, stack):
+        x, gamma = stack
+        expected = x.copy()
+        expected[(x > 0) & (x <= np.sqrt(2.0 * gamma))] = 0.0
+        result = _hard_threshold(x.copy(), gamma)
+        assert result.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
