@@ -77,8 +77,6 @@ def _add_hyper_args(parser: argparse.ArgumentParser, weights=tuple(_WEIGHTS)) ->
     parser.add_argument("--tol-obj", type=float, default=1e-8, help="objective change to stop at")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed (default: HLSMM_SEED or 0)")
-    parser.add_argument("--z-update", choices=("exact", "paper"), default="exact",
-                        help="slack update: exact minimizer or printed constants")
     parser.add_argument("--step", default="backtracking",
                         help="'backtracking[:ALPHA0]' or 'fixed[:ALPHA]'")
 
@@ -96,8 +94,7 @@ def _hyperparams(args) -> Hyperparams:
     weights = {name: getattr(args, name, default)
                for name, (_, default, _) in _WEIGHTS.items()}
     return Hyperparams(**weights, maxit=args.maxit, tol_step=args.tol_step,
-                       tol_obj=args.tol_obj, step=_parse_step(args.step),
-                       z_update=args.z_update)
+                       tol_obj=args.tol_obj, step=_parse_step(args.step))
 
 
 def _load_dataset(args, for_training: bool = False) -> Dataset:

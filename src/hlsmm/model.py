@@ -218,10 +218,7 @@ class Hyperparams:
 
     ``beta``/``sigma`` weight the 0/1 loss and the coupling penalty; ``rank``
     bounds rank(W); ``tau1..tau3`` are the proximal damping weights of the
-    three blocks.  ``z_update`` selects the exact coordinate minimizer
-    ("exact", default) or the update constants as printed in the source
-    algorithm ("paper"); the two disagree on a measurable set of inputs, and
-    only "exact" carries the descent guarantee.
+    three blocks.
     """
 
     beta: float
@@ -234,14 +231,11 @@ class Hyperparams:
     tol_step: float = 1e-6
     tol_obj: float = 1e-8
     step: StepPolicy = field(default_factory=StepPolicy)
-    z_update: str = "exact"
 
     def __post_init__(self):
         _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"))
         _store(self, ("rank",), _RANK)
         _store(self, ("maxit",), _COUNT)
-        if self.z_update not in ("exact", "paper"):
-            raise InvalidArgumentError(f"unknown z_update mode {self.z_update!r}")
 
     def with_(self, **kwargs) -> "Hyperparams":
         return replace(self, **kwargs)
@@ -273,8 +267,7 @@ class SolverTrace:
     """Per-iteration history of a fit.
 
     Row k describes iterate k; row 0 is the initial state (step norms zero).
-    The objective column is non-increasing up to 1e-10 slack for the exact
-    z-update mode.
+    The objective column is non-increasing up to 1e-10 slack.
     """
 
     objective: list[float] = field(default_factory=list)

@@ -19,7 +19,7 @@ from .data import _NUMBER, _json_object, _unique_keys
 from .errors import DataError
 from .model import _COUNT, Hyperparams, StepPolicy, _checked
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 BUILD_ID = "hlsmm-0.1.0"
 
 # Every key save_model writes, at every level, with its JSON kind.
@@ -28,7 +28,7 @@ _MODEL_KINDS = {
     "hyperparams": {
         "beta": _NUMBER, "sigma": _NUMBER, "rank": int, "tau1": _NUMBER,
         "tau2": _NUMBER, "tau3": _NUMBER, "maxit": int, "tol_step": _NUMBER,
-        "tol_obj": _NUMBER, "z_update": str,
+        "tol_obj": _NUMBER,
         "step": {"kind": str, "alpha0": (*_NUMBER, None), "max_halvings": int}},
     "w_b64": str, "w_sha256": str,
     "provenance": {"dataset": str, "seed": int, "build": str}}

@@ -12,7 +12,7 @@ Each iteration cycles three blocks:
 The z and b blocks minimize their subproblems exactly, so together with the
 W acceptance test every iteration decreases the objective by at least
 min(tau1, tau2, tau3)/2 times the squared block steps.  That inequality is
-asserted at runtime (exact z mode); violation raises NumericalError.
+asserted at runtime on every lane; violation raises NumericalError.
 
 One kernel runs K configurations of one dataset ("lanes") in lockstep: the
 iterates are stacked along a leading lane axis and every product is taken
@@ -196,8 +196,8 @@ class _Problem:
 class _Lanes:
     """A lockstep batch: the hyperparameters, riders and iterates of its lanes.
 
-    The lanes share the rank bound, the step policy and the z mode.  A lane
-    carries one or more riders, positions in ``configurations`` with one
+    The lanes share the rank bound and the step policy.  A lane carries one
+    or more riders, positions in ``configurations`` with one
     :func:`_trajectory`: they share the lane's iterates, and with them its
     data passes, rank projections and slack and bias blocks.  Riders of a
     lane differ at most in tau1, which the W acceptance test reads as the
@@ -217,7 +217,7 @@ class _Lanes:
         self.configurations = configurations
         riders = list(riders)
         first = [configurations[lane[0]] for lane in riders]
-        self.rank, self.step, self.z_update = first[0].rank, first[0].step, first[0].z_update
+        self.rank, self.step = first[0].rank, first[0].step
         for name in self._COLUMNS:
             setattr(self, name, np.array([getattr(hp, name) for hp in first],
                                          dtype=np.float64))
@@ -473,19 +473,11 @@ def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
         for start in range(0, problem.m, samples):
             block = (lanes_block, slice(start, start + samples))
             center[block] += tau2[lanes_block] * z[block]
-    if lanes.z_update == "exact":
-        # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
-        # complete the square (curvature 2 sigma + tau2), then take the prox of
-        # beta / (2 sigma + tau2) ||(.)_+||_0 at the center.
-        center /= 2.0 * sigma + tau2
-        gamma = beta / (2.0 * sigma + tau2)
-    else:
-        # Constants as printed in the source algorithm; kept for comparison.
-        # Not the subproblem minimizer: the center weights sum to more than one
-        # and the threshold is wider, so no descent guarantee applies.
-        center /= sigma + tau2
-        gamma = 2.0 * beta / (sigma + tau2)
-    return _hard_threshold(center, gamma)
+    # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
+    # complete the square (curvature 2 sigma + tau2), then take the prox of
+    # beta / (2 sigma + tau2) ||(.)_+||_0 at the center.
+    center /= 2.0 * sigma + tau2
+    return _hard_threshold(center, beta / (2.0 * sigma + tau2))
 
 
 def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarray,
@@ -584,8 +576,9 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
                 return
 
         k += 1
-        # Overflow warnings are silenced: divergence (possible in the
-        # paper-mode z-update) is caught by the finiteness guards below.
+        # Overflow and invalid-value warnings are silenced: a lane whose
+        # numbers overflow (with sigma = 1e307 the gradient does at iteration
+        # 1, and products of it turn NaN) fails alone at the finiteness guards.
         # The carried gap, the previous slack and the scores are dropped as
         # soon as they are used, so that a lone lane holds three m-vectors in
         # every block (see BATCH_FLOATS).
@@ -614,18 +607,17 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
             for row in np.flatnonzero(~np.isfinite(g)):
                 errors.setdefault(row, NumericalError("objective became non-finite", k))
             leaving = dict.fromkeys(split)
-            if lanes.z_update == "exact":
-                for row in np.flatnonzero(g > lanes.g + MONOTONE_SLACK):
-                    errors.setdefault(row, NumericalError(
-                        f"objective increased from {lanes.g[row]:.6e} to {g[row]:.6e}", k))
-                # Per rider, in the order of lanes.positions.
-                decrease = (lanes.g - g)[lanes.lane_of]
-                required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
-                for j in np.flatnonzero(decrease < required - DECREASE_SLACK):
-                    if lanes.lane_of[j] not in errors:
-                        leaving.setdefault(lanes.positions[j], NumericalError(
-                            f"sufficient decrease violated: {decrease[j]:.3e} < "
-                            f"{required[j]:.3e}", k))
+            for row in np.flatnonzero(g > lanes.g + MONOTONE_SLACK):
+                errors.setdefault(row, NumericalError(
+                    f"objective increased from {lanes.g[row]:.6e} to {g[row]:.6e}", k))
+            # Per rider, in the order of lanes.positions.
+            decrease = (lanes.g - g)[lanes.lane_of]
+            required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
+            for j in np.flatnonzero(decrease < required - DECREASE_SLACK):
+                if lanes.lane_of[j] not in errors:
+                    leaving.setdefault(lanes.positions[j], NumericalError(
+                        f"sufficient decrease violated: {decrease[j]:.3e} < "
+                        f"{required[j]:.3e}", k))
 
         if k == lanes.history.shape[2]:
             lanes.history = np.concatenate((lanes.history, np.empty_like(lanes.history)),
@@ -647,8 +639,8 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     still gets its own result.  A rider that splits from its lane at the W
     acceptance test is fitted again from the start as a lane of its own.  A
     lane's failure leaves the other lanes unchanged.  Lanes sharing the rank
-    bound, step policy and z mode run together, as many per batch as
-    ``BATCH_FLOATS`` allows for their working set.
+    bound and step policy run together, as many per batch as ``BATCH_FLOATS``
+    allows for their working set.
     """
     t_start = time.perf_counter()
     configurations = list(configurations)
@@ -661,12 +653,12 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
             yield index, exc
             continue
         lanes.setdefault(_trajectory(hp), []).append(index)
-    # Lanes sharing the rank bound, step policy and z mode queue together;
-    # a lane is the list of its riders' positions.
+    # Lanes sharing the rank bound and step policy queue together; a lane is
+    # the list of its riders' positions.
     queues: dict = {}
     for riders in lanes.values():
         hp = configurations[riders[0]]
-        queues.setdefault((hp.rank, hp.step, hp.z_update), []).append(riders)
+        queues.setdefault((hp.rank, hp.step), []).append(riders)
     del lanes  # the trajectory keys are not needed while the lanes run
     if not queues:
         return
@@ -694,7 +686,7 @@ def fit(data: Dataset, hp: Hyperparams, init: ModelState | None = None) -> FitRe
     when the W block of that last iteration found no acceptable step (W did
     not move because it could not, not because it is stationary); otherwise
     "max_iter".  The returned model always satisfies rank(W) <= hp.rank; the
-    trace objective is non-increasing (exact z mode).
+    trace objective is non-increasing.
 
     Raises
     ------

@@ -559,6 +559,21 @@ class TestEveryFlagIsRead:
         assert not fits
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_removed_z_update_flag_is_usage_error(self, smm1_file, capsys, mode):
+        # The slack block has one update, so the flag that chose it is gone.
+        path, _ = smm1_file
+        with calls_to(solver, "_lockstep") as fits:
+            code = main(["train", "--data", str(path), "--format", "smm1",
+                         "--z-update", mode])
+        assert code == 2
+        assert not fits
+        assert f"unrecognized arguments: --z-update {mode}" in capsys.readouterr().err
+
+    def test_train_help_omits_z_update(self, capsys):
+        assert main(["train", "--help"]) == 0
+        assert "--z-update" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("folds", ["2", "3", "5"])
     def test_tune_on_test_refuses_cv_folds(self, smm1_file, capsys, folds):
         # Even the default fold count is refused: the held-out mode has no folds.

@@ -292,8 +292,6 @@ class TestDomainTypes:
             Hyperparams(beta=-1.0, sigma=0.1, rank=2)
         with pytest.raises(InvalidArgumentError):
             Hyperparams(beta=0.1, sigma=0.1, rank=0)
-        with pytest.raises(InvalidArgumentError):
-            Hyperparams(beta=0.1, sigma=0.1, rank=2, z_update="bogus")
         hp = Hyperparams(beta=0.1, sigma=0.1, rank=3)
         with pytest.raises(InvalidArgumentError, match="rank bound"):
             fit(random_dataset(7, m=6, p=2, q=3), hp)  # needs rank < min(p, q)

@@ -23,8 +23,16 @@ def write_doc(path, doc):
     return path
 
 
+def version_2(doc):
+    """``doc`` as format version 2 wrote it, with the key version 3 dropped."""
+    doc["format_version"] = 2
+    doc["hyperparams"]["z_update"] = "exact"
+    return doc
+
+
 def version_1(doc):
     """``doc`` as format version 1 wrote it, with the three keys version 2 dropped."""
+    doc = version_2(doc)
     doc["format_version"] = 1
     doc["rank_bound"] = doc["hyperparams"]["rank"]
     doc["hyperparams"]["seed"] = doc["provenance"]["seed"]
@@ -96,10 +104,13 @@ class TestLoadModel:
         with pytest.raises(DataError, match=re.escape("unknown keys ['gamma']")):
             load_model(write_doc(path, doc))
 
-    def test_version_1_file_is_refused(self, model_doc):
+    @pytest.mark.parametrize("old", [version_1, version_2], ids=lambda old: old.__name__)
+    def test_old_version_file_is_refused(self, model_doc, old):
         path, doc = model_doc
-        with pytest.raises(DataError, match="version 1; this build reads version 2"):
-            load_model(write_doc(path, version_1(doc)))
+        doc = old(doc)
+        with pytest.raises(DataError, match=f"version {doc['format_version']}; "
+                                            "this build reads version 3"):
+            load_model(write_doc(path, doc))
 
     def test_provenance_holds_the_only_seed(self, model_doc):
         path, doc = model_doc
@@ -166,8 +177,7 @@ class TestLoadModel:
 
     @pytest.mark.parametrize("key, value", [
         ("rank", 1.7), ("rank", "1"), ("rank", True), ("maxit", 5.9),
-        ("beta", True), ("sigma", "0.2"), ("tol_obj", None), ("maxit", 1.0),
-        ("z_update", 1)])
+        ("beta", True), ("sigma", "0.2"), ("tol_obj", None), ("maxit", 1.0)])
     def test_ill_typed_hyperparameter(self, model_doc, key, value):
         path, doc = model_doc
         doc["hyperparams"][key] = value
@@ -232,7 +242,8 @@ class TestLoadModel:
         assert code == 3
         assert "beta must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change", ["unknown", "missing", "version_1", "seed"])
+    @pytest.mark.parametrize("change", ["unknown", "missing", "version_1", "version_2",
+                                        "seed"])
     def test_cli_exit_code_of_malformed_document(self, model_doc, tmp_path, capsys,
                                                  change):
         path, doc = model_doc
@@ -242,6 +253,8 @@ class TestLoadModel:
             del doc["provenance"]["build"]
         elif change == "seed":
             doc["provenance"]["seed"] = -1
+        elif change == "version_2":
+            version_2(doc)
         else:
             version_1(doc)
         write_doc(path, doc)
@@ -250,7 +263,10 @@ class TestLoadModel:
         code = main(["kkt-check", "--model", str(path), "--data", str(data),
                      "--reshape", "2", "3"])
         assert code == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if change.startswith("version"):
+            assert "this build reads version 3" in err
 
     def test_cli_exit_code_is_data_error(self, model_doc, tmp_path, capsys):
         path, _ = model_doc

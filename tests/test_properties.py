@@ -2,11 +2,12 @@
 
 File formats: round trips, truncation, corruption, JSON documents with one
 fault (an added key, a missing key, a value of another JSON kind), and CSV
-texts that the C reader and the row loop must load alike.  Solver (exact z mode,
-every step policy): sufficient decrease along every returned trace and a
+texts that the C reader and the row loop must load alike.  Solver (every step
+policy): sufficient decrease along every returned trace and a
 rank-feasible returned model, whatever the stop status; the public objective
 equals the first row of the trace bit for bit; the b block's closed form
-agrees with an exactly rounded sum.
+agrees with an exactly rounded sum; the slack block at tau2 = 0 attains the
+truncated squared hinge min(sigma v_+^2, beta) per sample.
 """
 
 import json
@@ -30,6 +31,7 @@ from hlsmm import (
     load_model,
     load_smm1,
     penalized_objective,
+    prox_heaviside,
     save_model,
     save_smm1,
     svd,
@@ -69,8 +71,7 @@ def models(draw):
         maxit=draw(st.integers(0, 5000)),
         step=StepPolicy(kind=draw(st.sampled_from(["backtracking", "fixed"])),
                         alpha0=draw(st.none() | positive),
-                        max_halvings=draw(st.integers(0, 60))),
-        z_update=draw(st.sampled_from(["exact", "paper"])))
+                        max_halvings=draw(st.integers(0, 60))))
     return w, draw(finite), hp, draw(st.text(max_size=12)), draw(st.integers(0, 99))
 
 
@@ -532,3 +533,36 @@ class TestHardThreshold:
         expected[(x > 0) & (x <= np.sqrt(2.0 * gamma))] = 0.0
         result = _hard_threshold(x.copy(), gamma)
         assert result.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+@st.composite
+def slack_problems(draw):
+    """Margins v with beta and sigma.  The entries mix values of either sign
+    with +-0.0 and the prox threshold sqrt(beta / sigma) with its neighbours."""
+    weights = st.floats(1e-6, 1e3)
+    beta, sigma = draw(weights), draw(weights)
+    t = math.sqrt(2.0 * (beta / (2.0 * sigma)))
+    special = [0.0, -0.0, t, np.nextafter(t, 0.0), np.nextafter(t, np.inf)]
+    v = draw(arrays(np.float64, draw(st.integers(1, 300)), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from(special))))
+    return v, beta, sigma
+
+
+class TestSlackBlock:
+    """At tau2 = 0 the slack block minimizes the coupling out exactly:
+    min_z beta [z > 0] + sigma (z - v)^2 = min(sigma v_+^2, beta) per sample,
+    so a fit at fixed sigma minimizes a truncated squared hinge of its margins."""
+
+    # Every term is non-negative, so both sides err relatively: the left's
+    # dot product by at most m eps (m <= 300), each term by a few eps; at the
+    # threshold the two branches differ by a few eps of beta.
+    TOLERANCE = 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=slack_problems())
+    def test_prox_attains_the_truncated_squared_hinge(self, problem):
+        v, beta, sigma = problem
+        z = prox_heaviside(v, beta / (2.0 * sigma))
+        attained = beta * np.count_nonzero(z > 0) + sigma * float(np.dot(z - v, z - v))
+        envelope = math.fsum(min(sigma * max(x, 0.0) ** 2, beta) for x in v.tolist())
+        assert abs(attained - envelope) <= self.TOLERANCE * envelope

@@ -239,19 +239,6 @@ class TestUpdateZ:
         expected = np.where((center > 0) & (center <= threshold), 0.0, center)
         np.testing.assert_array_equal(z_block(state, data, hp), expected)
 
-    def test_paper_mode_uses_printed_constants(self):
-        data = random_dataset(36, m=5)
-        gen = make_rng(37)
-        w = gen.standard_normal(data.sample_shape)
-        z_prev = gen.standard_normal(5)
-        hp = Hyperparams(beta=0.15, sigma=0.2, tau2=1e-3, rank=1, z_update="paper")
-        state = ModelState(w=w, b=0.0, z=z_prev)
-        v = margin_residuals(w, 0.0, data)
-        center = (2 * hp.sigma * v + hp.tau2 * z_prev) / (hp.sigma + hp.tau2)
-        threshold = np.sqrt(4 * hp.beta / (hp.sigma + hp.tau2))
-        expected = np.where((center > 0) & (center <= threshold), 0.0, center)
-        np.testing.assert_array_equal(z_block(state, data, hp), expected)
-
 
 class TestUpdateB:
     def test_stationary_bias_unchanged(self):
@@ -386,15 +373,16 @@ class TestFit:
         trace = fit(data, hp).trace
         assert np.all(np.diff(trace.objective) <= 1e-10)
 
-    def test_paper_mode_divergence_raises_numerical_error(self, synthetic):
-        # The printed z-update constants inflate the slack (their center
-        # weights sum to ~2), which blows up on this configuration; the
-        # solver must fail loudly with the iteration index, not crash.
+    def test_fixed_step_ascent_raises_numerical_error(self, synthetic):
+        # A fixed step of 0.1 is about ten times 1 / L here, so the W block
+        # carries no descent guarantee; at iteration 17 the objective rises,
+        # and the monotone check must fail loudly with the iteration index.
         data, _, _ = synthetic
-        hp = Hyperparams(beta=0.1, sigma=0.1, rank=2, z_update="paper")
-        with pytest.raises(NumericalError) as info:
+        hp = Hyperparams(beta=0.1, sigma=0.1, rank=2,
+                         step=StepPolicy(kind="fixed", alpha0=0.1))
+        with pytest.raises(NumericalError, match="objective increased") as info:
             fit(data, hp)
-        assert info.value.iteration is not None
+        assert info.value.iteration == 17
 
     def test_custom_init_used(self, synthetic, default_hp):
         data, _, _ = synthetic
@@ -461,7 +449,8 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("change", [
         {"beta": 0.2}, {"sigma": 0.2}, {"rank": 1}, {"tau2": 0.5}, {"tau3": 0.5},
-        {"maxit": 7}, {"tol_step": 1e-3}, {"tol_obj": 1e-3}, {"z_update": "paper"},
+        {"maxit": 7}, {"tol_step": 1e-3}, {"tol_obj": 1e-3},
+        {"step": StepPolicy(kind="fixed", alpha0=1e-2)},
         {"step": StepPolicy(max_halvings=5)}, {"step": StepPolicy(alpha0=2.0)}])
     def test_every_other_field_is_kept(self, default_hp, change):
         assert _trajectory(default_hp) != _trajectory(default_hp.with_(**change))
@@ -503,15 +492,12 @@ class TestProblemKernel:
             fg = F @ grad[k].ravel()
             assert alpha[k] == gn2 / (gn2 + 2.0 * sigma[k] * float(fg @ fg))
 
-    @pytest.mark.parametrize("z_update", ["exact", "paper"])
-    def test_z_step_is_prox_of_its_center(self, z_update):
+    def test_z_step_is_prox_of_its_center(self):
         # The kernel's z block is prox_heaviside at the weighted center, bit
-        # for bit, lane by lane: exact mode with gamma = beta / (2 sigma + tau2),
-        # paper mode with gamma = 2 beta / (sigma + tau2).
+        # for bit, lane by lane, with gamma = beta / (2 sigma + tau2).
         data = random_dataset(68, m=60, p=4, q=3)
         gen = make_rng(69)
-        configs = [Hyperparams(beta=beta, sigma=sigma, rank=1, tau2=tau2,
-                               z_update=z_update)
+        configs = [Hyperparams(beta=beta, sigma=sigma, rank=1, tau2=tau2)
                    for beta, sigma, tau2 in [(0.1, 0.1, 1e-3), (0.5, 0.01, 1e-2),
                                              (2.0, 1.0, 1e-4), (0.3, 0.7, 0.3)]]
         w = gen.standard_normal((4, 4, 3))
@@ -523,14 +509,9 @@ class TestProblemKernel:
         for k, hp in enumerate(configs):
             v = margin_residuals(w[k], b[k], data)
             weighted = 2.0 * hp.sigma * v + hp.tau2 * z[k]
-            if z_update == "exact":
-                center = weighted / (2.0 * hp.sigma + hp.tau2)
-                gamma = hp.beta / (2.0 * hp.sigma + hp.tau2)
-                threshold = np.sqrt(2.0 * hp.beta / (2.0 * hp.sigma + hp.tau2))
-            else:
-                center = weighted / (hp.sigma + hp.tau2)
-                gamma = 2.0 * hp.beta / (hp.sigma + hp.tau2)
-                threshold = np.sqrt(4.0 * hp.beta / (hp.sigma + hp.tau2))
+            center = weighted / (2.0 * hp.sigma + hp.tau2)
+            gamma = hp.beta / (2.0 * hp.sigma + hp.tau2)
+            threshold = np.sqrt(2.0 * hp.beta / (2.0 * hp.sigma + hp.tau2))
             assert np.sqrt(2.0 * gamma) == threshold
             assert z_new[k].tobytes() == prox_heaviside(center, gamma).tobytes()
             zeroed += np.count_nonzero((center > 0) & (z_new[k] == 0))
