@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import SvdFactors, _ambiguous, svd
-from .model import (_NON_NEGATIVE, _RANK, Dataset, Hyperparams, ModelState, _check_shapes,
-                    _checked, margin_residuals, prox_heaviside)
+from .linalg import SvdFactors, svd
+from .model import (_NON_NEGATIVE, _RANK, Dataset, Hyperparams, ModelState, _adjoint,
+                    _check_shapes, _checked, margin_residuals, prox_heaviside)
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class KktReport:
     rank_at_solution: int
     rank_bound: int
     rank_deficient: bool
-    projection_ambiguous: bool
 
     def to_dict(self) -> dict:
         return {
@@ -50,7 +49,6 @@ class KktReport:
             "rank_at_solution": self.rank_at_solution,
             "rank_bound": self.rank_bound,
             "rank_deficient": self.rank_deficient,
-            "projection_ambiguous": self.projection_ambiguous,
             "lambda": [float(v) for v in self.lam],
         }
 
@@ -61,37 +59,21 @@ class KktReport:
         return "\n".join(lines)
 
 
-def apply_adjoint(lam, data: Dataset) -> np.ndarray:
-    """A*(lambda) = sum_i lambda_i A_i = -sum_i lambda_i y_i X_i."""
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    if lam.shape[0] != data.m:
-        raise InvalidArgumentError("multiplier length does not match sample count")
-    weights = -(lam * data.ys)
-    return (weights @ data.xs.reshape(data.m, -1)).reshape(data.sample_shape)
-
-
-def _multiplier(state: ModelState, v: np.ndarray, data: Dataset, sigma: float):
-    """lambda = -2 sigma (z - v) and the coupling gap z - v, given the margins v."""
-    _check_shapes(data, z=state.z)
-    gap = state.z - v
-    return -2.0 * sigma * gap, gap
-
-
 def estimate_multiplier(state: ModelState, data: Dataset, sigma: float) -> np.ndarray:
     """Penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
     sigma = _checked("sigma", sigma)
-    return _multiplier(state, margin_residuals(state.w, state.b, data), data, sigma)[0]
+    _check_shapes(data, state.w, state.z)
+    return -2.0 * sigma * (state.z - margin_residuals(state.w, state.b, data))
 
 
-def z_stationarity(z, lam, beta: float, tol: float = 0.0) -> float:
+def z_stationarity(z, lam, tol: float = 0.0) -> float:
     """Worst violation of the slack stationarity conditions.
 
     For z_i != 0 the multiplier must vanish (violation |lambda_i|); for
-    z_i = 0 it must be expressible as beta * d_i with d_i >= 0, so only a
-    negative lambda_i violates (violation max(0, -lambda_i)).  Entries with
-    |z_i| <= tol are treated as zero.
+    z_i = 0 it must lie in the regular subdifferential [0, inf) of the
+    counting term, so only a negative lambda_i violates (violation
+    max(0, -lambda_i)).  Entries with |z_i| <= tol are treated as zero.
     """
-    _checked("beta", beta)
     tol = _checked("tol", tol, _NON_NEGATIVE)
     z = np.asarray(z, dtype=np.float64).ravel()
     lam = np.asarray(lam, dtype=np.float64).ravel()
@@ -113,14 +95,22 @@ def w_stationarity(state: ModelState, lam, data: Dataset, r: int) -> float:
     """
     _checked("rank bound", r, _RANK)
     _check_shapes(data, state.w)
-    return _cone_residual(state.w + apply_adjoint(lam, data), svd(state.w), r)
+    lam = np.asarray(lam, dtype=np.float64).ravel()
+    if lam.shape[0] != data.m:
+        raise InvalidArgumentError("multiplier length does not match sample count")
+    return _cone_residual(state.w, lam, data, svd(state.w), r)
 
 
-def _cone_residual(g_matrix: np.ndarray, factors: SvdFactors, r: int) -> float:
-    """||G - P(G)||_F, P the projection onto the normal cone at the W of ``factors``."""
+def _cone_residual(w: np.ndarray, lam: np.ndarray, data: Dataset, factors: SvdFactors,
+                   r: int) -> float:
+    """||G - P(G)||_F, P the projection onto the normal cone at the W of ``factors``.
+
+    G = W + A*(lambda) = W - X^T (y lambda), grad h(W) at the penalty multiplier.
+    """
+    g_matrix = w - _adjoint(data.xs.reshape(data.m, -1), data.ys, lam).reshape(w.shape)
     if factors.rank == r:
-        u_perp = factors.u_gamma_perp
-        v_perp = factors.v_gamma_perp
+        u_perp = factors.u[:, r:]
+        v_perp = factors.v[:, r:]
         cone_part = u_perp @ (u_perp.T @ g_matrix @ v_perp) @ v_perp.T
         return float(np.linalg.norm(g_matrix - cone_part))
     return float(np.linalg.norm(g_matrix))
@@ -131,10 +121,11 @@ def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,
     """Assemble all residuals for one iterate.
 
     One margin pass gives the multiplier and the coupling gap, and one SVD of
-    W gives the rank, the normal-cone residual and the ambiguity flag; the
-    adjoint A*(lambda) is one more pass over the data.  ``tol`` is the
-    zero-classification cutoff for slack entries in the z-stationarity test.
+    W gives the rank and the normal-cone residual; the adjoint A*(lambda) is
+    one more pass over the data.  ``tol`` is the zero-classification cutoff
+    for slack entries in the z-stationarity test.
     """
+    _check_shapes(data, state.w, state.z)
     return _report(state, margin_residuals(state.w, state.b, data), data, hp, tol)
 
 
@@ -153,17 +144,16 @@ def completed_kkt_report(w, b: float, data: Dataset, hp: Hyperparams,
 def _report(state: ModelState, v: np.ndarray, data: Dataset, hp: Hyperparams,
             tol: float) -> KktReport:
     """The KKT report of ``state`` given its margins ``v``."""
-    lam, gap = _multiplier(state, v, data, hp.sigma)
+    gap = state.z - v
+    lam = -2.0 * hp.sigma * gap
     factors = svd(state.w)
     return KktReport(
         lam=lam,
-        w_residual=_cone_residual(state.w + apply_adjoint(lam, data), factors, hp.rank),
-        z_residual=z_stationarity(state.z, lam, hp.beta, tol),
+        w_residual=_cone_residual(state.w, lam, data, factors, hp.rank),
+        z_residual=z_stationarity(state.z, lam, tol),
         b_residual=abs(2.0 * hp.sigma * float(data.ys @ gap)),
         feasibility_residual=float(np.linalg.norm(gap)),
         rank_at_solution=factors.rank,
         rank_bound=hp.rank,
         rank_deficient=factors.rank < hp.rank,
-        projection_ambiguous=(hp.rank < min(data.sample_shape)
-                              and _ambiguous(factors.sigma, hp.rank)),
     )

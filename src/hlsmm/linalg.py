@@ -41,28 +41,13 @@ class SvdFactors:
     u : (p, p) orthonormal matrix of left singular vectors.
     sigma : (min(p, q),) singular values, non-increasing, >= 0.
     v : (q, q) orthonormal matrix of right singular vectors.
-    gamma : indices of singular values strictly above ``zero_tol``.
-    zero_tol : absolute zero cutoff, ``ZERO_TOL_REL * sigma[0]``.
+    rank : count of singular values strictly above ``ZERO_TOL_REL * sigma[0]``.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    gamma: np.ndarray
-    zero_tol: float
-
-    @property
-    def rank(self) -> int:
-        return int(self.gamma.size)
-
-    @property
-    def u_gamma_perp(self) -> np.ndarray:
-        """Orthonormal basis of the left null space (complement of gamma)."""
-        return self.u[:, self.rank :]
-
-    @property
-    def v_gamma_perp(self) -> np.ndarray:
-        return self.v[:, self.rank :]
+    rank: int
 
 
 def svd(w) -> SvdFactors:
@@ -75,9 +60,8 @@ def svd(w) -> SvdFactors:
     """
     w = _as_matrix(w)
     u, s, vh = np.linalg.svd(w, full_matrices=True)
-    zero_tol = ZERO_TOL_REL * float(s[0]) if s.size and s[0] > 0 else 0.0
-    gamma = np.flatnonzero(s > zero_tol)
-    return SvdFactors(u=u, sigma=s, v=vh.T, gamma=gamma, zero_tol=zero_tol)
+    rank = int(np.count_nonzero(s > ZERO_TOL_REL * s[0])) if s.size else 0
+    return SvdFactors(u=u, sigma=s, v=vh.T, rank=rank)
 
 
 def project_rank(w, r: int) -> np.ndarray:
@@ -105,12 +89,7 @@ def projection_ambiguous(w, r: int) -> bool:
     """
     w = _as_matrix(w)
     r = _rank_for_shape(r, *w.shape)
-    return _ambiguous(np.linalg.svd(w, compute_uv=False), r)
-
-
-def _ambiguous(s: np.ndarray, r: int) -> bool:
-    """The test of :func:`projection_ambiguous` on non-increasing singular values."""
+    s = np.linalg.svd(w, compute_uv=False)
     if s[0] == 0.0:
         return False  # zero matrix projects to itself, uniquely
     return bool(s[r - 1] - s[r] <= AMBIGUITY_TOL_REL * s[0])
-

@@ -290,6 +290,15 @@ def _scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x @ w.reshape(len(w), -1, 1))[..., 0]
 
 
+def _adjoint(x: np.ndarray, ys: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X^T (y c_k) for an (m, p*q) design and (..., m) coefficients, as (..., p*q).
+
+    The transpose of :func:`_scores`, one matrix-vector product per row of
+    ``c``, so a row equals that of ``c_k`` alone bit for bit.
+    """
+    return (x.T @ (ys * c)[..., None])[..., 0]
+
+
 def _margins(s: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """V = 1 - y (S + b) for (K, m) scores and (K,) biases, in one new array."""
     v = s + b[:, None]

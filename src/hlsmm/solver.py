@@ -35,9 +35,9 @@ import numpy as np
 
 from .errors import HlsmmError, InvalidArgumentError, NumericalError
 from .linalg import project_rank, svd
-from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _check_shapes,
-                    _checked, _hard_threshold, _heaviside, _margins, _rank_for_shape,
-                    _scores)
+from .model import (Dataset, Hyperparams, ModelState, SolverTrace, _adjoint,
+                    _check_shapes, _checked, _hard_threshold, _heaviside, _margins,
+                    _rank_for_shape, _scores)
 
 # Slack allowed on the monotone-objective and sufficient-decrease assertions.
 MONOTONE_SLACK = 1e-10
@@ -174,7 +174,7 @@ class _Problem:
         return h + loss, h, sq_norm, gap
 
     def gradient(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        pull = (self.X.T @ (self.ys * gap)[..., None]).reshape(w.shape)
+        pull = _adjoint(self.X, self.ys, gap).reshape(w.shape)
         return w + (2.0 * sigma)[:, None, None] * pull
 
     def cauchy_step(self, grad: np.ndarray, sigma: np.ndarray) -> np.ndarray:

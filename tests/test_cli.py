@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -6,11 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlsmm import (Hyperparams, experiments, load_model, make_lowrank_separable, model,
-                   save_model, save_smm1, solver, split)
+from hlsmm import (Hyperparams, KktReport, experiments, load_model, make_lowrank_separable,
+                   model, save_model, save_smm1, solver, split)
 from hlsmm.cli import build_parser, main
 
 from conftest import calls_to
+
+README = Path(__file__).parent.parent / "README.md"
+# The keys of kkt-check's JSON; --text prints all but "lambda".
+REPORT_KEYS = {"w_residual", "z_residual", "b_residual", "feasibility_residual",
+               "rank_at_solution", "rank_bound", "rank_deficient", "lambda"}
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +353,7 @@ class TestKktCheck:
         assert main(["kkt-check", "--model", str(model_path),
                      "--data", str(data_path), "--format", "smm1"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert set(report) == REPORT_KEYS
         assert report["w_residual"] <= 1e-3
         assert report["z_residual"] <= 1e-3
         assert report["rank_at_solution"] <= 2
@@ -379,6 +386,7 @@ class TestKktCheck:
                      "--data", str(data_path), "--format", "smm1"]) == 0
         out = capsys.readouterr().out
         assert "w_residual = " in out
+        assert {line.split(" = ")[0] for line in out.splitlines()} == REPORT_KEYS - {"lambda"}
 
 
 class TestExportWeights:
@@ -631,7 +639,7 @@ class TestEveryFlagIsRead:
                 assert entry.lower().count("default") <= 1, (command, entry)
 
     def test_readme_command_lines_parse(self):
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        readme = README.read_text()
         block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
         block = block.split("```", 1)[0].replace("\\\n", " ")
         lines = [shlex.split(line) for line in block.splitlines() if line.startswith("hlsmm ")]
@@ -639,3 +647,12 @@ class TestEveryFlagIsRead:
         parser = build_parser()
         for argv in lines:
             assert parser.parse_args(argv[1:]).command == argv[1]
+
+    def test_readme_quickstart_runs(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        accuracy, *report = capsys.readouterr().out.splitlines()
+        assert accuracy == "100.0"
+        fields = {field.name for field in dataclasses.fields(KktReport)}
+        assert {line.split(" = ")[0] for line in report} == fields - {"lam"}

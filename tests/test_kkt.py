@@ -15,16 +15,15 @@ from hlsmm import (
     grad_h,
     kkt_report,
     margin_residuals,
-    projection_ambiguous,
     prox_heaviside,
     svd,
     w_stationarity,
     z_stationarity,
 )
-from hlsmm import model
-from hlsmm.kkt import apply_adjoint
+from hlsmm import kkt, model
+from hlsmm.solver import _Problem
 
-from conftest import make_rng, random_dataset
+from conftest import calls_to, make_rng, random_dataset
 
 
 def signed_product(w, data):
@@ -32,17 +31,45 @@ def signed_product(w, data):
     return -data.ys * (data.xs.reshape(data.m, -1) @ w.ravel())
 
 
+def design(data):
+    return data.xs.reshape(data.m, -1)
+
+
 class TestAdjoint:
     def test_adjoint_identity(self):
-        # <A(W), lambda> = <W, A*(lambda)> for random W, lambda.
+        # <y o S(W), c> = <W, X^T (y o c)>: _adjoint is the transpose of the
+        # signed scores, for random W and c.
         gen = make_rng(50)
         for _ in range(20):
             data = random_dataset(int(gen.integers(0, 10_000)), m=5, p=3, q=4)
             w = gen.standard_normal((3, 4))
-            lam = gen.standard_normal(5)
-            lhs = float(signed_product(w, data) @ lam)
-            rhs = float(np.dot(w.ravel(), apply_adjoint(lam, data).ravel()))
+            c = gen.standard_normal(5)
+            lhs = float((data.ys * model._scores(design(data), w[None])[0]) @ c)
+            rhs = float(np.dot(w.ravel(), model._adjoint(design(data), data.ys, c)))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_report_gradient_is_the_solver_gradient(self, synthetic, default_hp):
+        # G = W + A*(lambda) of kkt_report is grad h(W) at the fitted point,
+        # and the solver's gradient is W + 2 sigma X^T (y gap) written out,
+        # bit for bit on every lane.
+        data, _, _ = synthetic
+        state = fit(data, default_hp).model
+        with calls_to(kkt, "_adjoint") as calls:
+            kkt_report(state, data, default_hp)
+        g = state.w - calls[0].result.reshape(state.w.shape)
+        grad = grad_h(state.w, state.z, state.b, data, default_hp.sigma)
+        assert np.linalg.norm(g - grad) <= 1e-12 * np.linalg.norm(g)
+
+        gen = make_rng(73)
+        w = np.stack([state.w, gen.standard_normal(data.sample_shape), np.zeros(data.sample_shape)])
+        gap = gen.standard_normal((3, data.m))
+        sigma = np.array([default_hp.sigma, 0.3, 2.0])
+        x = design(data)
+        inline = w + (2.0 * sigma)[:, None, None] * (
+            x.T @ (data.ys * gap)[..., None]).reshape(w.shape)
+        got = _Problem(data).gradient(w, gap, sigma)
+        for lane in range(3):
+            assert got[lane].tobytes() == inline[lane].tobytes()
 
     def test_operator_matches_margins(self):
         # v = 1 + A(W) - b has to hold... margin residuals written with the
@@ -86,13 +113,13 @@ class TestEstimateMultiplier:
 
 class TestZStationarity:
     def test_zero_multiplier(self):
-        assert z_stationarity(np.array([1.0, 0.0, -2.0]), np.zeros(3), beta=0.5) == 0.0
+        assert z_stationarity(np.array([1.0, 0.0, -2.0]), np.zeros(3)) == 0.0
 
     def test_negative_multiplier_at_zero_slack(self):
-        assert z_stationarity(np.array([0.0]), np.array([-0.3]), beta=0.5) == pytest.approx(0.3)
+        assert z_stationarity(np.array([0.0]), np.array([-0.3])) == pytest.approx(0.3)
 
     def test_positive_multiplier_at_zero_slack_is_fine(self):
-        assert z_stationarity(np.array([0.0]), np.array([0.8]), beta=0.5) == 0.0
+        assert z_stationarity(np.array([0.0]), np.array([0.8])) == 0.0
 
     def test_matches_case_split_loop(self):
         gen = make_rng(56)
@@ -102,7 +129,7 @@ class TestZStationarity:
             worst = 0.0
             for zi, li in zip(z, lam):
                 worst = max(worst, abs(li) if zi != 0 else max(0.0, -li))
-            assert z_stationarity(z, lam, beta=1.3) == pytest.approx(worst)
+            assert z_stationarity(z, lam) == pytest.approx(worst)
 
 
 class TestWStationarity:
@@ -138,7 +165,7 @@ class TestWStationarity:
         w = self._rank_r_state(gen, p, q, r)
         factors = svd(w)
         d = gen.standard_normal((p - r, q - r))
-        cone_member = factors.u_gamma_perp @ d @ factors.v_gamma_perp.T
+        cone_member = factors.u[:, factors.rank:] @ d @ factors.v[:, factors.rank:].T
         # single sample with y=+1, lambda=1: A*(lambda) = -X_1 = cone - W
         x1 = w - cone_member
         data = Dataset(xs=np.stack([x1, -x1]), ys=np.array([1, -1]))
@@ -162,7 +189,7 @@ class TestWStationarity:
         data = random_dataset(62, m=3, p=5, q=4)
         lam = gen.standard_normal(3)
         state = ModelState(w=w, b=0.0, z=np.zeros(3))
-        expected = np.linalg.norm(w + apply_adjoint(lam, data))
+        expected = np.linalg.norm(w - model._adjoint(design(data), data.ys, lam).reshape(w.shape))
         assert w_stationarity(state, lam, data, r=2) == pytest.approx(expected)
 
     def test_cone_projector_properties(self):
@@ -171,7 +198,7 @@ class TestWStationarity:
         gen = make_rng(63)
         w = self._rank_r_state(gen, 6, 4, 2)
         factors = svd(w)
-        u_perp, v_perp = factors.u_gamma_perp, factors.v_gamma_perp
+        u_perp, v_perp = factors.u[:, factors.rank:], factors.v[:, factors.rank:]
         g = gen.standard_normal((6, 4))
 
         def cone_project(mat):
@@ -267,10 +294,9 @@ class TestKktReport:
         lam = np.zeros(data.m)
         calls = [lambda: grad_h(state.w, state.z, 0.0, data, sigma=value),
                  lambda: estimate_multiplier(state, data, value),
-                 lambda: z_stationarity(state.z, lam, beta=value),
                  lambda: prox_heaviside(state.z, value)]
         if value != 0.0:  # a zero tolerance is valid
-            calls.append(lambda: z_stationarity(state.z, lam, 0.5, tol=value))
+            calls.append(lambda: z_stationarity(state.z, lam, tol=value))
         for call in calls:
             with pytest.raises(InvalidArgumentError):
                 call()
@@ -292,8 +318,7 @@ class TestKktReport:
         state = ModelState(w=w, b=0.2, z=z)
         hp = Hyperparams(beta=0.3, sigma=0.4, rank=1 if w.any() else 2)
         lam = estimate_multiplier(state, data, hp.sigma)
-        expected = (w_stationarity(state, lam, data, hp.rank),
-                    projection_ambiguous(w, hp.rank), svd(w).rank)
+        expected = (w_stationarity(state, lam, data, hp.rank), svd(w).rank)
 
         calls = Counter()
 
@@ -309,8 +334,7 @@ class TestKktReport:
         report = kkt_report(state, data, hp)
         assert calls == {"svd": 1, "margins": 1, "scores": 1}
         assert report.lam.tobytes() == lam.tobytes()
-        assert (report.w_residual, report.projection_ambiguous,
-                report.rank_at_solution) == expected
+        assert (report.w_residual, report.rank_at_solution) == expected
 
     def test_completed_report_is_report_of_prox_completed_slack(self, monkeypatch):
         data = random_dataset(71, m=15, p=4, q=3)

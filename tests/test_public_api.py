@@ -11,7 +11,9 @@ REMOVED = [(solver, "update_w"), (solver, "update_z"), (solver, "update_b"),
            (solver, "_one_lane"), (linalg, "fro_inner"), (kkt, "apply_operator"),
            (hlsmm.SvdFactors, "u_gamma"), (hlsmm.SvdFactors, "v_gamma"),
            (hlsmm.SvdFactors, "reconstruct"), (hlsmm.Hyperparams, "validate_for_shape"),
-           (solver._Lanes, "alone")]
+           (solver._Lanes, "alone"), (kkt, "apply_adjoint"), (kkt, "_multiplier"),
+           (linalg, "_ambiguous"), (hlsmm.SvdFactors, "u_gamma_perp"),
+           (hlsmm.SvdFactors, "v_gamma_perp")]
 
 
 def test_every_exported_name_is_unique_and_resolves():
