@@ -52,11 +52,15 @@ DECREASE_SLACK = 1e-9
 # ufunc buffer, never as a whole m-vector, and the kernel runs with a buffer
 # of _BUFSIZE values (8 KiB).  K lanes hold three (K, m) arrays in the same
 # places; in a W block whose later trials run on some of the lanes, the kept
-# scores, the slack and the trial's scores, plus one lane's gap at a time.  A
-# batch takes BATCH_FLOATS // (4 m) lanes, at least one: the fourth m-vector
-# per lane covers the buffer, the z block's one bool mask and the loss's.
-# The trace is not reserved: it grows by doubling with the iterations the
-# live lanes have run.
+# scores, the slack and the trial's scores, plus one lane's gap at a time.
+# The gradient, which flips the signs of the carried gap in place, and the
+# objective, which writes the gap over the scores, hold two: the slack and
+# the gap.  A release copies each leaving rider's result out of the iterates
+# as they are and then moves the kept rows in place.  A batch takes
+# BATCH_FLOATS // (4 m) lanes, at least one: the fourth m-vector per lane
+# covers the buffer, the z block's one bool mask and the loss's.  The trace
+# is not reserved: it grows by doubling with the iterations the live lanes
+# have run.
 BATCH_FLOATS = 1 << 17
 # Largest temporary of the z block's tau2 z term, in float64 values: its
 # 16 KiB are no more than a lone lane's prox mask (m bytes) from m = 16384.
@@ -152,9 +156,10 @@ class _Problem:
         """<W_k, X_i> for every lane and sample: one pass over the data per iterate."""
         return _scores(self.X, w)
 
-    def gap(self, s: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Z - V(W, b), the coupling residual."""
-        v = _margins(s, b, self.ys)
+    def gap(self, s: np.ndarray, z: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+        """Z - V(W, b), the coupling residual, in ``out`` (may be ``s``) or a new array."""
+        v = _margins(s, b, self.ys, out=out)
         return np.subtract(z, v, out=v)
 
     def smooth(self, sq_norm: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -164,17 +169,19 @@ class _Problem:
     def objective(self, w, s, z, b, sigma, beta):
         """(f, h(W), ||W||^2, Z - V) per lane; the next W block reads the last three.
 
-        The loss term is counted first, so that its mask and the gap are
-        never live together.
+        The gap is written over the scores ``s``, which every caller drops
+        after this call.  The loss term is counted first, so that its mask
+        and the gap are never live together.
         """
         loss = beta * _heaviside(z)
-        gap = self.gap(s, z, b)
+        gap = self.gap(s, z, b, out=s)
         sq_norm = _sq_norms(w)
         h = self.smooth(sq_norm, gap, sigma)
         return h + loss, h, sq_norm, gap
 
     def gradient(self, w: np.ndarray, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        pull = _adjoint(self.X, self.ys, gap).reshape(w.shape)
+        """grad h(W) from the gap Z - V, whose signs it flips in place (see _adjoint)."""
+        pull = _adjoint(self.X, self.ys, gap, out=gap).reshape(w.shape)
         return w + (2.0 * sigma)[:, None, None] * pull
 
     def cauchy_step(self, grad: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -268,9 +275,20 @@ class _Lanes:
         self.history[0, :, 0] = self.g
 
     def keep(self, rows: list, riders: list) -> None:
-        """Shrink the batch, carried gap first, to lanes ``rows`` with ``riders``."""
+        """Shrink the batch to lanes ``rows``, ascending, with ``riders``.
+
+        Row ``rows[j]`` of each iterate and column moves to row j, in place
+        and in ascending order, so that no row is overwritten before it is
+        read; the batch keeps the first ``len(rows)`` rows, views that the
+        next iteration replaces.  Without rows it takes the empty rows as
+        copies, so that it holds none of its buffers.  The trace is copied.
+        """
         for name in ("gap", "w", "z", "b", "g", "h", "sq_norm", *self._COLUMNS):
-            setattr(self, name, getattr(self, name)[rows])
+            array = getattr(self, name)
+            for j, row in enumerate(rows):
+                if j != row:
+                    array[j] = array[row]
+            setattr(self, name, array[:len(rows)] if rows else array[rows])
         self.history = self.history[:, rows]
         self._ride(riders)
 
@@ -280,14 +298,18 @@ class _Lanes:
 
         A lane with a ``status`` leaves with all its riders, with its error in
         ``errors`` or else its result; a rider in ``leaving`` leaves alone.
-        The results do not read the gap, so the batch shrinks before they are
-        copied out of the old iterates.
+        The results are copied out of the iterates as they are, and the batch
+        shrinks in place after the last of them, so that a release holds no
+        more than one rider's result above its entry.  When every lane
+        leaves, the batch drops its arrays first: the results do not read the
+        gap.
         """
         riders, w, z, b, history = self.riders, self.w, self.z, self.b, self.history
         rest = [[] if status[row] else [index for index in lane if index not in leaving]
                 for row, lane in enumerate(riders)]
         rows = [row for row, lane in enumerate(rest) if lane]
-        self.keep(rows, [rest[row] for row in rows])
+        if not rows:
+            self.keep(rows, [])
         for row, lane in enumerate(riders):
             for index in lane:
                 if index in leaving:
@@ -302,6 +324,8 @@ class _Lanes:
                     yield index, FitResult(model=final, trace=trace,
                                            hyperparams_echo=self.configurations[index],
                                            wall_time=time.perf_counter() - t_start)
+        if rows:
+            self.keep(rows, [rest[row] for row in rows])
 
 
 # attrgetter allocates each key at its final size, so that the tuple free
@@ -510,10 +534,13 @@ def _start_check(data: Dataset, init: ModelState | None):
     against the sample shape, the init shapes, the init rank.  Only the
     second and the comparison in the last read the configuration, so the
     labels, the init shapes and the rank of the init (one SVD) are checked
-    once here; each failing configuration still gets its own error.
+    once here, and each rank bound once, on first use.  Each failing
+    configuration still gets its own error, but the configurations refused
+    for one rank bound share its message string.
     """
     labels = init_shapes = None
     init_rank = 0
+    refusals: dict = {}  # rank bound -> its refusal's message, or None
     try:
         data.require_both_labels()
     except InvalidArgumentError as exc:
@@ -529,7 +556,14 @@ def _start_check(data: Dataset, init: ModelState | None):
     def check(hp: Hyperparams) -> None:
         if labels:
             raise InvalidArgumentError(labels)
-        _rank_for_shape(hp.rank, *data.sample_shape)
+        if hp.rank not in refusals:
+            try:
+                _rank_for_shape(hp.rank, *data.sample_shape)
+                refusals[hp.rank] = None
+            except InvalidArgumentError as exc:
+                refusals[hp.rank] = str(exc)
+        if refusals[hp.rank]:
+            raise InvalidArgumentError(refusals[hp.rank])
         if init_shapes:
             raise InvalidArgumentError(init_shapes)
         if init_rank > hp.rank:
@@ -659,7 +693,7 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     for riders in lanes.values():
         hp = configurations[riders[0]]
         queues.setdefault((hp.rank, hp.step), []).append(riders)
-    del lanes  # the trajectory keys are not needed while the lanes run
+    del check, lanes  # neither the checks nor the trajectory keys run with the lanes
     if not queues:
         return
     problem = _Problem(data)

@@ -1,6 +1,7 @@
 """Lockstep lanes: every lane of ``fit_many`` equals a lone ``fit`` bit for bit."""
 
 import contextlib
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlsmm import (Dataset, HyperparamGrid, Hyperparams, InvalidArgumentError,
-                   ModelState, NumericalError, StepPolicy, fit, make_lowrank_separable)
+                   ModelState, NumericalError, StepPolicy, fit, grid_search,
+                   grid_search_cv, make_lowrank_separable, split)
 from hlsmm import solver
+from hlsmm.experiments import SweepResult, write_sweep_csv
 from hlsmm.solver import fit_many
 
 from conftest import calls_to, make_rng, peak_bytes, random_dataset
@@ -215,11 +218,14 @@ class TestBatchWidth:
     @pytest.mark.parametrize("maxit", [30, 1000])
     def test_peak_memory_of_the_reference_grid(self, maxit):
         # One batch of 54 lanes holds three 54 x 398 arrays (0.49 MiB) in its
-        # z block, plus the prox's masks, the configurations and the trace,
-        # which grows by doubling with the iterations run: measured
-        # 0.71-0.83 MiB over three proxies at either maxit.  A fourth live
-        # 54 x 398 array (0.164 MiB), such as tau2 z taken whole, would cross
-        # the bound.
+        # W trial, z and b blocks and two in its gradient and objective, plus
+        # the prox's mask, the configurations and the trace, which grows by
+        # doubling with the iterations run.  A release copies the leaving
+        # riders' results out of the iterates as they are, then moves the
+        # kept rows in place.  Measured 0.64-0.75 MiB over three proxies at
+        # either maxit; shrinking the batch into copies before the results
+        # took 0.80-0.83 MiB at maxit 1000, and a fourth live 54 x 398 array
+        # (0.164 MiB), such as tau2 z taken whole, would cross the bound.
         data = wdbc_proxy(73)
         configurations = list(HyperparamGrid(rank=(4,)).configurations(
             Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=maxit)))
@@ -227,7 +233,7 @@ class TestBatchWidth:
         def run():  # counts the outcomes without keeping them
             assert sum(1 for _ in fit_many(data, configurations)) == 162
 
-        assert peak_bytes(run) < 0.875 * 2**20
+        assert peak_bytes(run) < 0.78 * 2**20
 
     def test_w_block_of_a_halving_batch_stays_in_budget(self):
         # Above its entry the W block holds the kept scores and a trial's
@@ -256,6 +262,44 @@ class TestBatchWidth:
             tracemalloc.stop()
         assert max(max(outcome.trace.halvings) for outcome in outcomes.values()) > 0
         assert max(rises) <= 3
+
+    def test_release_compacts_the_kept_lanes_in_place(self):
+        # Lanes with maxit 5 and 8 leave from the middle of a six-lane batch,
+        # so the rows it keeps are not contiguous.  Each step of a release
+        # copies out at most one rider's result: its slack (one m-vector),
+        # its 5 x 6 weights and a trace of at most 21 rows, with the bool
+        # mask of ModelState's finiteness check.  The last step moves the
+        # kept rows in place and copies only the trace.  Measured at
+        # m = 2000: at most 1.47 m-vectors per step, where shrinking the
+        # batch into copies before its results were copied out took 4.26.
+        data = wdbc_proxy(77, m=2000)
+        configurations = [Hyperparams(beta=beta, sigma=0.01, rank=2, maxit=maxit)
+                          for beta, maxit in zip((0.01, 0.05, 0.1, 0.2, 0.3, 0.5),
+                                                 (20, 5, 20, 8, 20, 5))]
+        original, rises = solver._Lanes.release, []
+
+        def release(lanes, *args):
+            steps = original(lanes, *args)
+            while True:
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                item = next(steps, None)
+                rises.append((tracemalloc.get_traced_memory()[1] - entry) / (8 * data.m))
+                if item is None:
+                    return
+                yield item
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(solver._Lanes, "release", release), \
+                    calls_to(solver._Lanes, "keep") as keeps:
+                outcomes = dict(fit_many(data, configurations))
+        finally:
+            tracemalloc.stop()
+        assert [call.args[1] for call in keeps] == [[0, 2, 3, 4], [0, 1, 3], []]
+        assert max(rises) <= 2
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 
     def test_lanes_in_blocks_of_one_equal_lone_fits(self):
         # With a block of one value every lane's tau2 z is its own block.
@@ -377,6 +421,36 @@ class TestStartChecks:
             assert isinstance(errors[index], InvalidArgumentError)
             assert str(errors[index]) == str(lone(data, hp)) == (
                 "training requires at least one sample of each label")
+
+    def test_reference_grid_sweep_states_each_refusal_once(self, tmp_path):
+        # grid_search, then grid_search_cv, over the 324-cell grid, as the
+        # wdbc_grid benchmark runs them.  On 5x6 samples each table refuses
+        # rank 10 for 162 configurations: every one raises its own error,
+        # but all carry the one message decided for the rank, so the two
+        # tables hold two strings for them, not 324.  Measured 0.733-0.745
+        # MiB over three proxies, where one string per refusal and a release
+        # that shrank the batch before copying results out took 0.78-0.80.
+        train, test = split(wdbc_proxy(81, m=569), 0.7, stratified=True, seed=81)
+        base = Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=30)
+        tables = []
+
+        def run():
+            tables.append(grid_search(train, test, HyperparamGrid(), base)[1])
+            tables.append(grid_search_cv(train, HyperparamGrid(), base, seed=81)[1])
+
+        peak = peak_bytes(run)
+        for name, table in zip(("heldout", "cv"), tables):
+            refused = [row for row in table.rows if not row.ok]
+            assert [row.hyperparams.rank for row in refused] == [10] * 162
+            assert len({id(row.error) for row in refused}) == 1
+            # The CSV reads as if each row held its own fit's refusal.
+            alone = SweepResult([row if row.ok else dataclasses.replace(
+                row, error=str(lone(train, row.hyperparams))) for row in table.rows])
+            write_sweep_csv(table, tmp_path / f"{name}.csv")
+            write_sweep_csv(alone, tmp_path / f"{name}-alone.csv")
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}-alone.csv").read_bytes())
+        assert peak < 0.77 * 2**20
 
 
 def stack_sizes(calls):

@@ -19,7 +19,7 @@ from hlsmm import (
     prox_heaviside,
     svd,
 )
-from hlsmm import solver
+from hlsmm import kkt, kkt_report, solver
 from hlsmm.model import _check_shapes, _margins
 from hlsmm.solver import _b_step, _Lanes, _Problem, _trajectory, _w_step, _z_step
 
@@ -553,3 +553,36 @@ class TestProblemKernel:
         data = random_dataset(65, m=4000, p=12, q=12)
         hp = Hyperparams(beta=0.1, sigma=0.1, rank=2, maxit=5)
         assert peak_bytes(lambda: fit(data, hp)) < data.xs.nbytes / 10
+
+
+class TestInputsUnchanged:
+    """The kernel writes the gap over the scores and flips its signs in place;
+    both are its own arrays, so no public entry point writes into its inputs."""
+
+    @pytest.mark.parametrize("call", [
+        lambda state, data, hp: grad_h(state.w, state.z, state.b, data, hp.sigma),
+        lambda state, data, hp: penalized_objective(state, data, hp),
+        lambda state, data, hp: margin_residuals(state.w, state.b, data),
+        lambda state, data, hp: kkt_report(state, data, hp),
+        lambda state, data, hp: fit(data, hp.with_(maxit=5), init=state),
+    ], ids=["grad_h", "penalized_objective", "margin_residuals", "kkt_report", "fit"])
+    def test_entry_point_leaves_its_inputs_unchanged(self, synthetic, default_hp, call):
+        data, _, _ = synthetic
+        state = fit(data, default_hp.with_(maxit=3)).model
+        before = [array.tobytes() for array in (data.xs, state.w, state.z)]
+        call(state, data, default_hp)
+        assert [array.tobytes() for array in (data.xs, state.w, state.z)] == before
+
+    def test_report_keeps_the_multiplier_its_adjoint_read(self, synthetic, default_hp,
+                                                          monkeypatch):
+        data, _, _ = synthetic
+        state = fit(data, default_hp.with_(maxit=3)).model
+        cone_residual, read = kkt._cone_residual, []
+
+        def recording(w, lam, *args):
+            read.append(lam.tobytes())
+            return cone_residual(w, lam, *args)
+
+        monkeypatch.setattr(kkt, "_cone_residual", recording)
+        report = kkt_report(state, data, default_hp)
+        assert read == [report.lam.tobytes()]
