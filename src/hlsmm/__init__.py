@@ -6,7 +6,7 @@ the noise-robustness experiment protocol.
 """
 
 from .errors import DataError, HlsmmError, InvalidArgumentError, NumericalError
-from .linalg import SvdFactors, project_rank, projection_ambiguous, svd
+from .linalg import SvdFactors, project_rank, svd
 from .model import (
     Dataset,
     Hyperparams,
@@ -21,8 +21,7 @@ from .model import (
     prox_heaviside,
 )
 from .solver import FitResult, fit, grad_h, penalized_objective
-from .kkt import (KktReport, completed_kkt_report, estimate_multiplier, kkt_report,
-                  w_stationarity, z_stationarity)
+from .kkt import KktReport, completed_kkt_report, kkt_report, z_stationarity
 from .data import (
     DatasetManifest,
     add_gaussian_noise,
@@ -54,13 +53,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "HlsmmError", "InvalidArgumentError", "NumericalError",
-    "SvdFactors", "project_rank", "projection_ambiguous", "svd",
+    "SvdFactors", "project_rank", "svd",
     "Dataset", "Hyperparams", "ModelState", "SolverTrace",
     "StepPolicy", "decision_scores", "heaviside_count", "margin_residuals",
     "penalized_objective", "predict", "predict_batch", "prox_heaviside",
     "FitResult", "fit", "grad_h",
-    "KktReport", "completed_kkt_report", "estimate_multiplier", "kkt_report",
-    "w_stationarity", "z_stationarity",
+    "KktReport", "completed_kkt_report", "kkt_report", "z_stationarity",
     "DatasetManifest", "add_gaussian_noise", "add_salt_pepper_noise",
     "load_csv", "load_smm1", "make_lowrank_separable", "normalize_per_sample",
     "save_smm1", "split", "standardize_features",

@@ -163,13 +163,20 @@ class DatasetManifest:
         return ds
 
 
+# Distinct label values an unknown-encoding error lists, smallest first.
+_LABELS_SHOWN = 5
+
+
 def _map_labels(raw_labels: list[float], path: str) -> np.ndarray:
     """1 maps to +1 and the other label of the encoding to -1."""
     values = set(raw_labels)
     if not any(values <= {other, 1.0} for other in (-1.0, 0.0, 2.0)):
+        listed = [str(v) for v in sorted(values)[:_LABELS_SHOWN]]
+        if len(values) > _LABELS_SHOWN:
+            listed.append("...")
         raise DataError(
-            f"{path}: unknown label encoding {sorted(values)}; expected "
-            "{-1,1}, {0,1} or {1,2}")
+            f"{path}: unknown label encoding [{', '.join(listed)}] "
+            f"({len(values)} distinct values); expected {{-1,1}}, {{0,1}} or {{1,2}}")
     return np.where(np.equal(raw_labels, 1.0), 1, -1).astype(np.int8)
 
 
@@ -424,16 +431,22 @@ def add_gaussian_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
     """Perturb every entry with N(0, (level * s)^2), s = that sample's entry std.
 
     After per-sample normalization s = 1, so ``level`` is the noise std in
-    data units.  Level 0 returns the input unchanged.
+    data units.  Level 0 returns the input unchanged.  A level whose noisy
+    features overflow is refused.
     """
     level = _checked("noise level", level, _NON_NEGATIVE)
     seed = _checked("seed", seed, _COUNT)
     if level == 0:
         return data
     rng = np.random.Generator(np.random.PCG64(seed))
-    stds = data.xs.reshape(data.m, -1).std(axis=1)
-    noise = rng.standard_normal(data.xs.shape) * (level * stds)[:, None, None]
-    return data.replace_xs(data.xs + noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stds = data.xs.reshape(data.m, -1).std(axis=1)
+        xs = rng.standard_normal(data.xs.shape) * (level * stds)[:, None, None]
+        xs += data.xs
+    if not np.isfinite(xs).all():
+        raise InvalidArgumentError(
+            f"noise level {level} overflows: the noisy features are not finite")
+    return data.replace_xs(xs)
 
 
 def add_salt_pepper_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:

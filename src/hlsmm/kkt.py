@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .linalg import SvdFactors, svd
-from .model import (_NON_NEGATIVE, _RANK, Dataset, Hyperparams, ModelState, _adjoint,
+from .model import (_NON_NEGATIVE, Dataset, Hyperparams, ModelState, _adjoint,
                     _check_shapes, _checked, margin_residuals, prox_heaviside)
 
 
@@ -59,13 +59,6 @@ class KktReport:
         return "\n".join(lines)
 
 
-def estimate_multiplier(state: ModelState, data: Dataset, sigma: float) -> np.ndarray:
-    """Penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
-    sigma = _checked("sigma", sigma)
-    _check_shapes(data, state.w, state.z)
-    return -2.0 * sigma * (state.z - margin_residuals(state.w, state.b, data))
-
-
 def z_stationarity(z, lam, tol: float = 0.0) -> float:
     """Worst violation of the slack stationarity conditions.
 
@@ -84,36 +77,23 @@ def z_stationarity(z, lam, tol: float = 0.0) -> float:
     return float(violation.max(initial=0.0))
 
 
-def w_stationarity(state: ModelState, lam, data: Dataset, r: int) -> float:
-    """Distance of G = W + A*(lambda) from the normal cone of the rank set.
-
-    At rank(W) < r the cone is {0} and the residual is ||G||_F.  At
-    rank(W) = r the cone consists of matrices supported on the orthogonal
-    complement of the singular subspaces, so the residual removes the
-    component U_perp (U_perp^T G V_perp) V_perp^T.  Iterates with
-    rank(W) > r are infeasible; the full ||G||_F is reported.
-    """
-    _checked("rank bound", r, _RANK)
-    _check_shapes(data, state.w)
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    if lam.shape[0] != data.m:
-        raise InvalidArgumentError("multiplier length does not match sample count")
-    return _cone_residual(state.w, lam, data, svd(state.w), r)
-
-
 def _cone_residual(w: np.ndarray, lam: np.ndarray, data: Dataset, factors: SvdFactors,
                    r: int) -> float:
-    """||G - P(G)||_F, P the projection onto the normal cone at the W of ``factors``.
+    """Distance of G = W + A*(lambda) from the normal cone of the rank-r set at W.
 
-    G = W + A*(lambda) = W - X^T (y lambda), grad h(W) at the penalty multiplier.
+    G = W - X^T (y lambda) is grad h(W) at the penalty multiplier.  At
+    rank(W) = r the cone holds the matrices (I - U U^T) D (I - V V^T), U and V
+    the r leading singular vectors in ``factors``, so the residual is
+    G - (I - U U^T) G (I - V V^T) = U U^T G + (I - U U^T) G V V^T, two
+    orthogonal terms.  At rank(W) < r the cone is {0}, and iterates with
+    rank(W) > r are infeasible: both report ||G||_F.
     """
     g_matrix = w - _adjoint(data.xs.reshape(data.m, -1), data.ys, lam).reshape(w.shape)
-    if factors.rank == r:
-        u_perp = factors.u[:, r:]
-        v_perp = factors.v[:, r:]
-        cone_part = u_perp @ (u_perp.T @ g_matrix @ v_perp) @ v_perp.T
-        return float(np.linalg.norm(g_matrix - cone_part))
-    return float(np.linalg.norm(g_matrix))
+    if factors.rank != r:
+        return float(np.linalg.norm(g_matrix))
+    u, v = factors.u[:, :r], factors.v[:, :r]
+    ug = u.T @ g_matrix
+    return float(np.hypot(np.linalg.norm(ug), np.linalg.norm(g_matrix @ v - u @ (ug @ v))))
 
 
 def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,

@@ -1,9 +1,9 @@
-"""Dense linear-algebra core: full SVD and rank-r projection.
+"""Dense linear-algebra core: thin SVD and rank-r projection.
 
 Everything downstream (solver, KKT diagnostics) is built on these two
 operations.  Computations are delegated to LAPACK through numpy; this module
-owns the conventions: singular values sorted non-increasing, full orthonormal
-bases, and a relative zero tolerance for rank decisions.
+owns the conventions: singular values sorted non-increasing, thin orthonormal
+factors, and a relative zero tolerance for rank decisions.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from .model import _rank_for_shape
 # Relative tolerance below which a singular value counts as zero.
 ZERO_TOL_REL = 1e-12
 
-# Relative gap below which the rank-r projection is ambiguous (sigma_r ~ sigma_{r+1}).
-AMBIGUITY_TOL_REL = 1e-10
-
 
 def _as_matrix(w, stack: bool = False) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
@@ -34,13 +31,13 @@ def _as_matrix(w, stack: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full SVD of a p-by-q matrix: ``u @ diag_embed(sigma) @ v.T``.
+    """Thin SVD of a p-by-q matrix: ``(u * sigma) @ v.T``, with k = min(p, q).
 
     Attributes
     ----------
-    u : (p, p) orthonormal matrix of left singular vectors.
-    sigma : (min(p, q),) singular values, non-increasing, >= 0.
-    v : (q, q) orthonormal matrix of right singular vectors.
+    u : (p, k) matrix of orthonormal left singular vectors.
+    sigma : (k,) singular values, non-increasing, >= 0.
+    v : (q, k) matrix of orthonormal right singular vectors.
     rank : count of singular values strictly above ``ZERO_TOL_REL * sigma[0]``.
     """
 
@@ -51,7 +48,7 @@ class SvdFactors:
 
 
 def svd(w) -> SvdFactors:
-    """Full singular value decomposition with rank bookkeeping.
+    """Thin singular value decomposition with rank bookkeeping.
 
     Raises
     ------
@@ -59,7 +56,7 @@ def svd(w) -> SvdFactors:
         If ``w`` is not a finite 2-D matrix.
     """
     w = _as_matrix(w)
-    u, s, vh = np.linalg.svd(w, full_matrices=True)
+    u, s, vh = np.linalg.svd(w, full_matrices=False)
     rank = int(np.count_nonzero(s > ZERO_TOL_REL * s[0])) if s.size else 0
     return SvdFactors(u=u, sigma=s, v=vh.T, rank=rank)
 
@@ -70,7 +67,7 @@ def project_rank(w, r: int) -> np.ndarray:
     Keeps the ``r`` largest singular values and zeroes the rest
     (Eckart-Young).  When ``sigma_r == sigma_{r+1}`` the projection is
     set-valued; this routine returns the member selected by the LAPACK
-    ordering of the factors (see :func:`projection_ambiguous`).
+    ordering of the factors.
 
     A (K, p, q) stack is projected matrix by matrix with one batched SVD;
     each result equals the projection of that matrix alone bit for bit.
@@ -80,16 +77,3 @@ def project_rank(w, r: int) -> np.ndarray:
     u, s, vh = np.linalg.svd(w, full_matrices=False)
     return (u[..., :r] * s[..., None, :r]) @ vh[..., :r, :]
 
-
-def projection_ambiguous(w, r: int) -> bool:
-    """True when the rank-r projection of ``w`` is numerically set-valued.
-
-    The projection is unique iff ``sigma_r > sigma_{r+1}``; this flags
-    ``sigma_r - sigma_{r+1} <= AMBIGUITY_TOL_REL * sigma_1``.
-    """
-    w = _as_matrix(w)
-    r = _rank_for_shape(r, *w.shape)
-    s = np.linalg.svd(w, compute_uv=False)
-    if s[0] == 0.0:
-        return False  # zero matrix projects to itself, uniquely
-    return bool(s[r - 1] - s[r] <= AMBIGUITY_TOL_REL * s[0])

@@ -586,8 +586,9 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
     other.  The sufficient-decrease check reads tau1, so it runs per rider
     and ends that rider alone; the other checks end every rider of the lane.
     """
-    # The buffer setting is never in force across a yield.
-    with _small_buffer():
+    # The buffer setting is never in force across a yield.  The start's
+    # objective may overflow as the iterations' may (see below).
+    with np.errstate(over="ignore", invalid="ignore"), _small_buffer():
         lanes.begin(problem, init)
     k = 0
     # Per lane: whether the last iteration met the tolerances, whether its W

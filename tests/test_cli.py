@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,22 @@ class TestExitCodes:
         assert not fits
         assert (f"usage error: noise level {named} must be non-negative and finite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["train", "--rank", "2", "--beta", "1e308", "--sigma", "1e308"], 4,
+         "numerical failure: non-finite gradient in W block (iteration 1)"),
+        (["noise-bench", "--rank", "2", "--maxit", "2", "--kind", "gaussian",
+          "--levels", "1e308"], 2,
+         "usage error: noise level 1e+308 overflows: the noisy features are not finite"),
+    ], ids=["objective", "gaussian-noise"])
+    def test_overflow_is_one_stderr_line(self, smm1_file, capsys, argv, code, message):
+        # A numpy RuntimeWarning would print its own lines before the error.
+        path, _ = smm1_file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--data", str(path), "--format", "smm1"]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize("argv, flag", [
         (["train", "--rank", "2"], "--out"),

@@ -105,6 +105,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label encoding"):
             load_csv(path, 0)
 
+    def test_unknown_encoding_lists_five_values_and_the_count(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("".join(f"{v},1\n" for v in (9, 3, 8, 4, 7, 5, 6, 3)))
+        message = "unknown label encoding [3.0, 4.0, 5.0, 6.0, 7.0, ...] (7 distinct values)"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(path, 0)
+
     def test_reshape_size_mismatch(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1,1,2,3,4\n")
@@ -491,6 +498,20 @@ class TestGaussianNoise:
         with pytest.raises(InvalidArgumentError,
                            match="noise level must be non-negative and finite"):
             add_gaussian_noise(data, level, seed=1)
+
+    def test_overflowing_level_is_refused_without_a_warning(self):
+        data = random_dataset(86)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=r"noise level 1e\+308 overflows"):
+                add_gaussian_noise(data, 1e308, seed=1)
+
+    def test_noise_is_the_documented_draw(self):
+        data = random_dataset(87)
+        stds = data.xs.reshape(data.m, -1).std(axis=1)
+        rng = np.random.Generator(np.random.PCG64(4))
+        noise = rng.standard_normal(data.xs.shape) * (0.3 * stds)[:, None, None]
+        assert add_gaussian_noise(data, 0.3, seed=4).xs.tobytes() == (data.xs + noise).tobytes()
 
     def test_labels_and_shape_preserved(self):
         data = random_dataset(86)

@@ -10,14 +10,12 @@ from hlsmm import (
     ModelState,
     completed_kkt_report,
     decision_scores,
-    estimate_multiplier,
     fit,
     grad_h,
     kkt_report,
     margin_residuals,
     prox_heaviside,
     svd,
-    w_stationarity,
     z_stationarity,
 )
 from hlsmm import kkt, model
@@ -94,21 +92,23 @@ class TestAdjoint:
 
 
 class TestEstimateMultiplier:
+    """The report's penalty-gradient multiplier estimate lambda = -2 sigma (z - v)."""
+
     def test_feasible_point_gives_zero(self):
         data = random_dataset(53)
         gen = make_rng(54)
         w = gen.standard_normal(data.sample_shape)
         v = margin_residuals(w, 0.2, data)
         state = ModelState(w=w, b=0.2, z=v)
-        np.testing.assert_allclose(estimate_multiplier(state, data, 0.7),
-                                   np.zeros(data.m), atol=1e-12)
+        report = kkt_report(state, data, Hyperparams(beta=0.1, sigma=0.7, rank=1))
+        np.testing.assert_allclose(report.lam, np.zeros(data.m), atol=1e-12)
 
     def test_plug_in_value(self):
         # z = 0 with all margins v = 1 (zero model): lambda_i = 2 sigma.
         data = random_dataset(55)
         state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
-        np.testing.assert_allclose(estimate_multiplier(state, data, 0.3),
-                                   np.full(data.m, 0.6), rtol=1e-12)
+        report = kkt_report(state, data, Hyperparams(beta=0.1, sigma=0.3, rank=1))
+        np.testing.assert_allclose(report.lam, np.full(data.m, 0.6), rtol=1e-12)
 
 
 class TestZStationarity:
@@ -132,24 +132,36 @@ class TestZStationarity:
             assert z_stationarity(z, lam) == pytest.approx(worst)
 
 
+def full_bases(w, r):
+    """U_perp and V_perp: the complements of the r leading singular vectors of w."""
+    u, _, vh = np.linalg.svd(w, full_matrices=True)
+    return u[:, r:], vh[r:].T
+
+
+def cone_residual(w, lam, data, r):
+    """The W residual of a report on (W, lambda) at rank bound r."""
+    return kkt._cone_residual(w, np.asarray(lam, dtype=np.float64), data, svd(w), r)
+
+
 class TestWStationarity:
+    """The W residual: distance of W + A*(lambda) from the rank set's normal cone."""
+
     def test_zero_state_zero_multiplier(self):
         data = random_dataset(57, p=4, q=3)
-        state = ModelState(w=np.zeros((4, 3)), b=0.0, z=np.zeros(data.m))
-        assert w_stationarity(state, np.zeros(data.m), data, r=2) == 0.0
+        assert cone_residual(np.zeros((4, 3)), np.zeros(data.m), data, r=2) == 0.0
 
     @pytest.mark.parametrize("r", [True, 2.0])
     def test_rank_bound_must_be_an_integer(self, r):
-        data = random_dataset(69, p=4, q=3)
-        state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
-        with pytest.raises(InvalidArgumentError, match="rank bound must be an integer"):
-            w_stationarity(state, np.zeros(data.m), data, r=r)
+        # The report's rank bound is Hyperparams.rank, refused on construction.
+        with pytest.raises(InvalidArgumentError, match="rank must be an integer"):
+            Hyperparams(0.1, 0.1, r)
 
     def test_mismatched_w_is_refused_like_kkt_report(self):
         data = random_dataset(70, m=8, p=4, q=3)
         state = ModelState(w=np.ones((3, 3)), b=0.0, z=np.zeros(data.m))
-        for check in (lambda: w_stationarity(state, np.zeros(data.m), data, r=2),
-                      lambda: kkt_report(state, data, Hyperparams(0.1, 0.1, 2))):
+        hp = Hyperparams(0.1, 0.1, 2)
+        for check in (lambda: completed_kkt_report(state.w, 0.0, data, hp),
+                      lambda: kkt_report(state, data, hp)):
             with pytest.raises(InvalidArgumentError, match="does not match sample"):
                 check()
 
@@ -163,15 +175,12 @@ class TestWStationarity:
         gen = make_rng(58)
         p, q, r = 5, 4, 2
         w = self._rank_r_state(gen, p, q, r)
-        factors = svd(w)
-        d = gen.standard_normal((p - r, q - r))
-        cone_member = factors.u[:, factors.rank:] @ d @ factors.v[:, factors.rank:].T
+        u_perp, v_perp = full_bases(w, r)
+        cone_member = u_perp @ gen.standard_normal((p - r, q - r)) @ v_perp.T
         # single sample with y=+1, lambda=1: A*(lambda) = -X_1 = cone - W
         x1 = w - cone_member
         data = Dataset(xs=np.stack([x1, -x1]), ys=np.array([1, -1]))
-        lam = np.array([1.0, 0.0])
-        state = ModelState(w=w, b=0.0, z=np.zeros(2))
-        assert w_stationarity(state, lam, data, r) <= 1e-10
+        assert cone_residual(w, [1.0, 0.0], data, r) <= 1e-10
 
     def test_w_is_orthogonal_to_cone(self):
         # With lambda = 0, G = W itself; a rank-r W has no component in the
@@ -179,8 +188,7 @@ class TestWStationarity:
         gen = make_rng(59)
         w = self._rank_r_state(gen, 6, 5, 3)
         data = random_dataset(60, m=4, p=6, q=5)
-        state = ModelState(w=w, b=0.0, z=np.zeros(4))
-        residual = w_stationarity(state, np.zeros(4), data, r=3)
+        residual = cone_residual(w, np.zeros(4), data, r=3)
         assert residual == pytest.approx(np.linalg.norm(w), rel=1e-10)
 
     def test_rank_deficient_uses_full_norm(self):
@@ -188,18 +196,21 @@ class TestWStationarity:
         w = self._rank_r_state(gen, 5, 4, 1)  # rank 1 < r = 2
         data = random_dataset(62, m=3, p=5, q=4)
         lam = gen.standard_normal(3)
-        state = ModelState(w=w, b=0.0, z=np.zeros(3))
         expected = np.linalg.norm(w - model._adjoint(design(data), data.ys, lam).reshape(w.shape))
-        assert w_stationarity(state, lam, data, r=2) == pytest.approx(expected)
+        assert cone_residual(w, lam, data, r=2) == pytest.approx(expected)
 
     def test_cone_projector_properties(self):
-        # The projector used internally: image satisfies U_r^T G' = 0 and
-        # G' V_r = 0, and projecting twice equals projecting once.
+        # The full-basis projector P(G) = U_perp (U_perp^T G V_perp) V_perp^T
+        # onto the cone: its image satisfies U_r^T P(G) = 0 and P(G) V_r = 0,
+        # projecting twice equals projecting once, and the thin residual is
+        # the distance ||G - P(G)||_F.
         gen = make_rng(63)
         w = self._rank_r_state(gen, 6, 4, 2)
         factors = svd(w)
-        u_perp, v_perp = factors.u[:, factors.rank:], factors.v[:, factors.rank:]
-        g = gen.standard_normal((6, 4))
+        u_perp, v_perp = full_bases(w, factors.rank)
+        data = random_dataset(64, m=5, p=6, q=4)
+        lam = gen.standard_normal(5)
+        g = w - model._adjoint(design(data), data.ys, lam).reshape(w.shape)
 
         def cone_project(mat):
             return u_perp @ (u_perp.T @ mat @ v_perp) @ v_perp.T
@@ -210,6 +221,8 @@ class TestWStationarity:
         np.testing.assert_allclose(projected @ factors.v[:, :factors.rank],
                                    np.zeros((6, 2)), atol=1e-12)
         np.testing.assert_allclose(cone_project(projected), projected, atol=1e-12)
+        assert cone_residual(w, lam, data, r=2) == pytest.approx(
+            np.linalg.norm(g - projected), rel=1e-12)
 
 
 class TestKktReport:
@@ -293,7 +306,6 @@ class TestKktReport:
         state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
         lam = np.zeros(data.m)
         calls = [lambda: grad_h(state.w, state.z, 0.0, data, sigma=value),
-                 lambda: estimate_multiplier(state, data, value),
                  lambda: prox_heaviside(state.z, value)]
         if value != 0.0:  # a zero tolerance is valid
             calls.append(lambda: z_stationarity(state.z, lam, tol=value))
@@ -302,10 +314,12 @@ class TestKktReport:
                 call()
 
     def test_bad_multiplier_length(self):
+        # The report forms lambda from z, so a slack of the wrong length is
+        # the one way to hand it a multiplier that does not fit the data.
         data = random_dataset(68)
-        state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m))
-        with pytest.raises(InvalidArgumentError):
-            w_stationarity(state, np.zeros(data.m + 1), data, r=1)
+        state = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=np.zeros(data.m + 1))
+        with pytest.raises(InvalidArgumentError, match="slack length"):
+            kkt_report(state, data, Hyperparams(0.1, 0.1, 1))
 
     @pytest.mark.parametrize("w", [
         np.outer([1.0, 2.0, 0.5, -1.0], [0.3, -0.7, 1.1]),        # rank 1 = r
@@ -317,8 +331,9 @@ class TestKktReport:
         z = make_rng(70).standard_normal(12)
         state = ModelState(w=w, b=0.2, z=z)
         hp = Hyperparams(beta=0.3, sigma=0.4, rank=1 if w.any() else 2)
-        lam = estimate_multiplier(state, data, hp.sigma)
-        expected = (w_stationarity(state, lam, data, hp.rank), svd(w).rank)
+        lam = -2.0 * hp.sigma * (z - margin_residuals(w, 0.2, data))
+        factors = svd(w)
+        expected = (kkt._cone_residual(w, lam, data, factors, hp.rank), factors.rank)
 
         calls = Counter()
 

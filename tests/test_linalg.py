@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hlsmm import InvalidArgumentError, project_rank, projection_ambiguous, svd
+from hlsmm import InvalidArgumentError, project_rank, svd
 
 from conftest import make_rng
 
@@ -33,21 +33,26 @@ class TestSvd:
             p, q = gen.integers(1, 8, size=2)
             w = gen.standard_normal((p, q))
             f = svd(w)
+            k = min(p, q)
             assert np.all(np.diff(f.sigma) <= 0)
             assert np.all(f.sigma >= 0)
-            np.testing.assert_allclose(f.u.T @ f.u, np.eye(p), atol=1e-10)
-            np.testing.assert_allclose(f.v.T @ f.v, np.eye(q), atol=1e-10)
+            np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), atol=1e-10)
+            np.testing.assert_allclose(f.v.T @ f.v, np.eye(k), atol=1e-10)
             assert f.rank == np.count_nonzero(f.sigma > 1e-12 * f.sigma[0])
 
     def test_gamma_zero_tolerance_is_relative(self):
         w = np.diag([1.0, 1e-13])  # second value below 1e-12 * sigma_1
         assert svd(w).rank == 1
 
-    def test_full_bases_for_rectangular(self):
-        f = svd(make_rng(3).standard_normal((6, 3)))
-        assert f.u.shape == (6, 6)
-        assert f.v.shape == (3, 3)
-        assert f.u[:, f.rank:].shape == (6, 3)
+    def test_thin_factors_for_rectangular(self):
+        # u is (p, k) and v is (q, k) with k = min(p, q); the singular values
+        # are those of the full decomposition, bit for bit.
+        for p, q in ((6, 3), (3, 6), (4, 4)):
+            w = make_rng(3).standard_normal((p, q))
+            f = svd(w)
+            k = min(p, q)
+            assert (f.u.shape, f.sigma.shape, f.v.shape) == ((p, k), (k,), (q, k))
+            assert f.sigma.tobytes() == np.linalg.svd(w, full_matrices=True)[1].tobytes()
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
@@ -116,10 +121,3 @@ class TestProjectRank:
     def test_bool_rank_bound_is_refused(self):
         with pytest.raises(InvalidArgumentError, match="must be an integer, got True"):
             project_rank(np.eye(4), True)
-        with pytest.raises(InvalidArgumentError, match="must be an integer, got True"):
-            projection_ambiguous(np.eye(4), True)
-
-    def test_ambiguity_flag(self):
-        assert projection_ambiguous(np.diag([2.0, 1.0, 1.0]), 2)
-        assert not projection_ambiguous(np.diag([2.0, 1.0, 0.5]), 2)
-        assert not projection_ambiguous(np.zeros((3, 3)), 1)

@@ -7,7 +7,9 @@ policy): sufficient decrease along every returned trace and a
 rank-feasible returned model, whatever the stop status; the public objective
 equals the first row of the trace bit for bit; the b block's closed form
 agrees with an exactly rounded sum; the slack block at tau2 = 0 attains the
-truncated squared hinge min(sigma v_+^2, beta) per sample.
+truncated squared hinge min(sigma v_+^2, beta) per sample.  KKT: the
+normal-cone residual from the r leading singular vectors equals the one from
+full complement bases.
 """
 
 import json
@@ -37,6 +39,7 @@ from hlsmm import (
     svd,
 )
 from hlsmm import data as data_module
+from hlsmm import kkt, model
 from hlsmm.cli import main
 from hlsmm.model import _hard_threshold
 from hlsmm.solver import _b_step, _Lanes, _Problem
@@ -566,3 +569,42 @@ class TestSlackBlock:
         attained = beta * np.count_nonzero(z > 0) + sigma * float(np.dot(z - v, z - v))
         envelope = math.fsum(min(sigma * max(x, 0.0) ** 2, beta) for x in v.tolist())
         assert abs(attained - envelope) <= self.TOLERANCE * envelope
+
+
+@st.composite
+def cone_problems(draw):
+    """A rank-r W (p, q <= 8) with singular values in [1e-3, 1e3], and data
+    and a multiplier that make G = W + A*(lambda) a random matrix."""
+    p, q = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    r = draw(st.integers(1, min(p, q) - 1))
+    sigma = np.sort(draw(arrays(np.float64, r, elements=st.floats(1e-3, 1e3))))[::-1]
+    m = draw(st.integers(1, 4))
+    gen = make_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(gen.standard_normal((p, r)))[0]
+    v = np.linalg.qr(gen.standard_normal((q, r)))[0]
+    data = Dataset(xs=gen.standard_normal((m, p, q)),
+                   ys=np.where(gen.integers(0, 2, size=m) == 1, 1, -1))
+    return (u * sigma) @ v.T, gen.standard_normal(m), data, r
+
+
+class TestConeResidual:
+    """The thin form sqrt(||U^T G||^2 + ||G V - U (U^T G V)||^2) of the
+    normal-cone residual equals ||G - U_perp (U_perp^T G V_perp) V_perp^T||_F
+    with the complement bases of a full SVD."""
+
+    # Both forms err by a few eps of ||G||, and the residual of a random G
+    # is a fair share of ||G||.
+    TOLERANCE = 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=cone_problems())
+    def test_thin_equals_full_basis_reference(self, problem):
+        w, lam, data, r = problem
+        factors = svd(w)
+        assert factors.rank == r
+        g = w - model._adjoint(data.xs.reshape(data.m, -1), data.ys, lam).reshape(w.shape)
+        u, _, vh = np.linalg.svd(w, full_matrices=True)
+        u_perp, v_perp = u[:, r:], vh[r:].T
+        reference = np.linalg.norm(g - u_perp @ (u_perp.T @ g @ v_perp) @ v_perp.T)
+        thin = kkt._cone_residual(w, lam, data, factors, r)
+        assert abs(thin - reference) <= self.TOLERANCE * reference

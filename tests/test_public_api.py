@@ -1,5 +1,8 @@
 """The public API is ``hlsmm.__all__``: every name in it once, each resolving."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import hlsmm
@@ -13,7 +16,11 @@ REMOVED = [(solver, "update_w"), (solver, "update_z"), (solver, "update_b"),
            (hlsmm.SvdFactors, "reconstruct"), (hlsmm.Hyperparams, "validate_for_shape"),
            (solver._Lanes, "alone"), (kkt, "apply_adjoint"), (kkt, "_multiplier"),
            (linalg, "_ambiguous"), (hlsmm.SvdFactors, "u_gamma_perp"),
-           (hlsmm.SvdFactors, "v_gamma_perp")]
+           (hlsmm.SvdFactors, "v_gamma_perp"), (kkt, "estimate_multiplier"),
+           (kkt, "w_stationarity"), (linalg, "projection_ambiguous"),
+           (linalg, "AMBIGUITY_TOL_REL")]
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_every_exported_name_is_unique_and_resolves():
@@ -28,3 +35,12 @@ def test_removed_name_stays_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in hlsmm.__all__
     assert not hasattr(hlsmm, name)
+
+
+def test_readme_names_no_removed_name():
+    # Every word inside a backticked span or a fenced block of the README.
+    text = README.read_text(encoding="utf-8")
+    fenced = re.findall(r"```.*?```", text, flags=re.S)
+    inline = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    words = set(re.findall(r"\w+", " ".join(fenced + inline)))
+    assert sorted(words & {name for _, name in REMOVED}) == []
