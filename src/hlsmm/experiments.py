@@ -292,6 +292,17 @@ def noise_sweep(train: Dataset, test: Dataset, hp: Hyperparams, kind: str,
     seeds = [_checked("noise seeds", seed, _COUNT) for seed in seeds]
     if not levels or not seeds:
         raise InvalidArgumentError("need at least one level and one seed")
+    if kind == "gaussian":
+        # For a fixed seed the noisy features overflow from some level up, so
+        # the largest level decides; the error names the first pair that the
+        # loop below would meet.
+        try:
+            for seed in seeds:
+                corrupt(test, max(levels), seed)
+        except InvalidArgumentError:
+            for level, seed in itertools.product(levels, seeds):
+                corrupt(test, level, seed)
+            raise
     fitted = fit(train, hp)
     rows = []
     index = 0

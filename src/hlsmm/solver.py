@@ -16,8 +16,11 @@ asserted at runtime on every lane; violation raises NumericalError.
 
 One kernel runs K configurations of one dataset ("lanes") in lockstep: the
 iterates are stacked along a leading lane axis and every product is taken
-lane by lane.  Configurations whose iterates cannot differ, because they
-differ only in a tau1 that no update reads, ride one lane.  A batch is one
+lane by lane.  Configurations whose iterates cannot differ ride one lane:
+those that differ only in a tau1 that no update reads, and those that
+differ only in beta while their slack has no positive entry.  When the z
+block's center would give such riders different slacks, the lane forks: each
+beta that leaves gets a new lane in the same batch.  A batch is one
 :class:`_Lanes`, which owns the lanes' hyperparameters, riders and iterates;
 lanes that stop or fail and riders that leave shrink it in place.
 :func:`fit` is the one-lane, one-rider case; :func:`fit_many` serves sweeps.
@@ -57,10 +60,13 @@ DECREASE_SLACK = 1e-9
 # objective, which writes the gap over the scores, hold two: the slack and
 # the gap.  A release copies each leaving rider's result out of the iterates
 # as they are and then moves the kept rows in place.  A batch takes
-# BATCH_FLOATS // (4 m) lanes, at least one: the fourth m-vector per lane
-# covers the buffer, the z block's one bool mask and the loss's.  The trace
-# is not reserved: it grows by doubling with the iterations the live lanes
-# have run.
+# BATCH_FLOATS // (4 m) lanes, at least one, counting a lane once per
+# distinct beta of its riders, as many lanes as it can fork into: the fourth
+# m-vector per lane covers the buffer, the z block's one bool mask and the
+# loss's.  A fork of K lanes into K + f grows the old slack and then the
+# center, one array at a time, next to the scores: at most 4 K + 2 f rows,
+# inside the four per lane.  The trace is not reserved: it grows by doubling
+# with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
 # Largest temporary of the z block's tau2 z term, in float64 values: its
 # 16 KiB are no more than a lone lane's prox mask (m bytes) from m = 16384.
@@ -200,6 +206,14 @@ class _Problem:
         return np.divide(gn2, curvature, out=alpha, where=~fallback)
 
 
+def _by_beta(configurations, lane: list) -> dict:
+    """The positions of a lane's riders by beta, in ascending beta."""
+    groups: dict = {}
+    for index in sorted(lane, key=lambda index: configurations[index].beta):
+        groups.setdefault(configurations[index].beta, []).append(index)
+    return groups
+
+
 class _Lanes:
     """A lockstep batch: the hyperparameters, riders and iterates of its lanes.
 
@@ -207,18 +221,22 @@ class _Lanes:
     or more riders, positions in ``configurations`` with one
     :func:`_trajectory`: they share the lane's iterates, and with them its
     data passes, rank projections and slack and bias blocks.  Riders of a
-    lane differ at most in tau1, which the W acceptance test reads as the
-    lane's smallest and largest value and the sufficient-decrease check
-    reads per rider, through ``tau_min``.
+    lane differ at most in tau1 and beta.  The W acceptance test reads tau1
+    as the lane's smallest and largest value and the sufficient-decrease
+    check reads it per rider, through ``tau_min``.  The z block and the
+    objective read the lane's smallest beta, and :meth:`fork` parts the
+    riders by beta before the slack would tell them apart.
 
     :meth:`begin` sets the iterates ``w``, ``z``, ``b``, their objective ``g``,
     ``h`` = h(W), ``sq_norm`` = ||W||^2 and the ``gap`` Z - V that the next W
-    block reads, and the trace ``history``; :meth:`keep` shrinks them all.
+    block reads, and the trace ``history``; :meth:`keep` shrinks them all
+    and :meth:`fork` grows them.
     """
 
-    # Hyperparameter columns, as float arrays over lanes.  As floats any int
-    # maxit fits; one above 2**53 rounds, but is never reached.
-    _COLUMNS = ("beta", "sigma", "tau2", "tau3", "tol_step", "tol_obj", "maxit")
+    # Hyperparameter columns that the riders of a lane share, as float arrays
+    # over lanes.  As floats any int maxit fits; one above 2**53 rounds, but
+    # is never reached.
+    _COLUMNS = ("sigma", "tau2", "tau3", "tol_step", "tol_obj", "maxit")
 
     def __init__(self, configurations, riders):
         self.configurations = configurations
@@ -231,8 +249,12 @@ class _Lanes:
         self._ride(riders)
 
     def _ride(self, riders: list) -> None:
-        """Set the rider map, and the tau1 columns it decides, from lists of positions."""
+        """Set the rider map, and the tau1 and beta columns it decides, from lists
+        of positions."""
         self.riders = riders
+        betas = [{self.configurations[index].beta for index in lane} for lane in riders]
+        self.beta = np.array([min(values) for values in betas], dtype=np.float64)
+        self.beta_varies = np.array([len(values) > 1 for values in betas])
         tau1 = [[self.configurations[index].tau1 for index in lane] for lane in riders]
         self.tau1_min = np.array([min(values) for values in tau1])
         self.tau1_max = np.array([max(values) for values in tau1])
@@ -292,6 +314,60 @@ class _Lanes:
         self.history = self.history[:, rows]
         self._ride(riders)
 
+    def gamma(self) -> np.ndarray:
+        """beta / (2 sigma + tau2) per lane: the z block's prox parameter."""
+        return self.beta / (2.0 * self.sigma + self.tau2)
+
+    def fork(self, center: np.ndarray, errors: dict) -> np.ndarray | None:
+        """Give the riders of a lane their own lanes by beta where ``center``
+        would tell them apart; return each lane's source row, or None.
+
+        Riders of a lane that differ in beta share its slack while it has no
+        positive entry.  The z block runs at the lane's smallest beta, whose
+        threshold sqrt(2 gamma) is the lowest.  While no entry of the center
+        is above it, every rider's prox zeroes every positive entry, so the
+        slack, the loss beta * 0, the stop test and the descent checks agree
+        bit for bit.  Otherwise the riders whose threshold is at or above the
+        center's largest entry stay, or, if none is, those of the smallest
+        beta; every other beta gets a new lane appended to the batch, a copy
+        of this one.  A lane that failed in its W block is not forked.
+
+        The iterates, columns and trace grow here, the slack first.  The
+        caller takes this iteration's arrays, the center among them, at the
+        returned rows: the first K are the lanes as they were, then the
+        source of each new lane.
+        """
+        if not self.beta_varies.any():
+            return None
+        top = np.fmax.reduce(center, axis=1)  # NaN entries are kept by every prox
+        cut = np.sqrt(2.0 * self.gamma())
+        riders, sources = list(self.riders), []
+        for row in np.flatnonzero(self.beta_varies & (top > cut)):
+            if row in errors:
+                continue
+            groups = _by_beta(self.configurations, riders[row])
+            levels = np.sqrt(2.0 * (np.array(list(groups))
+                                    / (2.0 * self.sigma[row] + self.tau2[row])))
+            parts: list = [[]]  # the riders that stay, then one lane per beta that leaves
+            for lane, level in zip(groups.values(), levels):
+                if top[row] > level:
+                    parts.append(lane)
+                else:
+                    parts[0] += lane
+            if not parts[0]:  # no beta stays: the smallest keeps the row
+                parts.pop(0)
+            riders[row], *new = parts
+            riders += new
+            sources += [row] * len(new)
+        if not sources:
+            return None
+        rows = np.concatenate((np.arange(len(self.riders)), sources))
+        for name in ("z", "w", "b", "g", "h", "sq_norm", *self._COLUMNS):
+            setattr(self, name, getattr(self, name)[rows])
+        self.history = self.history[:, rows]
+        self._ride(riders)
+        return rows
+
     def release(self, status: np.ndarray, errors: dict, leaving: dict, k: int,
                 t_start: float):
         """Yield (position, outcome) for each rider that leaves at iterate k; keep the rest.
@@ -328,22 +404,31 @@ class _Lanes:
             self.keep(rows, [rest[row] for row in rows])
 
 
-# attrgetter allocates each key at its final size, so that the tuple free
-# list recycles the keys of one call in the next instead of keeping more.
-_BUT_TAU1 = operator.attrgetter(*(field.name for field in fields(Hyperparams)
-                                  if field.name != "tau1"))
+# attrgetter allocates each key at its final size when neither tau1 nor
+# beta joins it, as in a sweep from the zero slack under a backtracking step,
+# so that the tuple free list recycles the keys of one call in the next
+# instead of keeping more.
+_SHARED = operator.attrgetter(*(field.name for field in fields(Hyperparams)
+                                if field.name not in ("tau1", "beta")))
 
 
-def _trajectory(hp: Hyperparams) -> tuple:
+def _trajectory(hp: Hyperparams, positive_start: bool = False) -> tuple:
     """The part of a configuration that decides its iterates; riders of a lane share it.
 
     tau1 moves the iterates only through the fixed step 1 / (L + tau1) taken
     when ``alpha0`` is None.  Otherwise it enters only the W acceptance test
-    and the sufficient-decrease check, so the key leaves it out.
+    and the sufficient-decrease check, so the key leaves it out.  beta enters
+    the iterates only through the slack's positive entries: the prox's
+    threshold zeroes them or keeps them, and the loss counts them.  From a
+    start whose slack has none (``positive_start`` False), the key leaves it
+    out too; :meth:`_Lanes.fork` parts the riders before a slack entry turns
+    positive for some of them.
     """
-    key = _BUT_TAU1(hp)
+    key = _SHARED(hp)
+    if positive_start:
+        key += (hp.beta,)
     if hp.step.kind == "fixed" and hp.step.alpha0 is None:
-        return key + (hp.tau1,)
+        key += (hp.tau1,)
     return key
 
 
@@ -482,9 +567,11 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
     return new_w, new_s, halvings, stalled, errors, split
 
 
-def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
-            b: np.ndarray) -> np.ndarray:
-    sigma, tau2, beta = lanes.sigma[:, None], lanes.tau2[:, None], lanes.beta[:, None]
+def _z_center(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """The weighted center (2 sigma v + tau2 z) / (2 sigma + tau2) of each lane's
+    slack subproblem, in the one new (K, m) array."""
+    sigma, tau2 = lanes.sigma[:, None], lanes.tau2[:, None]
     center = _margins(s_new, b, problem.ys)
     center *= 2.0 * sigma
     # The products are elementwise, so a block of rows, or of one lane's
@@ -497,11 +584,18 @@ def _z_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
         for start in range(0, problem.m, samples):
             block = (lanes_block, slice(start, start + samples))
             center[block] += tau2[lanes_block] * z[block]
-    # Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
-    # complete the square (curvature 2 sigma + tau2), then take the prox of
-    # beta / (2 sigma + tau2) ||(.)_+||_0 at the center.
     center /= 2.0 * sigma + tau2
-    return _hard_threshold(center, beta / (2.0 * sigma + tau2))
+    return center
+
+
+def _z_step(lanes: _Lanes, center: np.ndarray) -> np.ndarray:
+    """The new slack of every lane, from its center, in place of it.
+
+    Exact minimizer of beta ||z_+||_0 + sigma ||z - v||^2 + tau2/2 ||z - z^k||^2:
+    complete the square (curvature 2 sigma + tau2), then take the prox of
+    beta / (2 sigma + tau2) ||(.)_+||_0 at the center (see :func:`_z_center`).
+    """
+    return _hard_threshold(center, lanes.gamma()[:, None])
 
 
 def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarray,
@@ -623,10 +717,19 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
             w, s, halvings, stalled, errors, split = _w_step(
                 problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
             del grad
-            z_old, lanes.z = lanes.z, _z_step(problem, lanes, s, lanes.z, lanes.b)
+            center = _z_center(problem, lanes, s, lanes.z, lanes.b)
+            # A fork grows the lanes' state, the old slack among them, then
+            # the center; the scores grow once the old slack is dropped.
+            rows = lanes.fork(center, errors)
+            if rows is not None:
+                center = center[rows]
+            z_old, lanes.z = lanes.z, _z_step(lanes, center)
+            del center
             np.subtract(lanes.z, z_old, out=z_old)
             dz = np.sqrt(_dots(z_old, z_old))
             del z_old
+            if rows is not None:
+                w, s, halvings, stalled = w[rows], s[rows], halvings[rows], stalled[rows]
             b = _b_step(problem, lanes, s, lanes.z, lanes.b)
             finite = (np.isfinite(w).all(axis=(1, 2)) & np.isfinite(lanes.z).all(axis=1)
                       & np.isfinite(b))
@@ -663,6 +766,27 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
         lanes.w, lanes.b, lanes.g, lanes.sq_norm = w, b, g, sq_norm
 
 
+def _batches(configurations, queue: list, width: int):
+    """Cut a queue of lanes into batches of at most ``width`` lanes once forked.
+
+    A lane counts once per distinct beta of its riders, as many lanes as
+    :meth:`_Lanes.fork` can part it into; a lane that counts more than
+    ``width`` is parted by beta up front.
+    """
+    batch, size = [], 0
+    for lane in queue:
+        groups = _by_beta(configurations, lane)
+        for part, count in ([(lane, len(groups))] if len(groups) <= width
+                            else [(group, 1) for group in groups.values()]):
+            if size + count > width:
+                yield batch
+                batch, size = [], 0
+            batch.append(part)
+            size += count
+    if batch:
+        yield batch
+
+
 def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     """Fit every configuration on ``data``, as the riders of lockstep lanes.
 
@@ -675,11 +799,12 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     acceptance test is fitted again from the start as a lane of its own.  A
     lane's failure leaves the other lanes unchanged.  Lanes sharing the rank
     bound and step policy run together, as many per batch as ``BATCH_FLOATS``
-    allows for their working set.
+    allows for their working set once every lane has forked by beta.
     """
     t_start = time.perf_counter()
     configurations = list(configurations)
     check = _start_check(data, init)
+    positive_start = init is not None and bool(_heaviside(init.z))
     lanes: dict = {}
     for index, hp in enumerate(configurations):
         try:
@@ -687,7 +812,7 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
         except InvalidArgumentError as exc:
             yield index, exc
             continue
-        lanes.setdefault(_trajectory(hp), []).append(index)
+        lanes.setdefault(_trajectory(hp, positive_start), []).append(index)
     # Lanes sharing the rank bound and step policy queue together; a lane is
     # the list of its riders' positions.
     queues: dict = {}
@@ -703,8 +828,8 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
         # A lane of one rider cannot split, so the second round is the last.
         while queue:
             split = []
-            for first in range(0, len(queue), width):
-                batch = _Lanes(configurations, queue[first:first + width])
+            for riders in _batches(configurations, queue, width):
+                batch = _Lanes(configurations, riders)
                 for index, outcome in _lockstep(problem, batch, init, t_start):
                     if outcome is None:
                         split.append([index])

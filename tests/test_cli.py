@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import shlex
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlsmm import (Hyperparams, KktReport, experiments, load_model, make_lowrank_separable,
                    model, save_model, save_smm1, solver, split)
@@ -219,6 +222,21 @@ class TestExitCodes:
         assert not fits
         assert (f"usage error: noise level {named} must be non-negative and finite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("levels, named", [
+        ("0.1,1e308", "1e+308"), ("1e308,1.5e308", "1e+308"), ("1.5e308,1e308", "1.5e+308")])
+    def test_overflowing_gaussian_level_is_refused_before_any_fit(self, smm1_file, capsys,
+                                                                  levels, named):
+        # The error names the first level, in the order given, that overflows.
+        path, _ = smm1_file
+        with calls_to(experiments, "fit") as fits:
+            code = main(["noise-bench", "--data", str(path), "--format", "smm1",
+                         "--rank", "2", "--maxit", "50", "--kind", "gaussian",
+                         "--levels", levels, "--noise-seeds", "1,2"])
+        assert code == 2
+        assert not fits
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: noise level {named} overflows: the noisy features are not finite"]
 
     @pytest.mark.parametrize("argv, code, message", [
         (["train", "--rank", "2", "--beta", "1e308", "--sigma", "1e308"], 4,
@@ -673,3 +691,88 @@ class TestEveryFlagIsRead:
         assert accuracy == "100.0"
         fields = {field.name for field in dataclasses.fields(KktReport)}
         assert {line.split(" = ")[0] for line in report} == fields - {"lam"}
+
+
+# Extreme finite values for the numeric flags: the ends of the float range
+# and the smallest subnormal, and integers past int64.
+EXTREME_REALS = ("1e308", "-1e308", "5e-324", "1.7976931348623157e308")
+EXTREME_INTS = (str(2**63), str(10**30))
+_DATA_FLAGS = {"--label-column": EXTREME_INTS, "--reshape": EXTREME_INTS}
+_FIT_FLAGS = {**_DATA_FLAGS, "--maxit": EXTREME_INTS, "--tol-step": EXTREME_REALS,
+              "--tol-obj": EXTREME_REALS, "--seed": EXTREME_INTS,
+              "--step": tuple(f"{kind}:{value}" for kind in ("backtracking", "fixed")
+                              for value in EXTREME_REALS)}
+_WEIGHT_FLAGS = {"--beta": EXTREME_REALS, "--sigma": EXTREME_REALS, "--rank": EXTREME_INTS,
+                 "--tau1": EXTREME_REALS, "--tau2": EXTREME_REALS, "--tau3": EXTREME_REALS}
+# Per command: its arguments at a small maxit, and the values of each numeric flag.
+_EXTREME_COMMANDS = {
+    "train": (["--rank", "2", "--maxit", "3"], {**_FIT_FLAGS, **_WEIGHT_FLAGS}),
+    "sweep": (["--grid-beta", "0.1", "--grid-sigma", "0.1", "--grid-rank", "2",
+               "--grid-tau", "1e-3", "--cv-folds", "2", "--maxit", "3"],
+              {**_FIT_FLAGS, "--split-ratio": EXTREME_REALS, "--cv-folds": EXTREME_INTS,
+               "--grid-beta": EXTREME_REALS, "--grid-sigma": EXTREME_REALS,
+               "--grid-rank": EXTREME_INTS, "--grid-tau": EXTREME_REALS}),
+    "noise-bench": (["--rank", "2", "--maxit", "3", "--levels", "0,0.1",
+                     "--noise-seeds", "1"],
+                    {**_FIT_FLAGS, **_WEIGHT_FLAGS, "--split-ratio": EXTREME_REALS,
+                     "--levels": EXTREME_REALS, "--noise-seeds": EXTREME_INTS}),
+    "sensitivity": (["--r-values", "2", "--beta-values", "0.1", "--maxit", "3"],
+                    {**_FIT_FLAGS, "--split-ratio": EXTREME_REALS,
+                     **{flag: _WEIGHT_FLAGS[flag]
+                        for flag in ("--sigma", "--tau1", "--tau2", "--tau3")},
+                     "--r-values": EXTREME_INTS, "--beta-values": EXTREME_REALS}),
+    "kkt-check": ([], {**_DATA_FLAGS, "--zero-tol": EXTREME_REALS}),
+}
+
+
+@st.composite
+def extreme_invocations(draw):
+    """A command and one of its numeric flags at an extreme finite value."""
+    command = draw(st.sampled_from(sorted(_EXTREME_COMMANDS)))
+    base, flags = _EXTREME_COMMANDS[command]
+    flag = draw(st.sampled_from(sorted(flags)))
+    value = draw(st.sampled_from(flags[flag]))
+    # --flag=value, so that argparse reads "-1e308" as a value, not a flag.
+    given_flag = [flag, value, draw(st.sampled_from(EXTREME_INTS))] if flag == "--reshape" \
+        else [f"{flag}={value}"]
+    return command, base, given_flag
+
+
+class TestExtremeFlagValues:
+    """Every numeric flag, at the edge of the float or integer range, reaches a
+    documented exit code with at most one stderr line and no warning."""
+
+    @pytest.fixture(scope="class")
+    def extreme_inputs(self, tmp_path_factory):
+        # A 60-sample CSV of 3x4 samples and a model trained on it.
+        folder = tmp_path_factory.mktemp("extreme")
+        data, _, _ = make_lowrank_separable(m=60, p=3, q=4, seed=211)
+        rows = np.column_stack((data.ys, data.xs.reshape(data.m, -1)))
+        csv = folder / "data.csv"
+        csv.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        model_path = folder / "model.json"
+        data_args = ["--data", str(csv), "--reshape", "3", "4"]
+        assert main(["train", *data_args, "--rank", "2", "--maxit", "5",
+                     "--out", str(model_path)]) == 0
+        return folder, data_args, model_path
+
+    @settings(max_examples=60, deadline=None)
+    @given(invocation=extreme_invocations())
+    def test_extreme_value_reaches_a_documented_exit(self, extreme_inputs, invocation):
+        folder, data_args, model_path = extreme_inputs
+        command, base, given_flag = invocation
+        if given_flag[0] == "--reshape":  # the drawn shape replaces the data's
+            data_args = data_args[:2]
+        argv = [command, *data_args, *base, *given_flag]
+        if command == "kkt-check":
+            argv += ["--model", str(model_path)]
+        if command == "sensitivity":
+            argv += ["--out-csv", str(folder / "surface.csv")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) == (code != 0), (argv, err.getvalue())

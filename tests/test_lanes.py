@@ -62,7 +62,8 @@ def lane_batches(draw):
 
     The list always holds an infeasible rank, a fixed step, a backtracking
     step that halves, one that stalls and a long fixed step; three
-    configurations that differ only in tau1; and a pair that differs only in
+    configurations that differ only in tau1; three that differ only in beta,
+    whose lane forks once their slacks part; and a pair that differs only in
     tau1 and straddles the W acceptance test, so that it splits.  Random
     ones come on top.
     """
@@ -81,11 +82,13 @@ def lane_batches(draw):
 
     policies = (StepPolicy(), FIXED, FIXED_STEP, HALVING, STALL)
     siblings = config(draw(st.integers(1, low - 1)), draw(st.sampled_from(policies)))
+    family = config(draw(st.integers(1, low - 1)), draw(st.sampled_from(policies)))
     straddle = config(low - 1, HALVING)
     required = [config(low, StepPolicy()), config(1, FIXED),
                 config(low - 1, HALVING), config(1, STALL),
                 config(draw(st.integers(1, low - 1)), LONG_STEP),
                 *(siblings.with_(tau1=tau1) for tau1 in TAUS),
+                *(family.with_(beta=beta) for beta in (0.01, 0.1, 0.5)),
                 straddle.with_(tau1=1e-4), straddle.with_(tau1=1e3)]
     extras = [config(draw(st.integers(1, low)), draw(st.sampled_from(policies)))
               for _ in range(draw(st.integers(0, 4)))]
@@ -96,12 +99,14 @@ class TestLockstepLanes:
     @settings(max_examples=60, deadline=None)
     @given(lane_batches(), st.sampled_from((1, 400, 1 << 16)))
     def test_every_lane_equals_a_lone_fit(self, batch, budget):
-        # The budget sets the batch width: one lane per batch, a few, or all.
+        # The budget sets the batch width: one lane per batch, a few, or all,
+        # forks included.
         data, configurations = batch
         with mock.patch.object(solver, "BATCH_FLOATS", budget), \
-                calls_to(solver._Lanes, "__init__") as builds:
+                calls_to(solver._Lanes, "__init__") as builds, \
+                calls_to(solver, "project_rank") as calls:
             outcomes = dict(fit_many(data, configurations))
-        widths = [len(call.args[2]) for call in builds]
+        widths = [len(call.args[2]) for call in builds] + stack_sizes(calls)
         assert max(widths) <= max(1, budget // (4 * data.m))
         assert sorted(outcomes) == list(range(len(configurations)))
         for index, hp in enumerate(configurations):
@@ -173,7 +178,8 @@ class TestLockstepLanes:
 
 
 class TestBatchWidth:
-    """A batch takes BATCH_FLOATS // (4 m) lanes.
+    """A batch takes BATCH_FLOATS // (4 m) lanes, a lane counted once per
+    distinct beta of its riders.
 
     A lone lane holds three m-vectors in every block, plus the kernel's
     8 KiB ufunc buffer wherever the int8 labels are cast for a product and
@@ -183,10 +189,13 @@ class TestBatchWidth:
     """
 
     @pytest.mark.parametrize("budget,widths", [
-        (1, [1] * 12), (400, [2] * 6), (1 << 16, [12])])
+        (1, [1] * 12), (400, [2] * 6), (1 << 16, [4])])
     def test_budget_sets_the_width(self, budget, widths):
-        # 4 m = 160 floats per lane: one lane per batch, partial batches of
-        # two, or the whole rank group of twelve lanes.
+        # 4 m = 160 floats per lane, and the rank group is four families of
+        # three beta siblings, each counted as the three lanes it can fork
+        # into.  A width of one or two lanes parts each family by beta up
+        # front: one lane per batch, or batches of two; a width of 409 takes
+        # the whole group as four lanes.
         data = random_dataset(71, m=40, p=3, q=4)
         configurations = [Hyperparams(beta=beta, sigma=sigma, rank=1, maxit=3)
                           for beta in (0.01, 0.1, 0.5) for sigma in (0.01, 0.1, 1.0, 10.0)]
@@ -201,10 +210,12 @@ class TestBatchWidth:
     @pytest.mark.parametrize("m", [265, 398])
     def test_reference_rank_group_is_one_batch(self, m):
         # On 5x6 samples the reference grid's feasible rank group is 162
-        # configurations in 54 lanes (tau1 siblings ride together).  At the
-        # sizes of the WDBC-shaped grid's training set (398) and of its CV
-        # folds (265) they make one batch, so the first W step projects all
-        # 54 matrices in one stack.
+        # configurations in 18 lanes: tau1 siblings ride together, and so do
+        # beta siblings from the zero slack.  They count as 54 lanes, the
+        # most they can fork into.  At the sizes of the WDBC-shaped grid's
+        # training set (398) and of its CV folds (265) that is one batch, so
+        # the first W step projects the 18 lanes in one stack, and no later
+        # stack holds more than 54.
         data = random_dataset(72, m=m, p=5, q=6)
         grid = HyperparamGrid()
         configurations = list(grid.configurations(Hyperparams(beta=0.1, sigma=0.01,
@@ -213,19 +224,21 @@ class TestBatchWidth:
             outcomes = dict(fit_many(data, configurations))
         assert sorted(outcomes) == list(range(grid.size))
         sizes = stack_sizes(calls)
-        assert sizes[0] == max(sizes) == 54
+        assert sizes[0] == 18 and max(sizes) <= 54
 
     @pytest.mark.parametrize("maxit", [30, 1000])
     def test_peak_memory_of_the_reference_grid(self, maxit):
-        # One batch of 54 lanes holds three 54 x 398 arrays (0.49 MiB) in its
-        # W trial, z and b blocks and two in its gradient and objective, plus
-        # the prox's mask, the configurations and the trace, which grows by
-        # doubling with the iterations run.  A release copies the leaving
-        # riders' results out of the iterates as they are, then moves the
-        # kept rows in place.  Measured 0.64-0.75 MiB over three proxies at
-        # either maxit; shrinking the batch into copies before the results
-        # took 0.80-0.83 MiB at maxit 1000, and a fourth live 54 x 398 array
-        # (0.164 MiB), such as tau2 z taken whole, would cross the bound.
+        # One batch of K lanes, 18 that fork into 45 to 48 here, holds three
+        # K x 398 arrays in its W trial, z and b blocks and two in its
+        # gradient and objective, plus the prox's mask, the configurations
+        # and the trace, which grows by doubling with the iterations run.  A
+        # fork grows the old slack and the center next to the scores.  A
+        # release copies the leaving riders' results out of the iterates as
+        # they are, then moves the kept rows in place.  Measured 0.54-0.68
+        # MiB over three proxies at maxit 30 and 0.74 at maxit 1000; with 54
+        # lanes, before beta siblings shared, 0.64-0.75.  A fourth live
+        # 54 x 398 array (0.164 MiB), such as tau2 z taken whole, would cross
+        # the bound.
         data = wdbc_proxy(73)
         configurations = list(HyperparamGrid(rank=(4,)).configurations(
             Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=maxit)))
@@ -238,9 +251,10 @@ class TestBatchWidth:
     def test_w_block_of_a_halving_batch_stays_in_budget(self):
         # Above its entry the W block holds the kept scores and a trial's
         # scores, plus one lane's gap at a time in a trial on some of the
-        # lanes.  Measured: 2.59 (K, m) arrays, where copying the slack rows
-        # of the pending lanes and stacking their gaps took 4.41, past the
-        # three that BATCH_FLOATS // (4 m) leaves beside the slack.
+        # lanes.  Measured: 2.47 (K, m) arrays (2.59 before beta siblings
+        # shared a lane), where copying the slack rows of the pending lanes
+        # and stacking their gaps took 4.41, past the three that
+        # BATCH_FLOATS // (4 m) leaves beside the slack.
         data, _, _ = make_lowrank_separable(m=398, p=5, q=6, rank=2, margin=0, seed=3)
         configurations = list(HyperparamGrid(rank=(4,)).configurations(
             Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=30, step=HALVING)))
@@ -273,9 +287,9 @@ class TestBatchWidth:
         # m = 2000: at most 1.47 m-vectors per step, where shrinking the
         # batch into copies before its results were copied out took 4.26.
         data = wdbc_proxy(77, m=2000)
-        configurations = [Hyperparams(beta=beta, sigma=0.01, rank=2, maxit=maxit)
-                          for beta, maxit in zip((0.01, 0.05, 0.1, 0.2, 0.3, 0.5),
-                                                 (20, 5, 20, 8, 20, 5))]
+        configurations = [Hyperparams(beta=0.1, sigma=sigma, rank=2, maxit=maxit)
+                          for sigma, maxit in zip((0.01, 0.05, 0.1, 0.2, 0.3, 0.5),
+                                                  (20, 5, 20, 8, 20, 5))]
         original, rises = solver._Lanes.release, []
 
         def release(lanes, *args):
@@ -303,6 +317,7 @@ class TestBatchWidth:
 
     def test_lanes_in_blocks_of_one_equal_lone_fits(self):
         # With a block of one value every lane's tau2 z is its own block.
+        # The beta siblings start as nine lanes and fork.
         data = wdbc_proxy(75, m=60)
         configurations = list(HyperparamGrid(beta=(0.01, 0.5), sigma=(0.1,),
                                              rank=(2,)).configurations(
@@ -310,7 +325,7 @@ class TestBatchWidth:
         with mock.patch.object(solver, "_BLOCK_FLOATS", 1), \
                 calls_to(solver._Lanes, "__init__") as builds:
             outcomes = dict(fit_many(data, configurations))
-        assert [len(call.args[2]) for call in builds] == [18]
+        assert [len(call.args[2]) for call in builds] == [9]
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 
@@ -427,9 +442,10 @@ class TestStartChecks:
         # wdbc_grid benchmark runs them.  On 5x6 samples each table refuses
         # rank 10 for 162 configurations: every one raises its own error,
         # but all carry the one message decided for the rank, so the two
-        # tables hold two strings for them, not 324.  Measured 0.733-0.745
-        # MiB over three proxies, where one string per refusal and a release
-        # that shrank the batch before copying results out took 0.78-0.80.
+        # tables hold two strings for them, not 324.  Measured 0.665-0.676
+        # MiB over three proxies (0.733-0.749 before beta siblings shared a
+        # lane), where one string per refusal and a release that shrank the
+        # batch before copying results out took 0.78-0.80.
         train, test = split(wdbc_proxy(81, m=569), 0.7, stratified=True, seed=81)
         base = Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=30)
         tables = []
@@ -588,3 +604,71 @@ class TestUfuncBuffer:
                     pytest.raises(RuntimeError, match="boom"):
                 fit(data, default_hp)
             assert np.getbufsize() == size
+
+
+class TestBetaRiders:
+    """Configurations that differ only in beta share one lane while their slack
+    has no positive entry, and fork into a lane per beta when it would."""
+
+    @staticmethod
+    def family(seed, **fields):
+        """The reference grid's rank-4 group on an m = 398 proxy of the WDBC set."""
+        base = Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=30)
+        return wdbc_proxy(seed), list(HyperparamGrid(rank=(4,), **fields).configurations(base))
+
+    def test_family_without_positive_slack_costs_one_lane(self):
+        # At sigma = 0.01 no center entry rises above beta = 0.1's threshold
+        # sqrt(2 beta / (2 sigma + tau2)) = 3.16, so neither lane ever holds
+        # a positive slack entry.  Without the sharing the family projected
+        # one stack row per distinct beta: twice the matrices.
+        data, configurations = self.family(73, beta=(0.1, 0.5), sigma=(0.01,),
+                                           tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
+        outcomes, both = projected(data, configurations)
+        _, one = projected(data, configurations[:1])
+        assert both == one > 0
+        for index, hp in enumerate(configurations):
+            assert not (outcomes[index].model.z > 0).any()
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
+
+    def test_lane_forks_after_the_first_iteration(self):
+        # On this proxy the 18 lanes of the first iteration fork into 45 in
+        # its z block, and a sigma = 0.01 lane forks again at iteration 7:
+        # from iteration 8 on the W block projects 48 matrices.
+        data, configurations = self.family(75)
+        with calls_to(solver, "project_rank") as calls:
+            outcomes = dict(fit_many(data, configurations))
+        assert stack_sizes(calls)[:8] == [18] + [45] * 6 + [48]
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 7])
+    def test_forks_stay_inside_the_width(self, width):
+        # Six families of three betas on 60 samples, each counted as three
+        # lanes: a width below three parts them by beta up front, and a wider
+        # one takes whole families, which fork inside it.
+        data = wdbc_proxy(75, m=60)
+        configurations = list(HyperparamGrid(sigma=(0.01, 0.1), rank=(2,), tau1=(1e-3,),
+                                             tau3=(1e-3,)).configurations(
+            Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=15)))
+        with mock.patch.object(solver, "BATCH_FLOATS", width * 4 * data.m), \
+                calls_to(solver, "project_rank") as calls:
+            outcomes = dict(fit_many(data, configurations))
+        sizes = stack_sizes(calls)
+        assert max(sizes) <= width
+        assert (max(sizes) > sizes[0]) == (width >= 3)
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
+
+    def test_positive_start_keeps_beta_siblings_apart(self, synthetic, default_hp):
+        # From a slack with a positive entry beta enters the first objective,
+        # so each beta starts a lane of its own.
+        data, _, _ = synthetic
+        z = np.zeros(data.m)
+        z[0] = 0.5
+        init = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=z)
+        configurations = [default_hp.with_(beta=beta, maxit=20) for beta in (0.01, 0.1, 0.5)]
+        with calls_to(solver._Lanes, "__init__") as builds:
+            outcomes = dict(fit_many(data, configurations, init))
+        assert [call.args[2] for call in builds] == [[[0], [1], [2]]]
+        for index, hp in enumerate(configurations):
+            assert outcome_bits(outcomes[index]) == outcome_bits(fit(data, hp, init))

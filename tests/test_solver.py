@@ -21,7 +21,8 @@ from hlsmm import (
 )
 from hlsmm import kkt, kkt_report, solver
 from hlsmm.model import _check_shapes, _margins
-from hlsmm.solver import _b_step, _Lanes, _Problem, _trajectory, _w_step, _z_step
+from hlsmm.solver import (_b_step, _Lanes, _Problem, _trajectory, _w_step, _z_center,
+                          _z_step)
 
 from conftest import make_rng, peak_bytes, random_dataset
 
@@ -58,7 +59,7 @@ def w_block(state, data, hp):
 def z_block(state, data, hp):
     """The kernel's z block, with ``state.w`` as the new W."""
     problem, lanes, _, s, z, b = one_lane(state, data, hp)
-    return _z_step(problem, lanes, s, z, b)[0]
+    return _z_step(lanes, _z_center(problem, lanes, s, z, b))[0]
 
 
 def b_block(state, data, hp):
@@ -453,7 +454,16 @@ class TestTrajectory:
         {"step": StepPolicy(kind="fixed", alpha0=1e-2)},
         {"step": StepPolicy(max_halvings=5)}, {"step": StepPolicy(alpha0=2.0)}])
     def test_every_other_field_is_kept(self, default_hp, change):
-        assert _trajectory(default_hp) != _trajectory(default_hp.with_(**change))
+        # From a slack with a positive entry beta enters the first objective.
+        assert (_trajectory(default_hp, positive_start=True)
+                != _trajectory(default_hp.with_(**change), positive_start=True))
+
+    @pytest.mark.parametrize("step", [StepPolicy(), StepPolicy(kind="fixed")])
+    def test_beta_is_dropped_from_a_start_without_positive_slack(self, default_hp, step):
+        hp = default_hp.with_(step=step)
+        assert _trajectory(hp.with_(beta=0.01)) == _trajectory(hp.with_(beta=0.5))
+        assert (_trajectory(hp.with_(beta=0.01), positive_start=True)
+                != _trajectory(hp.with_(beta=0.5), positive_start=True))
 
 
 class TestProblemKernel:
@@ -504,7 +514,8 @@ class TestProblemKernel:
         z = gen.standard_normal((4, 60))
         b = gen.standard_normal(4)
         problem = _Problem(data)
-        z_new = _z_step(problem, _Lanes(configs, [[k] for k in range(len(configs))]), problem.scores(w), z, b)
+        lanes = _Lanes(configs, [[k] for k in range(len(configs))])
+        z_new = _z_step(lanes, _z_center(problem, lanes, problem.scores(w), z, b))
         zeroed = kept = 0
         for k, hp in enumerate(configs):
             v = margin_residuals(w[k], b[k], data)
