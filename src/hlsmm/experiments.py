@@ -12,8 +12,9 @@ two runs with identical inputs and seeds produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +66,15 @@ def evaluate(model: ModelState, test: Dataset) -> Metrics:
     )
 
 
+_AXES = ("beta", "sigma", "rank", "tau1", "tau2", "tau3")
+
+
 @dataclass(frozen=True)
 class HyperparamGrid:
-    """Candidate sets for the exhaustive search (defaults: the reference grids)."""
+    """Candidate sets for the exhaustive search (defaults: the reference grids).
+
+    Each axis is stored as a tuple, so a grid is immutable and hashable.
+    """
 
     beta: tuple = (0.01, 0.1, 0.5)
     sigma: tuple = (0.01, 0.1)
@@ -75,23 +82,44 @@ class HyperparamGrid:
     tau1: tuple = (1e-4, 1e-3, 1e-2)
     tau2: tuple = (1e-4, 1e-3, 1e-2)
     tau3: tuple = (1e-4, 1e-3, 1e-2)
+    # (base, records) of the last configurations() call; see there.
+    _records: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("beta", "sigma", "rank", "tau1", "tau2", "tau3"):
-            if not len(getattr(self, name)):
+        for name in _AXES:
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not np.iterable(values):
+                raise InvalidArgumentError(
+                    f"candidates for {name} must be a sequence of values, "
+                    f"got {type(values).__name__} {values!r}")
+            values = tuple(values)
+            if not values:
                 raise InvalidArgumentError(f"empty candidate list for {name}")
+            object.__setattr__(self, name, values)
 
     @property
     def size(self) -> int:
         return (len(self.beta) * len(self.sigma) * len(self.rank)
                 * len(self.tau1) * len(self.tau2) * len(self.tau3))
 
-    def configurations(self, base: Hyperparams):
-        """Yield Hyperparams in deterministic product order."""
-        for beta, sigma, rank, tau1, tau2, tau3 in itertools.product(
-                self.beta, self.sigma, self.rank, self.tau1, self.tau2, self.tau3):
-            yield replace(base, beta=beta, sigma=sigma, rank=rank,
-                          tau1=tau1, tau2=tau2, tau3=tau3)
+    def configurations(self, base: Hyperparams) -> tuple[Hyperparams, ...]:
+        """The grid's Hyperparams over ``base``, in deterministic product order.
+
+        The grid keeps the last base's records and returns that same tuple
+        while the base is the same object.  This pays when one grid object
+        is swept twice over one base, as by ``grid_search`` and then
+        ``grid_search_cv``: the CV sweep then holds no second set of records
+        next to the held-out table's.  A value that ``Hyperparams`` refuses
+        raises on every call and leaves nothing kept.
+        """
+        if self._records is None or self._records[0] is not base:
+            records = tuple(
+                replace(base, beta=beta, sigma=sigma, rank=rank,
+                        tau1=tau1, tau2=tau2, tau3=tau3)
+                for beta, sigma, rank, tau1, tau2, tau3 in itertools.product(
+                    *(getattr(self, name) for name in _AXES)))
+            object.__setattr__(self, "_records", (base, records))
+        return self._records[1]
 
 
 @_record
@@ -161,39 +189,52 @@ def _best(result: SweepResult) -> Hyperparams | None:
     return min(winners, key=key).hyperparams if winners else None
 
 
-def _sweep(configurations, pairs) -> SweepResult:
+def _sweep(configurations, pairs, status: str | None = None) -> SweepResult:
     """One row per configuration, its counts pooled over the (training, validation) pairs.
 
-    ``pairs`` yields the pairs one at a time, so that one fold is held at a
-    time.  Each training set fits every configuration still without an error
-    as one :func:`fit_many` call, and each lane's model is scored once, as
-    its riders stop.  A row sums the pairs' iterations and keeps the last
-    pair's objective and status; a fit that raises on any pair makes a
+    ``pairs`` yields each training set with a callable that builds its
+    validation set.  Each training set fits every configuration still
+    without an error as one :func:`fit_many` call, and each distinct model's
+    weights and bias are kept.  Only when that call is exhausted is the
+    training set dropped and the validation set built, and each distinct
+    model is scored once.  A finished pair is dropped before the next one is
+    drawn, so one fold is held at a time.
+
+    A row sums the pairs' iterations and keeps the last pair's objective and
+    status, or ``status`` when given; a fit that raises on any pair makes a
     failed row carrying the message, and that configuration is not fitted
     on later pairs.
     """
-    configurations = list(configurations)
     pooled = [Metrics(0, 0, 0, 0)] * len(configurations)
     iterations = [0] * len(configurations)
     last: list[tuple | None] = [None] * len(configurations)  # (objective, status)
     errors: list[str | None] = [None] * len(configurations)
-    for train, validation in pairs:
+    for train, make_validation in pairs:
         live = [index for index, error in enumerate(errors) if error is None]
-        scored = None  # (model, metrics) of the last outcome scored on this pair
+        # The riders of a lane stop one after another with equal models, so
+        # consecutive equal models form one group, scored once.  A group
+        # keeps what scoring reads, the weights and the bias: a model's
+        # slack is an m-vector.
+        groups = []  # (w, b, indices of the configurations that stopped with it)
         for lane, outcome in fit_many(train, [configurations[i] for i in live]):
             index = live[lane]
             if not isinstance(outcome, FitResult):
                 errors[index] = str(outcome)
                 continue
-            # The riders of a lane stop one after another with equal models,
-            # so a lane is scored once.
             model = outcome.model
-            if not (scored and model.b == scored[0].b
-                    and np.array_equal(model.w, scored[0].w)):
-                scored = model, evaluate(model, validation)
-            pooled[index] = pooled[index] + scored[1]
-            iterations[index] += outcome.model.iter
+            if not (groups and model.b == groups[-1][1]
+                    and np.array_equal(model.w, groups[-1][0])):
+                groups.append((model.w, model.b, []))
+            groups[-1][2].append(index)
+            iterations[index] += model.iter
             last[index] = (outcome.trace.objective[-1], outcome.trace.status)
+        train = outcome = model = None  # the fit is over: drop the training set
+        validation = make_validation()
+        for w, b, indices in groups:
+            metrics = evaluate(ModelState(w=w, b=b, z=()), validation)
+            for index in indices:
+                pooled[index] = pooled[index] + metrics
+        validation = groups = None  # before the next pair is drawn
     rows = []
     for index, hp in enumerate(configurations):
         if errors[index] is not None:
@@ -206,7 +247,8 @@ def _sweep(configurations, pairs) -> SweepResult:
                              noise_level=None, noise_seed=None,
                              metrics=pooled[index],
                              final_objective=last[index][0],
-                             iterations=iterations[index], status=last[index][1]))
+                             iterations=iterations[index],
+                             status=status or last[index][1]))
     return SweepResult(rows=rows)
 
 
@@ -221,7 +263,7 @@ def grid_search(train: Dataset, validation: Dataset, grid: HyperparamGrid,
     remaining parameters in ascending lexicographic order.  Returns
     (best hyperparams or None when nothing succeeded, full table).
     """
-    result = _sweep(grid.configurations(base), [(train, validation)])
+    result = _sweep(grid.configurations(base), [(train, lambda: validation)])
     return _best(result), result
 
 
@@ -269,10 +311,9 @@ def grid_search_cv(train: Dataset, grid: HyperparamGrid, base: Hyperparams,
             f"{folds} folds need at least {folds} training samples of one label; "
             f"there are {positives} of +1 and {negatives} of -1")
 
-    pairs = ((train.subset(keep), train.subset(held_out))
+    pairs = ((train.subset(keep), functools.partial(train.subset, held_out))
              for keep, held_out in _cv_splits(train, folds, seed))
-    result = _sweep(grid.configurations(base), pairs)
-    result.rows = [replace(row, status="cv") if row.ok else row for row in result.rows]
+    result = _sweep(grid.configurations(base), pairs, status="cv")
     return _best(result), result
 
 
@@ -339,7 +380,7 @@ def sensitivity_grid(train: Dataset, test: Dataset, hp_base: Hyperparams,
         raise InvalidArgumentError("value lists must be non-empty")
     configurations = [replace(hp_base, rank=rank, beta=beta)
                       for rank in r_values for beta in beta_values]
-    result = _sweep(configurations, [(train, test)])
+    result = _sweep(configurations, [(train, lambda: test)])
     accuracy = [row.metrics.accuracy if row.ok else np.nan for row in result.rows]
     return np.array(accuracy).reshape(len(r_values), len(beta_values))
 

@@ -63,10 +63,10 @@ DECREASE_SLACK = 1e-9
 # BATCH_FLOATS // (4 m) lanes, at least one, counting a lane once per
 # distinct beta of its riders, as many lanes as it can fork into: the fourth
 # m-vector per lane covers the buffer, the z block's one bool mask and the
-# loss's.  A fork of K lanes into K + f grows the old slack and then the
-# center, one array at a time, next to the scores: at most 4 K + 2 f rows,
-# inside the four per lane.  The trace is not reserved: it grows by doubling
-# with the iterations the live lanes have run.
+# loss's.  A fork of K lanes into K + f drops the center, grows the old
+# slack and then the scores, and builds the center again: at most 3 (K + f)
+# rows, the z block of a batch of K + f lanes.  The trace is not reserved:
+# it grows by doubling with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
 # Largest temporary of the z block's tau2 z term, in float64 values: its
 # 16 KiB are no more than a lone lane's prox mask (m bytes) from m = 16384.
@@ -230,7 +230,7 @@ class _Lanes:
     :meth:`begin` sets the iterates ``w``, ``z``, ``b``, their objective ``g``,
     ``h`` = h(W), ``sq_norm`` = ||W||^2 and the ``gap`` Z - V that the next W
     block reads, and the trace ``history``; :meth:`keep` shrinks them all
-    and :meth:`fork` grows them.
+    and :meth:`grow` grows them.
     """
 
     # Hyperparameter columns that the riders of a lane share, as float arrays
@@ -318,9 +318,9 @@ class _Lanes:
         """beta / (2 sigma + tau2) per lane: the z block's prox parameter."""
         return self.beta / (2.0 * self.sigma + self.tau2)
 
-    def fork(self, center: np.ndarray, errors: dict) -> np.ndarray | None:
-        """Give the riders of a lane their own lanes by beta where ``center``
-        would tell them apart; return each lane's source row, or None.
+    def fork(self, center: np.ndarray, errors: dict) -> tuple[list, list] | None:
+        """Part the riders of a lane into lanes by beta where ``center`` would
+        tell them apart.
 
         Riders of a lane that differ in beta share its slack while it has no
         positive entry.  The z block runs at the lane's smallest beta, whose
@@ -332,10 +332,9 @@ class _Lanes:
         beta; every other beta gets a new lane appended to the batch, a copy
         of this one.  A lane that failed in its W block is not forked.
 
-        The iterates, columns and trace grow here, the slack first.  The
-        caller takes this iteration's arrays, the center among them, at the
-        returned rows: the first K are the lanes as they were, then the
-        source of each new lane.
+        Returns the rider map with the new lanes appended and each new
+        lane's source row, for :meth:`grow`, or None.  Nothing grows here,
+        so that the caller can drop the center first.
         """
         if not self.beta_varies.any():
             return None
@@ -359,8 +358,15 @@ class _Lanes:
             riders[row], *new = parts
             riders += new
             sources += [row] * len(new)
-        if not sources:
-            return None
+        return (riders, sources) if sources else None
+
+    def grow(self, riders: list, sources: list) -> np.ndarray:
+        """Append a copy of row ``sources[j]`` for each new lane of ``riders``.
+
+        The iterates, columns and trace grow, the slack first.  Returns each
+        lane's source row: the first K are the lanes as they were.  The
+        caller takes this iteration's arrays at these rows.
+        """
         rows = np.concatenate((np.arange(len(self.riders)), sources))
         for name in ("z", "w", "b", "g", "h", "sq_norm", *self._COLUMNS):
             setattr(self, name, getattr(self, name)[rows])
@@ -718,18 +724,20 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
                 problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
             del grad
             center = _z_center(problem, lanes, s, lanes.z, lanes.b)
-            # A fork grows the lanes' state, the old slack among them, then
-            # the center; the scores grow once the old slack is dropped.
-            rows = lanes.fork(center, errors)
-            if rows is not None:
-                center = center[rows]
+            fork = lanes.fork(center, errors)
+            if fork is not None:
+                # The batch grows without its center, which is then built
+                # again at the new size, bit for bit its rows: three arrays
+                # of K + f rows, as in a batch of K + f lanes.
+                del center
+                rows = lanes.grow(*fork)
+                w, s, halvings, stalled = w[rows], s[rows], halvings[rows], stalled[rows]
+                center = _z_center(problem, lanes, s, lanes.z, lanes.b)
             z_old, lanes.z = lanes.z, _z_step(lanes, center)
             del center
             np.subtract(lanes.z, z_old, out=z_old)
             dz = np.sqrt(_dots(z_old, z_old))
             del z_old
-            if rows is not None:
-                w, s, halvings, stalled = w[rows], s[rows], halvings[rows], stalled[rows]
             b = _b_step(problem, lanes, s, lanes.z, lanes.b)
             finite = (np.isfinite(w).all(axis=(1, 2)) & np.isfinite(lanes.z).all(axis=1)
                       & np.isfinite(b))

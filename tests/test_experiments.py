@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from hlsmm import (
     Dataset,
     HyperparamGrid,
+    Hyperparams,
     InvalidArgumentError,
     Metrics,
     ModelState,
@@ -27,7 +31,7 @@ from hlsmm.experiments import (
     write_sweep_csv,
 )
 
-from conftest import calls_to, make_rng, random_dataset
+from conftest import calls_to, make_rng, peak_bytes, random_dataset
 
 
 def constant_model(data, label: float) -> ModelState:
@@ -114,6 +118,56 @@ class TestGridSearch:
     def test_grid_refuses_a_rank_that_is_not_an_integer(self, default_hp, rank):
         with pytest.raises(InvalidArgumentError, match="rank must be an integer"):
             list(HyperparamGrid(rank=(rank,)).configurations(default_hp))
+
+    @pytest.mark.parametrize("axis, value", [
+        ("beta", 0.1), ("rank", 4), ("tau2", np.float64(1e-3)), ("sigma", np.array(0.1)),
+        ("tau1", "ab"), ("tau3", b"ab")])
+    def test_grid_refuses_an_axis_that_is_not_a_sequence(self, axis, value):
+        # A scalar has no candidates, and a string's characters are not
+        # candidate values.
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^candidates for {axis} must be a sequence of values"):
+            HyperparamGrid(**{axis: value})
+
+    def test_grid_axes_are_stored_as_tuples(self):
+        grid = HyperparamGrid(beta=[0.1, 0.5], sigma=np.array([0.01, 0.1]),
+                              rank=range(1, 3), tau1=(v for v in (1e-3,)))
+        assert (grid.beta, grid.sigma, grid.rank, grid.tau1) == (
+            (0.1, 0.5), (0.01, 0.1), (1, 2), (1e-3,))
+        assert all(type(getattr(grid, axis)) is tuple
+                   for axis in ("beta", "sigma", "rank", "tau1", "tau2", "tau3"))
+        assert hash(grid) == hash(HyperparamGrid(beta=(0.1, 0.5), sigma=(0.01, 0.1),
+                                                 rank=(1, 2), tau1=(1e-3,)))
+        with pytest.raises(InvalidArgumentError, match="empty candidate list for rank"):
+            HyperparamGrid(rank=[])
+
+    def test_configurations_are_built_once_per_base(self, default_hp):
+        grid = HyperparamGrid()
+        first = grid.configurations(default_hp)
+        assert grid.configurations(default_hp) is first
+        assert list(first) == [
+            dataclasses.replace(default_hp, beta=beta, sigma=sigma, rank=rank,
+                                tau1=tau1, tau2=tau2, tau3=tau3)
+            for beta, sigma, rank, tau1, tau2, tau3 in itertools.product(
+                grid.beta, grid.sigma, grid.rank, grid.tau1, grid.tau2, grid.tau3)]
+        other = default_hp.with_(maxit=7)
+        rebuilt = grid.configurations(other)
+        assert rebuilt is not first and [hp.maxit for hp in rebuilt] == [7] * 324
+        assert grid.configurations(other) is rebuilt
+
+    def test_a_refused_grid_value_is_refused_on_every_call(self, default_hp):
+        # The last record is refused; nothing is kept, so the second call
+        # builds the records again and raises the same error.
+        grid = HyperparamGrid(beta=(0.1,), sigma=(0.1,), rank=(2, 2.7),
+                              tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
+        messages = []
+        for _ in range(2):
+            with calls_to(experiments, "replace") as builds, \
+                    pytest.raises(InvalidArgumentError) as info:
+                grid.configurations(default_hp)
+            assert len(builds) == 2
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and "rank must be an integer" in messages[0]
 
     def test_riders_of_a_lane_are_scored_once(self, synthetic, default_hp):
         # The three tau1 values of each beta ride one lane and stop with equal
@@ -224,6 +278,61 @@ class TestGridSearch:
         assert best is None
         assert [(row.status, row.error) for row in table.rows] == [
             ("failed", "training requires at least one sample of each label")]
+
+    def test_sweep_keeps_no_slack_of_the_models_it_scores(self):
+        # At m = 40000 a batch takes one lane, so each sigma here is a batch
+        # of its own and stops with a model of its own.  Until its pair is
+        # scored, a sweep keeps a model's weights and bias, not its slack of
+        # one m-vector.  Measured in m-vectors: 4.17 held-out and 7.40 CV,
+        # of which the fold's training copy of four floats a sample is 2.67.
+        # Keeping each model's slack would cross both bounds (about 10.2
+        # and 11.4).
+        data = random_dataset(91, m=40_000, p=2, q=2)
+        grid = HyperparamGrid(beta=(0.1,), sigma=(0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0),
+                              rank=(1,), tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
+        base = Hyperparams(beta=0.1, sigma=0.01, rank=1, maxit=3)
+        tables = []
+        held_out = peak_bytes(lambda: tables.append(grid_search(data, data, grid, base)[1]))
+        cv = peak_bytes(lambda: tables.append(grid_search_cv(data, grid, base, seed=91)[1]))
+        for table in tables:
+            assert len({row.final_objective for row in table.rows if row.ok}) == 8
+        assert held_out < 4.5 * 8 * data.m
+        assert cv < 8 * 8 * data.m
+
+    def test_cv_fold_is_scored_after_its_fit_without_its_training_set(
+            self, synthetic, default_hp):
+        # Each held-out subset is built only once its fold's fit_many is
+        # exhausted, when nothing holds the fold's training set any more;
+        # and a fold's validation set is gone before the next fold is drawn.
+        data, _, _ = synthetic
+        train, _ = split(data, 0.7, seed=1)
+        held_out = _stratified_folds(train, 3, 5)
+        events, fits, subsets = [], [], []
+        fit_many, subset = experiments.fit_many, Dataset.subset
+
+        def spy_fit_many(fold, configurations):
+            fits.append(weakref.ref(fold))
+            events.append("fit")
+            yield from fit_many(fold, configurations)
+            events.append("exhausted")
+
+        def spy_subset(self, idx):
+            result = subset(self, idx)
+            kind = ("held-out" if any(np.array_equal(idx, fold) for fold in held_out)
+                    else "train")
+            events.append((kind, [ref() is None for ref in fits + subsets]))
+            subsets.append(weakref.ref(result))
+            return result
+
+        with mock.patch.object(experiments, "fit_many", spy_fit_many), \
+                mock.patch.object(Dataset, "subset", spy_subset):
+            _, table = grid_search_cv(train, TestSweepEngine.GRID, default_hp,
+                                      folds=3, seed=5)
+        assert events == [
+            ("train", []), "fit", "exhausted", ("held-out", [True] * 2),
+            ("train", [True] * 3), "fit", "exhausted", ("held-out", [True] * 5),
+            ("train", [True] * 6), "fit", "exhausted", ("held-out", [True] * 8)]
+        assert all(row.metrics.total == train.m for row in table.rows if row.ok)
 
     def test_best_reproduces_reported_accuracy(self, synthetic, default_hp):
         data, _, _ = synthetic
