@@ -220,6 +220,13 @@ def _cmd_sweep(args) -> None:
     _print_json(summary)
 
 
+def _level_key(level: float) -> str:
+    """A noise level as ``:g`` prints it where that reads back as the level,
+    else its shortest exact text, so that distinct levels get distinct keys."""
+    text = f"{level:g}"
+    return text if float(text) == level else repr(level)
+
+
 def _cmd_noise_bench(args) -> None:
     _, hp, _, train, test = _split_data(args)
     table, means = exp.noise_sweep(train, test, hp, args.kind,
@@ -228,7 +235,7 @@ def _cmd_noise_bench(args) -> None:
         exp.write_sweep_csv(table, args.out_csv)
     _print_json({
         "kind": args.kind,
-        "mean_accuracy_by_level": {f"{level:g}": round(mean, 2)
+        "mean_accuracy_by_level": {_level_key(level): round(mean, 2)
                                    for level, mean in means.items()},
     })
 

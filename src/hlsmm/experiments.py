@@ -194,11 +194,11 @@ def _sweep(configurations, pairs, status: str | None = None) -> SweepResult:
 
     ``pairs`` yields each training set with a callable that builds its
     validation set.  Each training set fits every configuration still
-    without an error as one :func:`fit_many` call, and each distinct model's
-    weights and bias are kept.  Only when that call is exhausted is the
-    training set dropped and the validation set built, and each distinct
-    model is scored once.  A finished pair is dropped before the next one is
-    drawn, so one fold is held at a time.
+    without an error as one :func:`fit_many` call, and the weights and bias
+    of each group of configurations that share a model are kept.  Only when
+    that call is exhausted is the training set dropped and the validation
+    set built, and each group's model is scored once.  A finished pair is
+    dropped before the next one is drawn, so one fold is held at a time.
 
     A row sums the pairs' iterations and keeps the last pair's objective and
     status, or ``status`` when given; a fit that raises on any pair makes a
@@ -211,23 +211,25 @@ def _sweep(configurations, pairs, status: str | None = None) -> SweepResult:
     errors: list[str | None] = [None] * len(configurations)
     for train, make_validation in pairs:
         live = [index for index, error in enumerate(errors) if error is None]
-        # The riders of a lane stop one after another with equal models, so
-        # consecutive equal models form one group, scored once.  A group
-        # keeps what scoring reads, the weights and the bias: a model's
-        # slack is an m-vector.
+        # fit_many yields each group of configurations that share an outcome
+        # once.  A group keeps what scoring reads, the weights and the bias:
+        # a model's slack is an m-vector.
         groups = []  # (w, b, indices of the configurations that stopped with it)
-        for lane, outcome in fit_many(train, [configurations[i] for i in live]):
-            index = live[lane]
+        for positions, outcome in fit_many(train, [configurations[i] for i in live]):
+            indices = [live[position] for position in positions]
             if not isinstance(outcome, FitResult):
-                errors[index] = str(outcome)
+                error = str(outcome)
+                for index in indices:
+                    errors[index] = error
+                # The lanes run on without this group's positions.
+                positions = indices = outcome = None
                 continue
             model = outcome.model
-            if not (groups and model.b == groups[-1][1]
-                    and np.array_equal(model.w, groups[-1][0])):
-                groups.append((model.w, model.b, []))
-            groups[-1][2].append(index)
-            iterations[index] += model.iter
-            last[index] = (outcome.trace.objective[-1], outcome.trace.status)
+            groups.append((model.w, model.b, indices))
+            stop = (outcome.trace.objective[-1], outcome.trace.status)
+            for index in indices:
+                iterations[index] += model.iter
+                last[index] = stop
         train = outcome = model = None  # the fit is over: drop the training set
         validation = make_validation()
         for w, b, indices in groups:

@@ -58,7 +58,7 @@ DECREASE_SLACK = 1e-9
 # scores, the slack and the trial's scores, plus one lane's gap at a time.
 # The gradient, which flips the signs of the carried gap in place, and the
 # objective, which writes the gap over the scores, hold two: the slack and
-# the gap.  A release copies each leaving rider's result out of the iterates
+# the gap.  A release copies each leaving group's result out of the iterates
 # as they are and then moves the kept rows in place.  A batch takes
 # BATCH_FLOATS // (4 m) lanes, at least one, counting a lane once per
 # distinct beta of its riders, as many lanes as it can fork into: the fourth
@@ -376,38 +376,41 @@ class _Lanes:
 
     def release(self, status: np.ndarray, errors: dict, leaving: dict, k: int,
                 t_start: float):
-        """Yield (position, outcome) for each rider that leaves at iterate k; keep the rest.
+        """Yield (positions, outcome) for each group of riders that leaves at
+        iterate k; keep the rest.
 
-        A lane with a ``status`` leaves with all its riders, with its error in
-        ``errors`` or else its result; a rider in ``leaving`` leaves alone.
-        The results are copied out of the iterates as they are, and the batch
-        shrinks in place after the last of them, so that a release holds no
-        more than one rider's result above its entry.  When every lane
-        leaves, the batch drops its arrays first: the results do not read the
-        gap.
+        A rider in ``leaving`` leaves alone with its outcome there.  A lane
+        with a ``status`` leaves with the riders it still carries, as one
+        group: its error in ``errors``, or else one result, echoing the
+        group's first configuration.  The results are copied out of the
+        iterates as they are, and the batch shrinks in place after the last
+        of them, so that a release holds no more than one result above its
+        entry.  When every lane leaves, the batch drops its arrays first: the
+        results do not read the gap.
         """
         riders, w, z, b, history = self.riders, self.w, self.z, self.b, self.history
-        rest = [[] if status[row] else [index for index in lane if index not in leaving]
-                for row, lane in enumerate(riders)]
-        rows = [row for row, lane in enumerate(rest) if lane]
+        staying = [[index for index in lane if index not in leaving] for lane in riders]
+        rows = [row for row, lane in enumerate(staying) if lane and not status[row]]
         if not rows:
             self.keep(rows, [])
         for row, lane in enumerate(riders):
             for index in lane:
                 if index in leaving:
-                    yield index, leaving[index]
-                elif row in errors:
-                    yield index, errors[row]
-                elif status[row]:
-                    *floats, halvings = history[:, row, :k + 1].tolist()
-                    trace = SolverTrace(*floats, [int(n) for n in halvings],
-                                        status=status[row])
-                    final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
-                    yield index, FitResult(model=final, trace=trace,
-                                           hyperparams_echo=self.configurations[index],
-                                           wall_time=time.perf_counter() - t_start)
+                    yield [index], leaving[index]
+            group = staying[row]
+            if not (status[row] and group):
+                continue
+            if row in errors:
+                yield group, errors[row]
+                continue
+            *floats, halvings = history[:, row, :k + 1].tolist()
+            trace = SolverTrace(*floats, [int(n) for n in halvings], status=status[row])
+            final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
+            yield group, FitResult(model=final, trace=trace,
+                                   hyperparams_echo=self.configurations[group[0]],
+                                   wall_time=time.perf_counter() - t_start)
         if rows:
-            self.keep(rows, [rest[row] for row in rows])
+            self.keep(rows, [staying[row] for row in rows])
 
 
 # attrgetter allocates each key at its final size when neither tau1 nor
@@ -627,61 +630,38 @@ def penalized_objective(state: ModelState, data: Dataset, hp: Hyperparams) -> fl
                                    np.array([hp.beta]))[0][0])
 
 
-def _start_check(data: Dataset, init: ModelState | None):
-    """The check of a configuration's start, as a function that raises its error.
+def _check_start(data: Dataset, rank: int, init: ModelState | None) -> None:
+    """Raise the InvalidArgumentError that a fit at rank bound ``rank`` from
+    ``init`` starts with, if any.
 
     The checks run in this order: both labels present, the rank bound
-    against the sample shape, the init shapes, the init rank.  Only the
-    second and the comparison in the last read the configuration, so the
-    labels, the init shapes and the rank of the init (one SVD) are checked
-    once here, and each rank bound once, on first use.  Each failing
-    configuration still gets its own error, but the configurations refused
-    for one rank bound share its message string.
+    against the sample shape, the init shapes, the init rank.  Only the rank
+    bound reads the configuration, so :func:`fit_many` runs them once for
+    all the configurations that share it.
     """
-    labels = init_shapes = None
-    init_rank = 0
-    refusals: dict = {}  # rank bound -> its refusal's message, or None
+    data.require_both_labels()
+    _rank_for_shape(rank, *data.sample_shape)
+    if init is None:
+        return
     try:
-        data.require_both_labels()
-    except InvalidArgumentError as exc:
-        labels = str(exc)
-    if init is not None:
-        try:
-            _check_shapes(data, init.w, init.z)
-        except InvalidArgumentError:
-            init_shapes = "init state does not match dataset shapes"
-        else:
-            init_rank = svd(init.w).rank
-
-    def check(hp: Hyperparams) -> None:
-        if labels:
-            raise InvalidArgumentError(labels)
-        if hp.rank not in refusals:
-            try:
-                _rank_for_shape(hp.rank, *data.sample_shape)
-                refusals[hp.rank] = None
-            except InvalidArgumentError as exc:
-                refusals[hp.rank] = str(exc)
-        if refusals[hp.rank]:
-            raise InvalidArgumentError(refusals[hp.rank])
-        if init_shapes:
-            raise InvalidArgumentError(init_shapes)
-        if init_rank > hp.rank:
-            # A stalled W block keeps the previous iterate, so feasibility of
-            # the returned model requires a feasible start.
-            raise InvalidArgumentError(
-                f"init weight matrix has rank {init_rank} > bound {hp.rank}")
-    return check
+        _check_shapes(data, init.w, init.z)
+    except InvalidArgumentError:
+        raise InvalidArgumentError("init state does not match dataset shapes") from None
+    init_rank = svd(init.w).rank
+    if init_rank > rank:
+        # A stalled W block keeps the previous iterate, so feasibility of the
+        # returned model requires a feasible start.
+        raise InvalidArgumentError(f"init weight matrix has rank {init_rank} > bound {rank}")
 
 
 def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
               t_start: float):
     """Run one batch of lanes from ``init`` (see :meth:`_Lanes.begin`); yield
-    (position, outcome) as each rider stops.
+    (positions, outcome) as each group of riders stops (see :meth:`_Lanes.release`).
 
-    The outcome is a :class:`FitResult`, the rider's NumericalError, or None
-    when the rider split from its lane (see :func:`_w_step`) and has to be
-    fitted again alone.  Every check of the one-lane scheme runs on every
+    The outcome is a :class:`FitResult`, a NumericalError, or None when the
+    rider split from its lane (see :func:`_w_step`) and has to be fitted
+    again alone.  Every check of the one-lane scheme runs on every
     lane, in the same order: the first that fails ends that lane and no
     other.  The sufficient-decrease check reads tau1, so it runs per rider
     and ends that rider alone; the other checks end every rider of the lane.
@@ -798,36 +778,44 @@ def _batches(configurations, queue: list, width: int):
 def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     """Fit every configuration on ``data``, as the riders of lockstep lanes.
 
-    Yields (position in ``configurations``, outcome) as each configuration
-    stops, in no fixed order; the outcome is the :class:`FitResult` of
-    ``fit(data, hp, init)``, equal to it bit for bit, or the
-    InvalidArgumentError or NumericalError that call raises.  Configurations
-    with one :func:`_trajectory` ride one lane and pay its work once; each
-    still gets its own result.  A rider that splits from its lane at the W
-    acceptance test is fitted again from the start as a lane of its own.  A
-    lane's failure leaves the other lanes unchanged.  Lanes sharing the rank
-    bound and step policy run together, as many per batch as ``BATCH_FLOATS``
-    allows for their working set once every lane has forked by beta.
+    Yields (positions in ``configurations``, outcome) once for each group of
+    configurations that share an outcome, in no fixed order; the positions
+    of all groups partition ``range(len(configurations))``.  The outcome is
+    what ``fit(data, hp, init)`` returns or raises for each ``hp`` of the
+    group, bit for bit, except that a :class:`FitResult` echoes the group's
+    first configuration.  A group is the configurations refused for one
+    rank bound, sharing one InvalidArgumentError; the riders a lane still
+    carries when it stops or fails; or a rider that leaves its lane alone.
+    Configurations with one :func:`_trajectory` ride one lane and pay its
+    work once.  A rider that splits from its lane at the W acceptance test
+    is fitted again from the start as a lane of its own.  A lane's failure
+    leaves the other lanes unchanged.  Lanes sharing the rank bound and step
+    policy run together, as many per batch as ``BATCH_FLOATS`` allows for
+    their working set once every lane has forked by beta.
     """
     t_start = time.perf_counter()
     configurations = list(configurations)
-    check = _start_check(data, init)
-    positive_start = init is not None and bool(_heaviside(init.z))
-    lanes: dict = {}
+    by_rank: dict = {}
     for index, hp in enumerate(configurations):
-        try:
-            check(hp)
-        except InvalidArgumentError as exc:
-            yield index, exc
-            continue
-        lanes.setdefault(_trajectory(hp, positive_start), []).append(index)
+        by_rank.setdefault(hp.rank, []).append(index)
+    positive_start = init is not None and bool(_heaviside(init.z))
     # Lanes sharing the rank bound and step policy queue together; a lane is
     # the list of its riders' positions.
     queues: dict = {}
-    for riders in lanes.values():
-        hp = configurations[riders[0]]
-        queues.setdefault((hp.rank, hp.step), []).append(riders)
-    del check, lanes  # neither the checks nor the trajectory keys run with the lanes
+    for rank, positions in by_rank.items():
+        try:
+            _check_start(data, rank, init)
+        except InvalidArgumentError as exc:
+            yield positions, exc
+            continue
+        lanes: dict = {}
+        for index in positions:
+            lanes.setdefault(_trajectory(configurations[index], positive_start),
+                             []).append(index)
+        for riders in lanes.values():
+            queues.setdefault((rank, configurations[riders[0]].step), []).append(riders)
+    # Neither the rank groups nor the trajectory keys run with the lanes.
+    by_rank = positions = lanes = None
     if not queues:
         return
     problem = _Problem(data)
@@ -838,11 +826,11 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
             split = []
             for riders in _batches(configurations, queue, width):
                 batch = _Lanes(configurations, riders)
-                for index, outcome in _lockstep(problem, batch, init, t_start):
+                for positions, outcome in _lockstep(problem, batch, init, t_start):
                     if outcome is None:
-                        split.append([index])
+                        split.append(positions)
                     else:
-                        yield index, outcome
+                        yield positions, outcome
             queue = split
 
 

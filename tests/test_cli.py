@@ -467,6 +467,18 @@ class TestSweepCommands:
         accuracy_col = lines[1].split(",")[10]
         assert float(accuracy_col) == pytest.approx(level_zero)
 
+    def test_noise_bench_keys_every_distinct_level(self, smm1_file, capsys):
+        # 0.1000001 prints as 0.1 under :g, so it is keyed by its exact text;
+        # a level that :g prints exactly keeps that key.
+        path, _ = smm1_file
+        code = main(["noise-bench", "--data", str(path), "--format", "smm1",
+                     "--rank", "2", "--maxit", "3", "--seed", "1",
+                     "--levels", "0.1,0.1000001,2,0,1e-05", "--noise-seeds", "1"])
+        assert code == 0
+        bench = json.loads(capsys.readouterr().out)
+        assert sorted(bench["mean_accuracy_by_level"]) == [
+            "0", "0.1", "0.1000001", "1e-05", "2"]
+
     def test_sensitivity_command(self, smm1_file, tmp_path, capsys):
         path, _ = smm1_file
         out_csv = tmp_path / "sens.csv"

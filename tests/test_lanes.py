@@ -14,7 +14,7 @@ from hlsmm import (Dataset, HyperparamGrid, Hyperparams, InvalidArgumentError,
                    grid_search_cv, make_lowrank_separable, split)
 from hlsmm import solver
 from hlsmm.experiments import SweepResult, write_sweep_csv
-from hlsmm.solver import fit_many
+from hlsmm.solver import FitResult, fit_many
 
 from conftest import calls_to, make_rng, peak_bytes, random_dataset
 
@@ -31,6 +31,24 @@ def lone(data, hp):
         return fit(data, hp)
     except (InvalidArgumentError, NumericalError) as exc:
         return exc
+
+
+def by_position(data, configurations, init=None) -> dict:
+    """fit_many's outcome for each position, with each result echoing its own
+    configuration, as a lone fit's does."""
+    outcomes = {}
+    for positions, outcome in fit_many(data, configurations, init):
+        for index in positions:
+            assert index not in outcomes
+            outcomes[index] = echoing(outcome, configurations[index])
+    return outcomes
+
+
+def echoing(outcome, hp):
+    """A group's outcome as the configuration ``hp`` of the group gets it alone."""
+    if isinstance(outcome, FitResult):
+        return dataclasses.replace(outcome, hyperparams_echo=hp)
+    return outcome
 
 
 def outcome_bits(outcome):
@@ -95,7 +113,63 @@ def lane_batches(draw):
     return data, draw(st.permutations(required + extras))
 
 
+@st.composite
+def small_grids(draw):
+    """A small random dataset and the shuffled configurations of one small grid
+    under a fixed and a backtracking step policy.
+
+    The grid holds a rank below min(p, q) and one that is not, and one to
+    three values of beta, sigma and tau1, so that tau1 and beta siblings
+    ride together.  A tau1 of 1e3 rejects steps that 1e-4 accepts, so that
+    its rider may split, and the long fixed step fails some lanes.
+    """
+    p, q = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    low = min(p, q)
+    data = random_dataset(draw(st.integers(0, 10_000)), m=draw(st.integers(8, 30)),
+                          p=p, q=q)
+
+    def some(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+
+    ranks = (draw(st.integers(1, low - 1)), draw(st.integers(low, low + 1)))
+    grid = HyperparamGrid(beta=some((0.01, 0.1, 0.5)), sigma=some((0.01, 0.1, 1.0)),
+                          rank=ranks, tau1=some((1e-4, 1e-2, 1e3)), tau2=(1e-3,), tau3=(1e-3,))
+    steps = (draw(st.sampled_from((FIXED, FIXED_STEP, LONG_STEP))),
+             draw(st.sampled_from((StepPolicy(), HALVING, STALL))))
+    base = Hyperparams(beta=0.1, sigma=0.1, rank=1, maxit=draw(st.integers(0, 20)))
+    configurations = [hp for step in steps
+                      for hp in grid.configurations(base.with_(step=step))]
+    return data, draw(st.permutations(configurations))
+
+
 class TestLockstepLanes:
+    @settings(max_examples=30, deadline=None)
+    @given(small_grids())
+    def test_each_group_shares_the_outcome_of_a_lone_fit(self, batch):
+        # fit_many yields each group of configurations that share an outcome
+        # once: their positions partition the list, all the configurations
+        # of one refused rank bound share one error, and every position's
+        # lone fit returns the group's outcome bit for bit, or raises its
+        # error, apart from the echo of its own configuration.
+        data, configurations = batch
+        groups = list(fit_many(data, configurations))
+        positions = sorted(index for group, _ in groups for index in group)
+        assert positions == list(range(len(configurations)))
+        infeasible = {index for index, hp in enumerate(configurations)
+                      if hp.rank >= min(data.sample_shape)}
+        refused = [group for group, outcome in groups
+                   if isinstance(outcome, InvalidArgumentError)]
+        assert {index for group in refused for index in group} == infeasible
+        ranks = [{configurations[index].rank for index in group} for group in refused]
+        assert all(len(rank) == 1 for rank in ranks)
+        assert len(set().union(*ranks)) == len(refused)
+        for group, outcome in groups:
+            if isinstance(outcome, FitResult):
+                assert outcome.hyperparams_echo is configurations[group[0]]
+            for index in group:
+                hp = configurations[index]
+                assert outcome_bits(echoing(outcome, hp)) == outcome_bits(lone(data, hp))
+
     @settings(max_examples=60, deadline=None)
     @given(lane_batches(), st.sampled_from((1, 400, 1 << 16)))
     def test_every_lane_equals_a_lone_fit(self, batch, budget):
@@ -105,7 +179,7 @@ class TestLockstepLanes:
         with mock.patch.object(solver, "BATCH_FLOATS", budget), \
                 calls_to(solver._Lanes, "__init__") as builds, \
                 calls_to(solver, "project_rank") as calls:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         widths = [len(call.args[2]) for call in builds] + stack_sizes(calls)
         assert max(widths) <= max(1, budget // (4 * data.m))
         assert sorted(outcomes) == list(range(len(configurations)))
@@ -125,7 +199,7 @@ class TestLockstepLanes:
             default_hp.with_(rank=6), default_hp.with_(step=LONG_STEP),
             default_hp.with_(step=LONG_STEP, maxit=5),
         ]
-        outcomes = dict(fit_many(data, configurations))
+        outcomes = by_position(data, configurations)
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
         kinds = [type(outcomes[i]).__name__ for i in range(len(configurations))]
@@ -146,7 +220,7 @@ class TestLockstepLanes:
         data, _, _ = synthetic
         configurations = [default_hp.with_(beta=beta) for beta in (0.01, 0.1, 0.5)]
         with mock.patch.object(solver, constant, -1e6):
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         assert sorted(outcomes) == [0, 1, 2]
         for outcome in outcomes.values():
             assert isinstance(outcome, NumericalError)
@@ -163,7 +237,7 @@ class TestLockstepLanes:
         with calls_to(solver._Lanes, "__init__") as builds, \
                 calls_to(solver, "_lockstep") as batches, \
                 calls_to(solver, "_w_step") as steps:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         assert [index for call in steps for index in call.result[5]] == [1]
         assert len({outcome.model.iter for outcome in outcomes.values()}) >= 3
         assert len(batches) == 2 and len(builds) == len(batches)
@@ -201,7 +275,7 @@ class TestBatchWidth:
                           for beta in (0.01, 0.1, 0.5) for sigma in (0.01, 0.1, 1.0, 10.0)]
         with mock.patch.object(solver, "BATCH_FLOATS", budget), \
                 calls_to(solver._Lanes, "__init__") as builds:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         # The riders each batch is built with: one list per lane.
         assert [len(call.args[2]) for call in builds] == widths
         for index, hp in enumerate(configurations):
@@ -221,7 +295,7 @@ class TestBatchWidth:
         configurations = list(grid.configurations(Hyperparams(beta=0.1, sigma=0.01,
                                                               rank=4, maxit=30)))
         with calls_to(solver, "project_rank") as calls:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         assert sorted(outcomes) == list(range(grid.size))
         sizes = stack_sizes(calls)
         assert sizes[0] == 18 and max(sizes) <= 54
@@ -243,8 +317,9 @@ class TestBatchWidth:
         configurations = list(HyperparamGrid(rank=(4,)).configurations(
             Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=maxit)))
 
-        def run():  # counts the outcomes without keeping them
-            assert sum(1 for _ in fit_many(data, configurations)) == 162
+        def run():  # counts the positions without keeping the outcomes
+            groups = fit_many(data, configurations)
+            assert sum(len(positions) for positions, _ in groups) == 162
 
         assert peak_bytes(run) < 0.78 * 2**20
 
@@ -271,7 +346,7 @@ class TestBatchWidth:
         tracemalloc.start()
         try:
             with mock.patch.object(solver, "_w_step", w_step):
-                outcomes = dict(fit_many(data, configurations))
+                outcomes = by_position(data, configurations)
         finally:
             tracemalloc.stop()
         assert max(max(outcome.trace.halvings) for outcome in outcomes.values()) > 0
@@ -307,7 +382,7 @@ class TestBatchWidth:
         try:
             with mock.patch.object(solver._Lanes, "release", release), \
                     calls_to(solver._Lanes, "keep") as keeps:
-                outcomes = dict(fit_many(data, configurations))
+                outcomes = by_position(data, configurations)
         finally:
             tracemalloc.stop()
         assert [call.args[1] for call in keeps] == [[0, 2, 3, 4], [0, 1, 3], []]
@@ -324,7 +399,7 @@ class TestBatchWidth:
             Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=15)))
         with mock.patch.object(solver, "_BLOCK_FLOATS", 1), \
                 calls_to(solver._Lanes, "__init__") as builds:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         assert [len(call.args[2]) for call in builds] == [9]
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
@@ -395,7 +470,8 @@ class TestOncePerIteration:
 
 
 class TestStartChecks:
-    """The start is checked once per fit_many call; each configuration gets its error."""
+    """The start is checked once per rank bound; the configurations refused for
+    one rank bound share its error."""
 
     def test_init_rank_takes_one_svd_per_call(self, synthetic, default_hp):
         data, _, _ = synthetic
@@ -403,7 +479,7 @@ class TestStartChecks:
         configurations = [default_hp.with_(beta=beta, maxit=2)
                           for beta in np.linspace(0.01, 0.5, 30)]
         with calls_to(solver, "svd") as calls:
-            outcomes = dict(fit_many(data, configurations, init))
+            outcomes = by_position(data, configurations, init)
         assert len(calls) == 1
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(fit(data, hp, init))
@@ -413,13 +489,14 @@ class TestStartChecks:
         init = ModelState(w=np.eye(*data.sample_shape), b=0.0, z=np.zeros(data.m))
         configurations = [default_hp.with_(beta=beta) for beta in (0.01, 0.1, 0.5)]
         configurations.append(default_hp.with_(rank=min(data.sample_shape)))
-        outcomes = dict(fit_many(data, configurations, init))
+        groups = sorted(fit_many(data, configurations, init), key=lambda group: group[0])
+        assert [positions for positions, _ in groups] == [[0, 1, 2], [3]]
+        assert all(isinstance(error, InvalidArgumentError) for _, error in groups)
+        assert str(groups[0][1]) == (
+            f"init weight matrix has rank {min(data.sample_shape)} > bound 2")
+        assert "rank bound r=6 must be < min(p, q) = 6" in str(groups[1][1])
+        outcomes = by_position(data, configurations, init)
         errors = [outcomes[index] for index in range(len(configurations))]
-        assert all(isinstance(error, InvalidArgumentError) for error in errors)
-        assert len({id(error) for error in errors}) == len(errors)
-        assert [str(error) for error in errors[:3]] == [
-            f"init weight matrix has rank {min(data.sample_shape)} > bound 2"] * 3
-        assert "rank bound r=6 must be < min(p, q) = 6" in str(errors[3])
         for index, hp in enumerate(configurations):
             with pytest.raises(InvalidArgumentError) as raised:
                 fit(data, hp, init)
@@ -429,9 +506,10 @@ class TestStartChecks:
         data = Dataset(xs=make_rng(74).standard_normal((5, 3, 2)), ys=np.ones(5))
         configurations = [default_hp.with_(rank=1, beta=beta) for beta in (0.01, 0.1)]
         configurations.append(default_hp.with_(rank=2))  # infeasible rank, too
-        outcomes = dict(fit_many(data, configurations))
+        groups = sorted(fit_many(data, configurations), key=lambda group: group[0])
+        assert [positions for positions, _ in groups] == [[0, 1], [2]]
+        outcomes = by_position(data, configurations)
         errors = [outcomes[index] for index in range(len(configurations))]
-        assert len({id(error) for error in errors}) == len(errors)
         for index, hp in enumerate(configurations):
             assert isinstance(errors[index], InvalidArgumentError)
             assert str(errors[index]) == str(lone(data, hp)) == (
@@ -440,9 +518,8 @@ class TestStartChecks:
     def test_reference_grid_sweep_states_each_refusal_once(self, tmp_path):
         # grid_search, then grid_search_cv, on one 324-cell grid, as the
         # wdbc_grid benchmark runs them.  On 5x6 samples each table refuses
-        # rank 10 for 162 configurations: every one raises its own error,
-        # but all carry the one message decided for the rank, so the two
-        # tables hold two strings for them, not 324.  The held-out table is
+        # rank 10 for 162 configurations, which share one refusal, so the
+        # two tables hold two strings for them, not 324.  The held-out table is
         # held while the CV sweep runs; the two share the grid's records,
         # and a CV fold's validation set is built only after its fit.
         # Measured 0.595-0.607 MiB over three proxies (seeds 81-83); a
@@ -480,7 +557,7 @@ def stack_sizes(calls):
 def projected(data, configurations):
     """fit_many's outcomes and the number of matrices it rank-projects."""
     with calls_to(solver, "project_rank") as calls:
-        outcomes = dict(fit_many(data, configurations))
+        outcomes = by_position(data, configurations)
     return outcomes, sum(stack_sizes(calls))
 
 
@@ -496,13 +573,10 @@ class TestRiders:
         assert three == one > 0
         for index, hp in enumerate(siblings):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
-        # Each rider owns its result: nothing is shared between siblings.
-        first, second = outcomes[0], outcomes[1]
-        assert first.hyperparams_echo is siblings[0]
-        assert not np.shares_memory(first.model.w, second.model.w)
-        assert not np.shares_memory(first.model.z, second.model.z)
-        assert first.trace.objective is not second.trace.objective
-        assert first.trace.halvings is not second.trace.halvings
+        # The siblings stop together: one group, with one result that echoes
+        # the first of them.
+        [(positions, result)] = fit_many(data, siblings)
+        assert positions == [0, 1, 2] and result.hyperparams_echo is siblings[0]
 
     def test_fixed_step_without_alpha0_does_not_share(self, synthetic, default_hp):
         # alpha = 1 / (L + tau1): tau1 moves the iterates, so each sibling
@@ -520,7 +594,7 @@ class TestRiders:
         data, _, _ = synthetic
         pair = [default_hp.with_(step=HALVING, tau1=tau1) for tau1 in (1e-4, 1e3)]
         with calls_to(solver, "_w_step") as calls:
-            outcomes = dict(fit_many(data, pair))
+            outcomes = by_position(data, pair)
         assert [index for call in calls for index in call.result[5]] == [1]
         for index, hp in enumerate(pair):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
@@ -538,7 +612,7 @@ class TestRiders:
         steps = trace.w_step[1] ** 2 + trace.z_step[1] ** 2 + trace.b_step[1] ** 2
         low, high = (0.5 * tau * steps for tau in (1e-4, 1e-2))
         with mock.patch.object(solver, "DECREASE_SLACK", (low + high) / 2 - decrease):
-            outcomes = dict(fit_many(data, riders))
+            outcomes = by_position(data, riders)
             alone = [lone(data, rider) for rider in riders]
         assert isinstance(outcomes[1], NumericalError)
         assert "sufficient decrease violated" in str(outcomes[1])
@@ -576,7 +650,7 @@ class TestUfuncBuffer:
 
         with caller_buffer() as size, mock.patch.object(solver, "_z_step", z_step), \
                 calls_to(solver._Lanes, "__init__") as builds:
-            for index, outcome in fit_many(data, configurations):
+            for [index], outcome in fit_many(data, configurations):
                 seen.append(np.getbufsize())
                 assert outcome.model.iter == configurations[index].maxit
             assert np.getbufsize() == size
@@ -639,7 +713,7 @@ class TestBetaRiders:
         # from iteration 8 on the W block projects 48 matrices.
         data, configurations = self.family(75)
         with calls_to(solver, "project_rank") as calls:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         assert stack_sizes(calls)[:8] == [18] + [45] * 6 + [48]
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
@@ -655,8 +729,9 @@ class TestBetaRiders:
         data, configurations = self.family(75)
         configurations = [hp.with_(maxit=7) for hp in configurations]
 
-        def run():  # counts the outcomes without keeping them
-            assert sum(1 for _ in fit_many(data, configurations)) == 162
+        def run():  # counts the positions without keeping the outcomes
+            groups = fit_many(data, configurations)
+            assert sum(len(positions) for positions, _ in groups) == 162
 
         assert peak_bytes(run) < 0.58 * 2**20
 
@@ -671,7 +746,7 @@ class TestBetaRiders:
             Hyperparams(beta=0.1, sigma=0.01, rank=2, maxit=15)))
         with mock.patch.object(solver, "BATCH_FLOATS", width * 4 * data.m), \
                 calls_to(solver, "project_rank") as calls:
-            outcomes = dict(fit_many(data, configurations))
+            outcomes = by_position(data, configurations)
         sizes = stack_sizes(calls)
         assert max(sizes) <= width
         assert (max(sizes) > sizes[0]) == (width >= 3)
@@ -687,7 +762,7 @@ class TestBetaRiders:
         init = ModelState(w=np.zeros(data.sample_shape), b=0.0, z=z)
         configurations = [default_hp.with_(beta=beta, maxit=20) for beta in (0.01, 0.1, 0.5)]
         with calls_to(solver._Lanes, "__init__") as builds:
-            outcomes = dict(fit_many(data, configurations, init))
+            outcomes = by_position(data, configurations, init)
         assert [call.args[2] for call in builds] == [[[0], [1], [2]]]
         for index, hp in enumerate(configurations):
             assert outcome_bits(outcomes[index]) == outcome_bits(fit(data, hp, init))
