@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .model import (_COUNT, _FRACTION, _NON_NEGATIVE, _RANK, Dataset, _all_finite, _checked,
-                    decision_scores)
+from .model import (_COUNT, _FINITE_BLOCK, _FRACTION, _NON_NEGATIVE, _RANK, Dataset,
+                    _all_finite, _checked, decision_scores)
 
 _SMM1_MAGIC = b"SMM1"
 _SMM1_VERSION = 1
@@ -157,9 +157,14 @@ class DatasetManifest:
                 if p * q != ds.p * ds.q:
                     raise DataError(f"reshape {p}x{q} does not match "
                                     f"{ds.p}x{ds.q} samples")
-                ds = ds.replace_xs(ds.xs.reshape(ds.m, p, q))
+                # The same values, already tested by the loader.
+                ds = Dataset._tested(ds.xs.reshape(ds.m, p, q), ds.ys, ds.name,
+                                     finite=True)
         if self.normalization == "per_sample_zscore":
-            ds = normalize_per_sample(ds)
+            try:
+                ds = normalize_per_sample(ds)
+            except InvalidArgumentError as exc:  # a sample's moments overflow
+                raise DataError(f"{self.path}: {exc}") from exc
         return ds
 
 
@@ -182,7 +187,10 @@ def _map_labels(raw_labels: list[float], path: str) -> np.ndarray:
 
 def _dataset(path: Path, features: np.ndarray, raw_labels: list[float],
              reshape: tuple[int, int] | None) -> Dataset:
-    """The dataset of parsed, finite CSV rows: labels mapped, samples reshaped."""
+    """The dataset of parsed, finite CSV rows: labels mapped, samples reshaped.
+
+    Both readers have tested every value, so the features are not tested again.
+    """
     ys = _map_labels(raw_labels, str(path))
     d = features.shape[1]
     if reshape is not None:
@@ -194,7 +202,7 @@ def _dataset(path: Path, features: np.ndarray, raw_labels: list[float],
         xs = features.reshape(-1, p, q)
     else:
         xs = features.reshape(-1, 1, d)
-    return Dataset(xs=xs, ys=ys, name=path.stem)
+    return Dataset._tested(xs, ys, path.stem, finite=True)
 
 
 def _read_table(path: Path, label_column: int,
@@ -320,7 +328,12 @@ def load_smm1(path) -> Dataset:
     """Read an SMM1 file straight into the arrays of the returned dataset.
 
     The header and the exact file size are checked before anything is
-    allocated, so a corrupt count cannot request a huge array.
+    allocated, so a corrupt count cannot request a huge array.  The features
+    are read in blocks of ``_FINITE_BLOCK`` values, each tested for
+    finiteness while it is still in cache, so the design is passed over
+    once.  A short read is reported first, then bad labels, then a
+    non-finite feature: the blocks after a non-finite one are still read,
+    not tested.
     """
     path = Path(path)
     if not path.is_file():
@@ -347,22 +360,47 @@ def load_smm1(path) -> Dataset:
                 f"({size} bytes, expected {expected})")
         ys = np.empty(m, dtype="<i1")
         xs = np.empty((m, p, q), dtype="<f8")
-        if handle.readinto(ys) + handle.readinto(xs) != expected - 32:
-            raise DataError(f"{path}: file changed while it was read")
+
+        def read(into: np.ndarray) -> None:
+            if handle.readinto(into) != into.nbytes:
+                raise DataError(f"{path}: file changed while it was read")
+
+        read(ys)
+        flat = xs.reshape(-1)
+        mask = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
+        finite = True
+        for start in range(0, flat.size, _FINITE_BLOCK):
+            block = flat[start:start + _FINITE_BLOCK]
+            read(block)
+            finite = finite and bool(np.isfinite(block, out=mask[:block.size]).all())
     try:
-        return Dataset(xs=xs, ys=ys, name=path.stem)
+        return Dataset._tested(xs, ys, path.stem, finite=finite)
     except InvalidArgumentError as exc:  # bad labels or non-finite features
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _moments(flat: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Mean and population std of ``flat`` along ``axis``, and the first position
+    whose mean or std overflows (None if none does), with numpy's overflow
+    warnings kept off stderr."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = flat.mean(axis=axis), flat.std(axis=axis)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    return mean, std, int(np.argmax(bad)) if bad.any() else None
 
 
 def normalize_per_sample(data: Dataset) -> Dataset:
     """Shift/scale each sample to zero mean and unit (population) variance.
 
-    Samples whose entries are all equal become all-zero matrices.
+    Samples whose entries are all equal become all-zero matrices.  A sample
+    whose mean or std overflows is refused rather than zeroed.
     """
     flat = data.xs.reshape(data.m, -1)
-    mean = flat.mean(axis=1, keepdims=True)
-    std = flat.std(axis=1, keepdims=True)
+    mean, std, bad = _moments(flat, axis=1)
+    if bad is not None:
+        raise InvalidArgumentError(
+            f"sample {bad} cannot be normalized: its mean or std overflows")
+    mean, std = mean[:, None], std[:, None]
     safe = np.where(std > 0, std, 1.0)
     normalized = np.where(std > 0, (flat - mean) / safe, 0.0)
     return data.replace_xs(normalized.reshape(data.xs.shape))
@@ -374,11 +412,15 @@ def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...
     The tabular-data counterpart of per-sample normalization: every matrix
     position is centered and scaled by its mean/std across the training
     samples, and the same affine map is applied to the other datasets
-    (typically the test split).  Constant positions are left centered.
+    (typically the test split).  Constant positions are left centered.  An
+    entry whose training mean or std overflows is refused.
     """
     flat = train.xs.reshape(train.m, -1)
-    mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
+    mean, std, bad = _moments(flat, axis=0)
+    if bad is not None:
+        i, j = divmod(bad, train.q)
+        raise InvalidArgumentError(
+            f"entry ({i}, {j}) cannot be standardized: its training mean or std overflows")
     std = np.where(std > 0, std, 1.0)
 
     def apply(ds: Dataset) -> Dataset:

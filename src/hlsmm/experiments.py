@@ -402,6 +402,7 @@ def export_weight_heatmap(w: np.ndarray, csv_path, pgm_path) -> None:
 
     The CSV carries 17 significant digits (lossless for float64).  The PGM is
     8-bit binary (P5); an all-constant matrix maps to uniform mid-gray 128.
+    A span ``max - min`` that overflows is scaled from the halved weights.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -411,6 +412,8 @@ def export_weight_heatmap(w: np.ndarray, csv_path, pgm_path) -> None:
 
     low, high = float(w.min()), float(w.max())
     if high > low:
+        if high - low == np.inf:  # the halved span is finite
+            w, low, high = w / 2, low / 2, high / 2
         pixels = np.rint((w - low) / (high - low) * 255.0).astype(np.uint8)
     else:
         pixels = np.full(w.shape, 128, dtype=np.uint8)

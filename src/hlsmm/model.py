@@ -54,6 +54,21 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
+        self._validate(None)
+
+    @classmethod
+    def _tested(cls, xs, ys, name: str, finite: bool) -> "Dataset":
+        """The dataset of features whose finiteness a loader has already tested,
+        ``finite`` being that result: every other check runs as in the
+        constructor, and no second pass over the features is made."""
+        data = cls.__new__(cls)
+        for key, value in (("xs", xs), ("ys", ys), ("name", name)):
+            object.__setattr__(data, key, value)
+        data._validate(finite)
+        return data
+
+    def _validate(self, finite: bool | None) -> None:
+        """Check and store the arrays; ``finite`` None tests the features here."""
         xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.float64))
         ys = np.asarray(self.ys).ravel()
         if xs.ndim != 3 or 0 in xs.shape:
@@ -62,10 +77,11 @@ class Dataset:
         if ys.shape[0] != xs.shape[0]:
             raise InvalidArgumentError("label count does not match sample count")
         # Labels as given (the cast would wrap 255 to -1, np.isin takes True for 1),
-        # and before the features, so that bad labels skip the pass over them.
+        # and before the features, so that a dataset with both faults reports its
+        # labels, and bad labels skip the pass over the features.
         if ys.dtype == bool or not np.isin(ys, (-1, 1)).all():
             raise InvalidArgumentError("labels must be -1 or +1")
-        if not _all_finite(xs):
+        if not (_all_finite(xs) if finite is None else finite):
             raise InvalidArgumentError("dataset features must be finite")
         ys = ys.astype(np.int8, copy=False)
         xs.setflags(write=False)

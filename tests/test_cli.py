@@ -66,6 +66,18 @@ class TestExitCodes:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_normalization_that_overflows_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("1,1,2,4,8\n-1,1e308,-1e308,1,2\n1,0,3,1,5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(path), "--reshape", "2", "2",
+                         "--normalize", "per-sample", "--rank", "1"])
+        assert [str(w.message) for w in caught] == []
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: sample 1 cannot be normalized: its mean or std overflows\n")
+
     def test_label_only_csv_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "labels.csv"
         path.write_text("1\n-1\n")

@@ -5,6 +5,8 @@ import re
 import signal
 import struct
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from hlsmm import (
     standardize_features,
 )
 from hlsmm import data as data_module
+from hlsmm import model as model_module
 
 from conftest import calls_to, make_rng, peak_bytes, random_dataset
 
@@ -340,6 +343,159 @@ class TestSmm1Memory:
         peak = peak_bytes(lambda: save_smm1(data, tmp_path / "copy.smm1"))
         assert peak < 0.25 * data.xs.nbytes
 
+BLOCK = model_module._FINITE_BLOCK
+# A design of 2.5 blocks: two full ones and a partial last one.
+BLOCKS_SHAPE = (5, 128, 256)
+
+
+class Recorded:
+    """A binary file whose ``readinto`` calls are logged to ``events`` as
+    ("read", bytes) and that stops reading at byte offset ``stop``, as a file
+    cut short while it is read would."""
+
+    def __init__(self, handle, events: list, stop: float = np.inf):
+        self._handle, self._events, self._stop = handle, events, stop
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def readinto(self, buffer) -> int:
+        view = memoryview(buffer).cast("B")
+        room = max(0, min(view.nbytes, self._stop - self._handle.tell()))
+        count = self._handle.readinto(view[:int(room)])
+        self._events.append(("read", count))
+        return count
+
+
+@contextlib.contextmanager
+def recorded_reads(stop: float = np.inf):
+    """Open every file as :class:`Recorded` while the block runs; yield its events."""
+    events: list = []
+    opener = Path.open
+
+    def recorded(self, *args, **kwargs):
+        return Recorded(opener(self, *args, **kwargs), events, stop)
+
+    with mock.patch.object(Path, "open", recorded):
+        yield events
+
+
+def write_smm1_blocks(path, seed: int, shape=BLOCKS_SHAPE, value_at=None) -> Dataset:
+    """A random dataset of ``shape`` saved to ``path``; ``value_at`` = (value,
+    flat position) is written into the file's features only."""
+    gen = make_rng(seed)
+    m = shape[0]
+    data = Dataset(xs=gen.standard_normal(shape), ys=np.resize(np.int8([1, -1]), m))
+    save_smm1(data, path)
+    if value_at is not None:
+        value, position = value_at
+        with open(path, "r+b") as handle:
+            handle.seek(32 + m + 8 * position)
+            handle.write(struct.pack("<d", value))
+    return data
+
+
+class TestSmm1Blocks:
+    """Features are read in blocks of 2^16 values and each block is tested for
+    finiteness as it is read, once; every refusal keeps its message."""
+
+    SIZE = int(np.prod(BLOCKS_SHAPE))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, BLOCK - 1, BLOCK, SIZE - 1],
+                             ids=["first", "block_end", "block_start", "last_of_partial"])
+    def test_non_finite_feature_anywhere_is_data_error(self, tmp_path, value, position):
+        path = tmp_path / "bad.smm1"
+        write_smm1_blocks(path, 91, value_at=(value, position))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                                            "dataset features must be finite$"):
+            load_smm1(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_bad_label_is_reported_before_a_late_non_finite_block(self, tmp_path, value):
+        path = tmp_path / "both.smm1"
+        write_smm1_blocks(path, 92, value_at=(value, self.SIZE - 1))
+        with open(path, "r+b") as handle:
+            handle.seek(32)
+            handle.write(b"\x00")
+        with pytest.raises(DataError, match="both.smm1: labels must be -1 or \\+1"):
+            load_smm1(path)
+
+    @pytest.mark.parametrize("value_index", [100, BLOCK + 100, 2 * BLOCK + 100],
+                             ids=["first_block", "middle_block", "last_block"])
+    def test_short_read_is_reported(self, tmp_path, value_index):
+        path = tmp_path / "short.smm1"
+        write_smm1_blocks(path, 93)
+        stop = 32 + BLOCKS_SHAPE[0] + 8 * value_index
+        with recorded_reads(stop), pytest.raises(
+                DataError, match=f"^{re.escape(str(path))}: file changed while it was read$"):
+            load_smm1(path)
+
+    def test_short_read_is_reported_before_a_non_finite_block(self, tmp_path):
+        path = tmp_path / "short_nan.smm1"
+        write_smm1_blocks(path, 94, value_at=(np.nan, 0))
+        with recorded_reads(32 + BLOCKS_SHAPE[0] + 8 * (self.SIZE - 1)), \
+                pytest.raises(DataError, match="file changed while it was read"):
+            load_smm1(path)
+
+    def test_each_value_is_tested_once_as_its_block_is_read(self, tmp_path):
+        path = tmp_path / "spy.smm1"
+        data = write_smm1_blocks(path, 95)
+        isfinite = np.isfinite
+
+        def tested(values, *args, **kwargs):
+            events.append(("test", np.size(values)))
+            return isfinite(values, *args, **kwargs)
+
+        with recorded_reads() as events, calls_to(model_module, "_all_finite") as passes, \
+                mock.patch.object(np, "isfinite", tested):
+            loaded = load_smm1(path)
+        assert passes == []
+        blocks = [min(BLOCK, self.SIZE - start) for start in range(0, self.SIZE, BLOCK)]
+        assert events == [("read", data.m)] + [
+            event for size in blocks for event in (("read", 8 * size), ("test", size))]
+        assert loaded.xs.tobytes() == data.xs.tobytes()
+        assert loaded.ys.tobytes() == data.ys.tobytes()
+
+    def test_loaders_make_no_second_pass(self, tmp_path):
+        data = random_dataset(96, m=20, p=2, q=3)
+        binary = tmp_path / "d.smm1"
+        save_smm1(data, binary)
+        table = tmp_path / "d.csv"
+        rows = np.column_stack((data.ys, data.xs.reshape(data.m, -1)))
+        table.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        row_loop = tmp_path / "underscored.csv"  # the C reader refuses 1_0
+        row_loop.write_text(table.read_text().replace("\n", ",1_0\n"))
+        loads = {
+            "smm1": lambda: load_smm1(binary),
+            "smm1_reshaped": DatasetManifest(path=str(binary), format="smm1",
+                                             reshape=(3, 2)).load,
+            "csv": lambda: load_csv(table, 0, reshape=(2, 3)),
+            "csv_rows": lambda: load_csv(row_loop, 0, reshape=(1, 7)),
+        }
+        for name, load in loads.items():
+            with calls_to(model_module, "_all_finite") as passes:
+                loaded = load()
+            assert passes == [], name
+            assert not loaded.xs.flags.writeable and loaded.ys.dtype == np.int8, name
+            np.testing.assert_array_equal(loaded.ys, data.ys)
+
+    def test_public_constructor_and_transforms_still_test_features(self):
+        data = random_dataset(97, m=4, p=2, q=2)
+        bad = data.xs.copy()
+        bad[2, 1, 0] = np.inf
+        for build in (lambda: Dataset(xs=bad, ys=data.ys), lambda: data.replace_xs(bad)):
+            with calls_to(model_module, "_all_finite") as passes, \
+                    pytest.raises(InvalidArgumentError, match="features must be finite"):
+                build()
+            assert len(passes) == 1
+
 
 class TestNormalization:
     def test_constant_sample_becomes_zero(self):
@@ -375,6 +531,49 @@ class TestNormalization:
         np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-12)
         # test set transformed by the same affine map, not its own stats
         assert np.abs(test_s.xs.reshape(10, -1).mean(axis=0)).max() > 1e-6
+
+    @pytest.mark.parametrize("sample, index", [
+        ([1e308, -1e308, 1.0, 2.0], 0),     # the std overflows
+        ([1.7e308, 1.7e308, 1.7e308, 0.0], 1),  # the mean overflows
+    ])
+    def test_sample_whose_moments_overflow_is_refused(self, sample, index):
+        xs = np.array([[0.0, 1.0, 2.0, 4.0], [3.0, 1.0, 2.0, 4.0]])
+        xs[index] = sample
+        data = Dataset(xs=xs.reshape(2, 2, 2), ys=np.array([1, -1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=f"^sample {index} cannot be "
+                                                           "normalized: its mean or std overflows$"):
+                normalize_per_sample(data)
+
+    def test_entry_whose_training_moments_overflow_is_refused(self):
+        train = random_dataset(78, m=6, p=2, q=3)
+        xs = train.xs.copy()
+        xs[:2, 1, 0] = [1e308, -1e308]
+        test = random_dataset(79, m=4, p=2, q=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=re.escape(
+                    "entry (1, 0) cannot be standardized: its training mean or std overflows")):
+                standardize_features(train.replace_xs(xs), test)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
+    def test_finite_moments_normalize_as_the_plain_formulas(self, scale):
+        train = random_dataset(80, m=12, p=3, q=4)
+        test = random_dataset(81, m=5, p=3, q=4)
+        xs = train.xs * scale
+        xs[3] = 2.5  # a constant sample and, in standardize, constant entries
+        xs[:, 0, 1] = -7.0
+        train = train.replace_xs(xs)
+        flat = xs.reshape(12, -1)
+        mean, std = flat.mean(axis=1, keepdims=True), flat.std(axis=1, keepdims=True)
+        expected = np.where(std > 0, (flat - mean) / np.where(std > 0, std, 1.0), 0.0)
+        assert normalize_per_sample(train).xs.tobytes() == expected.tobytes()
+        mean, std = flat.mean(axis=0), flat.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        train_s, test_s = standardize_features(train, test)
+        assert train_s.xs.tobytes() == ((flat - mean) / std).tobytes()
+        assert test_s.xs.tobytes() == ((test.xs.reshape(5, -1) - mean) / std).tobytes()
 
 
 class TestSplit:
@@ -614,6 +813,18 @@ class TestManifest:
         assert ds.sample_shape == (2, 6)
         assert ds.xs.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(ds.ys, data.ys)
+
+    def test_normalization_that_overflows_is_data_error(self, tmp_path):
+        path = tmp_path / "huge.smm1"
+        xs = np.array([[1.0, 2.0, 4.0, 8.0], [1e308, -1e308, 1.0, 2.0]])
+        save_smm1(Dataset(xs=xs.reshape(2, 1, 4), ys=np.array([1, -1])), path)
+        manifest = DatasetManifest(path=str(path), format="smm1", reshape=(2, 2),
+                                   normalization="per_sample_zscore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: sample 1 cannot "
+                                                "be normalized"):
+                manifest.load()
 
     def test_load_smm1_reshape_mismatch_is_data_error(self, tmp_path):
         path = tmp_path / "d.smm1"

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 import weakref
 from unittest import mock
 
@@ -556,6 +557,23 @@ class TestExports:
                               tmp_path / "w.pgm")
         pixels = (tmp_path / "w.pgm").read_bytes()[-4:]
         assert list(pixels) == [255, 128, 128, 0]
+
+    def test_span_that_overflows_still_maps_min_to_0_and_max_to_255(self, tmp_path):
+        w = np.array([[1.7e308, -1.7e308], [0.0, 1.234e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            export_weight_heatmap(w, tmp_path / "w.csv", tmp_path / "w.pgm")
+        pixels = (tmp_path / "w.pgm").read_bytes()[-4:]
+        assert list(pixels) == [255, 0, 128, 220]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 8e307])
+    def test_finite_span_is_scaled_by_the_plain_formula(self, tmp_path, scale):
+        w = make_rng(106).uniform(-1.0, 1.0, (5, 7)) * scale
+        w[0, 0], w[0, 1] = -scale, scale  # a span of 2 * scale, finite
+        export_weight_heatmap(w, tmp_path / "w.csv", tmp_path / "w.pgm")
+        low, high = w.min(), w.max()
+        expected = np.rint((w - low) / (high - low) * 255.0).astype(np.uint8)
+        assert (tmp_path / "w.pgm").read_bytes().endswith(expected.tobytes())
 
     def test_csv_round_trip_exact(self, tmp_path):
         w = make_rng(105).standard_normal((4, 5))
