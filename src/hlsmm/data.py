@@ -413,7 +413,11 @@ def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...
     position is centered and scaled by its mean/std across the training
     samples, and the same affine map is applied to the other datasets
     (typically the test split).  Constant positions are left centered.  An
-    entry whose training mean or std overflows is refused.
+    entry whose training mean or std overflows is refused, and so is a
+    dataset with a value that overflows once standardized, one far from the
+    training mean of an entry with a small training std.  That refusal names
+    the dataset by its position among the arguments (``train`` is 0) and
+    its name, and the entry by its sample and matrix position.
     """
     flat = train.xs.reshape(train.m, -1)
     mean, std, bad = _moments(flat, axis=0)
@@ -423,11 +427,19 @@ def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...
             f"entry ({i}, {j}) cannot be standardized: its training mean or std overflows")
     std = np.where(std > 0, std, 1.0)
 
-    def apply(ds: Dataset) -> Dataset:
-        scaled = (ds.xs.reshape(ds.m, -1) - mean) / std
-        return ds.replace_xs(scaled.reshape(ds.xs.shape))
+    def apply(position: int, ds: Dataset) -> Dataset:
+        with np.errstate(over="ignore"):
+            scaled = (ds.xs.reshape(ds.m, -1) - mean) / std
+        if not _all_finite(scaled):
+            sample, entry = divmod(int(np.argmax(~np.isfinite(scaled))), scaled.shape[1])
+            i, j = divmod(entry, train.q)
+            label = f"dataset {position}" + (f" ({ds.name})" if ds.name else "")
+            raise InvalidArgumentError(
+                f"{label}: entry ({i}, {j}) of sample {sample} overflows when "
+                "standardized by the training mean and std")
+        return Dataset._tested(scaled.reshape(ds.xs.shape), ds.ys, ds.name, finite=True)
 
-    return tuple(apply(ds) for ds in (train, *others))
+    return tuple(apply(position, ds) for position, ds in enumerate((train, *others)))
 
 
 def _shuffled_classes(ys: np.ndarray, seed: int) -> list[np.ndarray]:

@@ -403,10 +403,13 @@ def export_weight_heatmap(w: np.ndarray, csv_path, pgm_path) -> None:
     The CSV carries 17 significant digits (lossless for float64).  The PGM is
     8-bit binary (P5); an all-constant matrix maps to uniform mid-gray 128.
     A span ``max - min`` that overflows is scaled from the halved weights.
+    Non-finite weights are refused before anything is written.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise InvalidArgumentError("weight matrix must be 2-D")
+    if not np.isfinite(w).all():
+        raise InvalidArgumentError("weight matrix must be finite")
     lines = [",".join(f"{value:.17g}" for value in row) for row in w]
     Path(csv_path).write_text("\n".join(lines) + "\n")
 

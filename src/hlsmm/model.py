@@ -333,19 +333,34 @@ def _heaviside(z: np.ndarray):
 
 
 def _hard_threshold(x: np.ndarray, gamma) -> np.ndarray:
-    """The 0/1 loss's prox: zero the entries of ``x`` in (0, sqrt(2 gamma)], in place;
-    ``gamma`` (>= 0, so the threshold t is in [+0.0, +inf]) broadcasts.
+    """The 0/1 loss's prox: zero the entries of a (K, m) stack ``x`` in
+    (0, sqrt(2 gamma)], in place; ``gamma`` (>= 0, so the threshold t is in
+    [+0.0, +inf]) is a (K, 1) column, or a scalar for one row.
     Unvalidated: the solver's own checks report divergence.
 
-    One mask, compared as unsigned 64-bit words: the bits of a non-negative
-    double order like its value, and those of -0.0, negatives and NaNs of
-    either sign sort above any t.  The mask also holds +0.0, which zeroing
-    leaves as it is, so the rule, and its tie at x = t, are those of
+    Compared as unsigned 64-bit words, the bits of a non-negative double
+    order like its value, and those of -0.0, negatives and NaNs of either
+    sign sort above any t.  So the words above t's are the entries kept,
+    and multiplying every word by its bool ``word > t`` zeroes the others
+    and keeps these bit for bit.  The zeroed set also holds +0.0, which
+    stays as it is, so the rule, and its tie at x = t, are those of
     ``(x > 0) & (x <= t)`` bit for bit, with one bool array instead of two.
+    The multiply casts the bools to words through numpy's ufunc buffer, so
+    it runs on two halves of the stack, its rows or a lone row's samples,
+    with one mask of half the stack for both.
     """
-    t = np.sqrt(2.0 * gamma)
-    mask = x.view(np.uint64) <= t.view(np.uint64)
-    x[mask] = 0.0
+    t = np.sqrt(2.0 * gamma).view(np.uint64)
+    bits = x.view(np.uint64)
+    if len(bits) > 1:
+        half = (len(bits) + 1) // 2
+        blocks = (bits[:half], t[:half]), (bits[half:], t[half:])
+    else:
+        half = (bits.shape[1] + 1) // 2
+        blocks = (bits[:, :half], t), (bits[:, half:], t)
+    mask = np.empty(blocks[0][0].shape, dtype=bool)
+    for block, level in blocks:
+        keep = np.greater(block, level, out=mask[:len(block), :block.shape[1]])
+        block *= keep
     return x
 
 
@@ -387,7 +402,7 @@ def prox_heaviside(x, gamma: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise InvalidArgumentError("x must be finite")
-    return _hard_threshold(x.copy(), gamma)
+    return _hard_threshold(x.reshape(1, -1).copy(), gamma).reshape(x.shape)
 
 
 def decision_scores(w, b: float, xs: np.ndarray) -> np.ndarray:

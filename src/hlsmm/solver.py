@@ -62,14 +62,17 @@ DECREASE_SLACK = 1e-9
 # as they are and then moves the kept rows in place.  A batch takes
 # BATCH_FLOATS // (4 m) lanes, at least one, counting a lane once per
 # distinct beta of its riders, as many lanes as it can fork into: the fourth
-# m-vector per lane covers the buffer, the z block's one bool mask and the
-# loss's.  A fork of K lanes into K + f drops the center, grows the old
+# m-vector per lane covers the buffer, the loss's bool mask and the prox's,
+# which covers half the stack (see _hard_threshold): with the buffer's uint64
+# cast of it, at most 8 KiB more, no more than a mask of the whole stack from
+# K m = 16384 on.  A fork of K lanes into K + f drops the center, grows the old
 # slack and then the scores, and builds the center again: at most 3 (K + f)
 # rows, the z block of a batch of K + f lanes.  The trace is not reserved:
 # it grows by doubling with the iterations the live lanes have run.
 BATCH_FLOATS = 1 << 17
 # Largest temporary of the z block's tau2 z term, in float64 values: its
-# 16 KiB are no more than a lone lane's prox mask (m bytes) from m = 16384.
+# 16 KiB are no more than a lone lane's prox holds (half its m-byte mask and
+# the 8 KiB buffer) from m = 16384.
 _BLOCK_FLOATS = 1 << 11
 # numpy's ufunc buffer while the kernel runs, in values (its default is 8192).
 # The kernel takes no float reduction that casts, so the buffer's size, which
@@ -499,8 +502,9 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
     """
     count = len(w)
     finite = np.isfinite(grad).all(axis=(1, 2))
-    errors = {row: NumericalError("non-finite gradient in W block", iteration)
-              for row in np.flatnonzero(~finite)}
+    errors = {} if finite.all() else {
+        row: NumericalError("non-finite gradient in W block", iteration)
+        for row in np.flatnonzero(~finite)}
     halvings = np.zeros(count, dtype=np.int64)
     stalled = np.zeros(count, dtype=bool)
     split: list = []
@@ -544,15 +548,21 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
                 for j, row in enumerate(pending)])
         step_sq = _sq_norms(candidate - w[rows])
         h = h_ref[rows]
-        ok = smooth + 0.5 * lanes.tau1_min[rows] * step_sq <= h
-        live = ~np.isin(pending, list(errors)) if errors else np.ones(pending.size, bool)
-        ok &= live
+        ok = done = smooth + 0.5 * lanes.tau1_min[rows] * step_sq <= h
+        if errors:  # a lane that failed takes no step and leaves the trials
+            failed = np.isin(pending, list(errors))
+            ok = ok & ~failed
+            done = ok | failed
         if lanes.tau1_varies:
             straddle = ok & ~(smooth + 0.5 * lanes.tau1_max[rows] * step_sq <= h)
             for j in np.flatnonzero(straddle):
                 split += [index for index in lanes.riders[pending[j]]
                           if not (smooth[j] + 0.5 * lanes.configurations[index].tau1
                                   * step_sq[j] <= h[j])]
+        if pending.size == count and ok.all():  # every lane takes this trial
+            halvings[:] = trial
+            stalled[:] = False
+            return candidate, s_candidate, halvings, stalled, errors, split
         if ok.any():
             if new_w is None and pending.size == count:
                 new_w, new_s = candidate, s_candidate
@@ -564,7 +574,7 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
         del candidate, s_candidate
         halvings[pending[ok]] = trial
         stalled[pending[ok]] = False
-        pending = pending[~ok & live]
+        pending = pending[~done]
         alpha[pending] *= 0.5
     # Stalled lanes keep their iterate.
     if new_w is None:  # no lane accepted a step: each stalled or failed
@@ -654,6 +664,84 @@ def _check_start(data: Dataset, rank: int, init: ModelState | None) -> None:
         raise InvalidArgumentError(f"init weight matrix has rank {init_rank} > bound {rank}")
 
 
+def _iterate(problem: _Problem, lanes: _Lanes, k: int):
+    """Run iteration k of every lane of the batch, in place; return (stop,
+    stalled, errors, leaving).
+
+    Per lane: whether the iteration met the tolerances, whether its W block
+    stalled, and the error it failed with; per rider that leaves its lane
+    alone: its error or None.  The caller silences overflow and invalid-value
+    warnings: a lane whose numbers overflow (with sigma = 1e307 the gradient
+    does at iteration 1, and products of it turn NaN) fails alone at the
+    finiteness guards.  The carried gap, the previous slack and the scores
+    are dropped as soon as they are used, so that a lone lane holds three
+    m-vectors in every block (see BATCH_FLOATS).
+    """
+    grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
+    lanes.gap = None
+    w, s, halvings, stalled, errors, split = _w_step(
+        problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
+    del grad
+    center = _z_center(problem, lanes, s, lanes.z, lanes.b)
+    fork = lanes.fork(center, errors)
+    if fork is not None:
+        # The batch grows without its center, which is then built again at
+        # the new size, bit for bit its rows: three arrays of K + f rows, as
+        # in a batch of K + f lanes.
+        del center
+        rows = lanes.grow(*fork)
+        w, s, halvings, stalled = w[rows], s[rows], halvings[rows], stalled[rows]
+        center = _z_center(problem, lanes, s, lanes.z, lanes.b)
+    z_old, lanes.z = lanes.z, _z_step(lanes, center)
+    del center
+    np.subtract(lanes.z, z_old, out=z_old)
+    dz = np.sqrt(_dots(z_old, z_old))
+    del z_old
+    b = _b_step(problem, lanes, s, lanes.z, lanes.b)
+    g, lanes.h, sq_norm, lanes.gap = problem.objective(w, s, lanes.z, b,
+                                                       lanes.sigma, lanes.beta)
+    del s
+    dw = np.sqrt(_sq_norms(w - lanes.w))
+    db = np.abs(b - lanes.b)
+    # The checks in the order of the one-lane scheme; a lane keeps its first
+    # failure.  A non-finite entry of W, z or b carries into 1/2 ||W||^2 or,
+    # through the gap, into sigma ||z - v||^2 (sigma is positive and finite),
+    # so the iterates are read only on the lanes whose objective is not
+    # finite, and each loop runs only when some row fails its test.
+    failed = ~np.isfinite(g)
+    if failed.any():
+        for row in np.flatnonzero(failed):
+            finite = (np.isfinite(w[row]).all() and np.isfinite(lanes.z[row]).all()
+                      and np.isfinite(b[row]))
+            errors.setdefault(row, NumericalError(
+                "objective became non-finite" if finite else "iterate became non-finite", k))
+    leaving = dict.fromkeys(split)
+    increased = g > lanes.g + MONOTONE_SLACK
+    if increased.any():
+        for row in np.flatnonzero(increased):
+            errors.setdefault(row, NumericalError(
+                f"objective increased from {lanes.g[row]:.6e} to {g[row]:.6e}", k))
+    # Per rider, in the order of lanes.positions.
+    decrease = (lanes.g - g)[lanes.lane_of]
+    required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
+    short = decrease < required - DECREASE_SLACK
+    if short.any():
+        for j in np.flatnonzero(short):
+            if lanes.lane_of[j] not in errors:
+                leaving.setdefault(lanes.positions[j], NumericalError(
+                    f"sufficient decrease violated: {decrease[j]:.3e} < "
+                    f"{required[j]:.3e}", k))
+
+    if k == lanes.history.shape[2]:
+        lanes.history = np.concatenate((lanes.history, np.empty_like(lanes.history)),
+                                       axis=2)
+    lanes.history[:, :, k] = (g, dw, dz, db, halvings)
+    stop = ((dw / np.maximum(1.0, np.sqrt(lanes.sq_norm)) <= lanes.tol_step)
+            & (np.abs(g - lanes.g) <= lanes.tol_obj))
+    lanes.w, lanes.b, lanes.g, lanes.sq_norm = w, b, g, sq_norm
+    return stop, stalled, errors, leaving
+
+
 def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
               t_start: float):
     """Run one batch of lanes from ``init`` (see :meth:`_Lanes.begin`); yield
@@ -666,18 +754,16 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
     other.  The sufficient-decrease check reads tau1, so it runs per rider
     and ends that rider alone; the other checks end every rider of the lane.
     """
-    # The buffer setting is never in force across a yield.  The start's
-    # objective may overflow as the iterations' may (see below).
+    # The buffer setting is never in force across a yield: it is entered
+    # once for each run of iterations between two releases.  The start's
+    # objective may overflow as the iterations' may (see _iterate).
     with np.errstate(over="ignore", invalid="ignore"), _small_buffer():
         lanes.begin(problem, init)
     k = 0
-    # Per lane: whether the last iteration met the tolerances, whether its W
-    # block stalled, and the error it failed with; per rider that leaves its
-    # lane alone: its error or None.
     stop = stalled = np.zeros(len(lanes.riders), dtype=bool)
+    ended = lanes.maxit <= k
     errors, leaving = {}, {}
     while True:
-        ended = stop | (lanes.maxit <= k)
         if errors or leaving or ended.any():
             # Why each lane stops, or "" where it goes on; a later cause wins.
             # The array holds the literals, so that the traces share them.
@@ -689,69 +775,13 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
             yield from lanes.release(status, errors, leaving, k, t_start)
             if not lanes.riders:
                 return
-
-        k += 1
-        # Overflow and invalid-value warnings are silenced: a lane whose
-        # numbers overflow (with sigma = 1e307 the gradient does at iteration
-        # 1, and products of it turn NaN) fails alone at the finiteness guards.
-        # The carried gap, the previous slack and the scores are dropped as
-        # soon as they are used, so that a lone lane holds three m-vectors in
-        # every block (see BATCH_FLOATS).
         with np.errstate(over="ignore", invalid="ignore"), _small_buffer():
-            grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
-            lanes.gap = None
-            w, s, halvings, stalled, errors, split = _w_step(
-                problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
-            del grad
-            center = _z_center(problem, lanes, s, lanes.z, lanes.b)
-            fork = lanes.fork(center, errors)
-            if fork is not None:
-                # The batch grows without its center, which is then built
-                # again at the new size, bit for bit its rows: three arrays
-                # of K + f rows, as in a batch of K + f lanes.
-                del center
-                rows = lanes.grow(*fork)
-                w, s, halvings, stalled = w[rows], s[rows], halvings[rows], stalled[rows]
-                center = _z_center(problem, lanes, s, lanes.z, lanes.b)
-            z_old, lanes.z = lanes.z, _z_step(lanes, center)
-            del center
-            np.subtract(lanes.z, z_old, out=z_old)
-            dz = np.sqrt(_dots(z_old, z_old))
-            del z_old
-            b = _b_step(problem, lanes, s, lanes.z, lanes.b)
-            finite = (np.isfinite(w).all(axis=(1, 2)) & np.isfinite(lanes.z).all(axis=1)
-                      & np.isfinite(b))
-            g, lanes.h, sq_norm, lanes.gap = problem.objective(w, s, lanes.z, b,
-                                                               lanes.sigma, lanes.beta)
-            del s
-            dw = np.sqrt(_sq_norms(w - lanes.w))
-            db = np.abs(b - lanes.b)
-            # The checks in the order of the one-lane scheme; a lane keeps its
-            # first failure.
-            for row in np.flatnonzero(~finite):
-                errors.setdefault(row, NumericalError("iterate became non-finite", k))
-            for row in np.flatnonzero(~np.isfinite(g)):
-                errors.setdefault(row, NumericalError("objective became non-finite", k))
-            leaving = dict.fromkeys(split)
-            for row in np.flatnonzero(g > lanes.g + MONOTONE_SLACK):
-                errors.setdefault(row, NumericalError(
-                    f"objective increased from {lanes.g[row]:.6e} to {g[row]:.6e}", k))
-            # Per rider, in the order of lanes.positions.
-            decrease = (lanes.g - g)[lanes.lane_of]
-            required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
-            for j in np.flatnonzero(decrease < required - DECREASE_SLACK):
-                if lanes.lane_of[j] not in errors:
-                    leaving.setdefault(lanes.positions[j], NumericalError(
-                        f"sufficient decrease violated: {decrease[j]:.3e} < "
-                        f"{required[j]:.3e}", k))
-
-        if k == lanes.history.shape[2]:
-            lanes.history = np.concatenate((lanes.history, np.empty_like(lanes.history)),
-                                           axis=2)
-        lanes.history[:, :, k] = (g, dw, dz, db, halvings)
-        stop = ((dw / np.maximum(1.0, np.sqrt(lanes.sq_norm)) <= lanes.tol_step)
-                & (np.abs(g - lanes.g) <= lanes.tol_obj))
-        lanes.w, lanes.b, lanes.g, lanes.sq_norm = w, b, g, sq_norm
+            while True:
+                k += 1
+                stop, stalled, errors, leaving = _iterate(problem, lanes, k)
+                ended = stop | (lanes.maxit <= k)
+                if errors or leaving or ended.any():
+                    break
 
 
 def _batches(configurations, queue: list, width: int):

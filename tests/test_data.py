@@ -557,6 +557,36 @@ class TestNormalization:
                     "entry (1, 0) cannot be standardized: its training mean or std overflows")):
                 standardize_features(train.replace_xs(xs), test)
 
+    def test_test_value_that_overflows_once_standardized_is_refused(self):
+        # Training values [0, 1e-3] give the entry a std of 5e-4, and
+        # 1.7e308 / 5e-4 overflows: one error naming the dataset, the sample
+        # and the entry, and no numpy warning.
+        train = Dataset(xs=np.array([0.0, 1e-3]).reshape(2, 1, 1), ys=np.array([1, -1]),
+                        name="wdbc")
+        test = Dataset(xs=np.array([0.5, 1.7e308]).reshape(2, 1, 1), ys=np.array([1, -1]),
+                       name="wdbc")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="^" + re.escape(
+                    "dataset 1 (wdbc): entry (0, 0) of sample 1 overflows when "
+                    "standardized by the training mean and std") + "$"):
+                standardize_features(train, test)
+
+    def test_overflow_names_the_dataset_by_position_and_the_entry(self):
+        train = random_dataset(82, m=6, p=2, q=3)
+        xs = train.xs.copy()
+        xs[:, 1, 2] = 1e-150 * np.arange(6)  # a tiny training std at entry (1, 2)
+        train = train.replace_xs(xs)
+        fine = random_dataset(83, m=3, p=2, q=3)
+        far = fine.xs.copy()
+        far[2, 1, 2] = 1e300
+        far = Dataset(xs=far, ys=fine.ys)  # no name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="^" + re.escape(
+                    "dataset 2: entry (1, 2) of sample 2 overflows")):
+                standardize_features(train, fine, far)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
     def test_finite_moments_normalize_as_the_plain_formulas(self, scale):
         train = random_dataset(80, m=12, p=3, q=4)

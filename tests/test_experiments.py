@@ -566,6 +566,15 @@ class TestExports:
         pixels = (tmp_path / "w.pgm").read_bytes()[-4:]
         assert list(pixels) == [255, 0, 128, 220]
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_are_refused_before_writing(self, tmp_path, bad):
+        w = np.array([[bad, 0.0], [1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="^weight matrix must be finite$"):
+                export_weight_heatmap(w, tmp_path / "w.csv", tmp_path / "w.pgm")
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "w.pgm").exists()
+
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 8e307])
     def test_finite_span_is_scaled_by_the_plain_formula(self, tmp_path, scale):
         w = make_rng(106).uniform(-1.0, 1.0, (5, 7)) * scale

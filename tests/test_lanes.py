@@ -251,6 +251,60 @@ class TestLockstepLanes:
         assert huge.converged and len(huge.trace) > 64
 
 
+def poisoned(name: str, row: int, at: int, value: float):
+    """Patch the kernel so that on its ``at``-th call ``name`` hands back row
+    ``row`` of its first result (the objective per lane, or the new W, z or b)
+    with ``value`` in its first entry, in place: the objective counts its call at the
+    start as call 0, the blocks count from 1, so ``at`` is the iteration."""
+    owner, attribute = (solver._Problem, "objective") if name == "g" else \
+        (solver, {"w": "_w_step", "z": "_z_step", "b": "_b_step"}[name])
+    original, calls = getattr(owner, attribute), []
+
+    def wrapper(*args):
+        result = original(*args)
+        if len(calls) == (at if name == "g" else at - 1):
+            array = result[0] if isinstance(result, tuple) else result
+            array.reshape(len(array), -1)[row, 0] = value
+        calls.append(None)
+        return result
+
+    return mock.patch.object(owner, attribute, wrapper)
+
+
+class TestNonFiniteChecks:
+    """A lane whose new W, z or b holds a non-finite entry fails with "iterate
+    became non-finite"; one whose iterates are finite but whose objective is
+    not fails with "objective became non-finite".  A non-finite iterate makes
+    the objective non-finite too, and the iterate's message wins.  Either
+    ends its own lane at its iteration and leaves the others as they were."""
+
+    CASES = [("w", np.inf, "iterate"), ("z", np.nan, "iterate"), ("b", -np.inf, "iterate"),
+             ("b", np.nan, "iterate"), ("g", np.inf, "objective"), ("g", np.nan, "objective")]
+
+    @pytest.mark.parametrize("name,value,message", CASES)
+    def test_lone_fit_reports_the_iteration(self, synthetic, default_hp, name, value,
+                                            message):
+        data, _, _ = synthetic
+        with poisoned(name, 0, 3, value), pytest.raises(NumericalError) as info:
+            fit(data, default_hp)
+        assert str(info.value) == f"{message} became non-finite (iteration 3)"
+        assert info.value.iteration == 3
+
+    @pytest.mark.parametrize("name,value,message", CASES)
+    def test_batch_fails_that_lane_alone(self, synthetic, default_hp, name, value, message):
+        # Three lanes of distinct sigma, the middle one poisoned at iteration 2.
+        data, _, _ = synthetic
+        configurations = [default_hp.with_(sigma=sigma) for sigma in (0.05, 0.1, 0.2)]
+        with poisoned(name, 1, 2, value), calls_to(solver, "_lockstep") as batches:
+            outcomes = by_position(data, configurations)
+        assert len(batches) == 1 and sorted(outcomes) == [0, 1, 2]
+        assert isinstance(outcomes[1], NumericalError)
+        assert str(outcomes[1]) == f"{message} became non-finite (iteration 2)"
+        assert outcomes[1].iteration == 2
+        for index in (0, 2):
+            assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, configurations[index]))
+
+
 class TestBatchWidth:
     """A batch takes BATCH_FLOATS // (4 m) lanes, a lane counted once per
     distinct beta of its riders.

@@ -42,7 +42,7 @@ from hlsmm import data as data_module
 from hlsmm import kkt, model
 from hlsmm.cli import main
 from hlsmm.model import _hard_threshold
-from hlsmm.solver import _b_step, _Lanes, _Problem
+from hlsmm.solver import _b_step, _Lanes, _Problem, _small_buffer
 
 from conftest import make_rng, peak_bytes, random_dataset
 
@@ -536,6 +536,20 @@ class TestHardThreshold:
         expected[(x > 0) & (x <= np.sqrt(2.0 * gamma))] = 0.0
         result = _hard_threshold(x.copy(), gamma)
         assert result.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 40000), (45, 398)])
+    def test_holds_no_more_than_one_mask(self, shape):
+        # The multiply casts the bools to words in numpy's ufunc buffer, 8 KiB
+        # in the kernel, so the prox runs on two halves of the stack: their
+        # mask and the buffer stay within one bool mask of the whole stack.
+        # The stack (1, 40000) is a lone lane of m = 40000, (45, 398) the
+        # reference grid's widest batch; one multiply over either would hold
+        # its mask, the buffer and 1.7 KiB more.
+        x = make_rng(7).standard_normal(shape)
+        gamma = np.full((shape[0], 1), 0.5)
+        with _small_buffer():
+            peak = peak_bytes(lambda: _hard_threshold(x, gamma))
+        assert peak <= x.size + 4096
 
 
 @st.composite
