@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -324,14 +325,87 @@ def save_smm1(data: Dataset, path) -> None:
         handle.write(np.ascontiguousarray(data.xs, dtype="<f8"))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_share(fd: int, flat: np.ndarray, offset: int, starts: range) -> tuple[bool, bool]:
+    """Read the blocks of ``flat`` that begin at ``starts`` from descriptor
+    ``fd``, whose features begin at byte ``offset``, testing each block for
+    finiteness right after its read.
+
+    Returns (complete, finite).  A short read ends the share incomplete; the
+    blocks after a non-finite one are still read, not tested.
+    """
+    mask = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
+    finite = True
+    for start in starts:
+        block = flat[start:start + _FINITE_BLOCK]
+        if os.preadv(fd, [block], offset + block.itemsize * start) != block.nbytes:
+            return False, finite
+        finite = finite and bool(np.isfinite(block, out=mask[:block.size]).all())
+    return True, finite
+
+
+def _read_payload(fd: int, flat: np.ndarray, offset: int) -> tuple[bool, bool]:
+    """Fill ``flat`` from ``fd`` by :func:`_read_share`, its blocks cut into
+    one contiguous share per usable CPU; return (complete, finite) of them all.
+
+    Each share has its own thread, all of them joined before this returns or
+    raises, and a single share stays on the calling thread.  The calling
+    thread only waits: where it read a share itself, right after a BLAS
+    call, the load was no faster than one reader.  The reads are
+    positional, so the readers share the descriptor and not its offset.
+    """
+    starts = range(0, flat.size, _FINITE_BLOCK)
+    readers = min(_usable_cpus(), len(starts))
+    outcomes: list = [None] * readers
+
+    def read(k: int) -> None:
+        share = starts[len(starts) * k // readers:len(starts) * (k + 1) // readers]
+        try:
+            outcomes[k] = _read_share(fd, flat, offset, share)
+        except Exception as exc:  # raised again by the caller, after the join
+            outcomes[k] = exc
+
+    if readers == 1:
+        read(0)
+    else:
+        threads = []
+        try:
+            for k in range(readers):
+                thread = threading.Thread(target=read, args=(k,), name=f"smm1-reader-{k}")
+                thread.start()
+                threads.append(thread)
+        finally:
+            for thread in threads:
+                thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return all(complete for complete, _ in outcomes), all(finite for _, finite in outcomes)
+
+
 def load_smm1(path) -> Dataset:
     """Read an SMM1 file straight into the arrays of the returned dataset.
 
     The header and the exact file size are checked before anything is
-    allocated, so a corrupt count cannot request a huge array.  The features
-    are read in blocks of ``_FINITE_BLOCK`` values, each tested for
-    finiteness while it is still in cache, so the design is passed over
-    once.  A short read is reported first, then bad labels, then a
+    allocated, so a corrupt count cannot request a huge array.  The labels
+    are read next.  The features' blocks of ``_FINITE_BLOCK`` values are cut
+    into contiguous shares, one per usable CPU (the process's affinity set
+    where the platform has one, else ``os.cpu_count()``), each read by its
+    own thread; a payload of one block stays on the calling thread.  Each
+    share is read with positional reads (``os.preadv``) on the descriptor
+    whose size was checked, and each block is tested for finiteness right
+    after its reader reads it, while it is still in cache, so every value
+    is tested once and the design is passed over once.  Every reader is
+    joined before this returns or raises.
+
+    A short read in any share is reported first, then bad labels, then a
     non-finite feature: the blocks after a non-finite one are still read,
     not tested.
     """
@@ -360,19 +434,11 @@ def load_smm1(path) -> Dataset:
                 f"({size} bytes, expected {expected})")
         ys = np.empty(m, dtype="<i1")
         xs = np.empty((m, p, q), dtype="<f8")
-
-        def read(into: np.ndarray) -> None:
-            if handle.readinto(into) != into.nbytes:
-                raise DataError(f"{path}: file changed while it was read")
-
-        read(ys)
-        flat = xs.reshape(-1)
-        mask = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
-        finite = True
-        for start in range(0, flat.size, _FINITE_BLOCK):
-            block = flat[start:start + _FINITE_BLOCK]
-            read(block)
-            finite = finite and bool(np.isfinite(block, out=mask[:block.size]).all())
+        complete = handle.readinto(ys) == m
+        if complete:
+            complete, finite = _read_payload(handle.fileno(), xs.reshape(-1), 32 + m)
+    if not complete:
+        raise DataError(f"{path}: file changed while it was read")
     try:
         return Dataset._tested(xs, ys, path.stem, finite=finite)
     except InvalidArgumentError as exc:  # bad labels or non-finite features

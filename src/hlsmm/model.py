@@ -125,7 +125,10 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         """The samples at integer positions ``idx`` in [0, m); a mask, a float or a
-        position outside that range (a negative one too) is refused."""
+        position outside that range (a negative one too) is refused.
+
+        The features are not tested again: rows of a tested, read-only design
+        hold no value that it does not."""
         idx = np.asarray(idx)
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise InvalidArgumentError(
@@ -136,7 +139,7 @@ class Dataset:
             raise InvalidArgumentError(
                 f"subset index {idx[outside].flat[0]} is outside [0, {self.m})")
         idx = idx.astype(np.int64, copy=False)
-        return Dataset(xs=self.xs[idx], ys=self.ys[idx], name=self.name)
+        return Dataset._tested(self.xs[idx], self.ys[idx], self.name, finite=True)
 
 
 # Concrete types: checks against the numbers ABCs are several times slower.

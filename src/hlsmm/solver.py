@@ -449,14 +449,20 @@ def grad_h(w, z, b: float, data: Dataset, sigma: float) -> np.ndarray:
 
     grad h(W) = W + 2 sigma sum_i y_i (z_i - 1 + y_i <W, X_i> + b y_i) X_i.
     The proximal term tau1/2 ||W - W^k||^2 contributes nothing at W = W^k.
+    A gradient that overflows is a NumericalError, as it fails a lane of
+    :func:`fit`.
     """
     sigma = _checked("sigma", sigma)
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64).ravel()
     _check_shapes(data, w, z)
     problem = _Problem(data)
-    gap = problem.gap(problem.scores(w[None]), z[None], np.array([float(b)]))
-    return problem.gradient(w[None], gap, np.array([sigma]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = problem.gap(problem.scores(w[None]), z[None], np.array([float(b)]))
+        grad = problem.gradient(w[None], gap, np.array([sigma]))[0]
+    if not np.isfinite(grad).all():
+        raise NumericalError("non-finite gradient")
+    return grad
 
 
 def _project(v: np.ndarray, rank: int, rows: np.ndarray, errors: dict,
@@ -632,12 +638,18 @@ def _b_step(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z_new: np.ndarr
 
 def penalized_objective(state: ModelState, data: Dataset, hp: Hyperparams) -> float:
     """f(W, z, b) = 1/2 ||W||_F^2 + beta ||z_+||_0 + sigma ||z - v(W, b)||^2, as the
-    kernel evaluates it for one lane, so :func:`fit` traces the same number."""
+    kernel evaluates it for one lane, so :func:`fit` traces the same number.
+    An objective that overflows is a NumericalError, as it fails a lane of
+    :func:`fit`."""
     _check_shapes(data, state.w, state.z)
     problem = _Problem(data)
     w, z, b = state.w[None], state.z[None], np.array([state.b])
-    return float(problem.objective(w, problem.scores(w), z, b, np.array([hp.sigma]),
-                                   np.array([hp.beta]))[0][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(problem.objective(w, problem.scores(w), z, b, np.array([hp.sigma]),
+                                        np.array([hp.beta]))[0][0])
+    if not np.isfinite(value):
+        raise NumericalError("objective became non-finite")
+    return value
 
 
 def _check_start(data: Dataset, rank: int, init: ModelState | None) -> None:

@@ -1,9 +1,12 @@
 import contextlib
 import csv
 import json
+import os
 import re
 import signal
 import struct
+import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -348,10 +351,26 @@ BLOCK = model_module._FINITE_BLOCK
 BLOCKS_SHAPE = (5, 128, 256)
 
 
+def reader_logs(events: list) -> list[list]:
+    """The events of each thread that read, in order, the threads ordered by
+    the file offset of their first read: the loader's calling thread (the
+    labels) first, then the shares of the features."""
+    logs: dict = {}
+    for thread, offset, event in events:
+        logs.setdefault(thread, (offset, []))[1].append(event)
+    return [log for _, log in sorted(logs.values(), key=lambda entry: entry[0])]
+
+
+def shares(sizes: list, readers: int) -> list[list]:
+    """``sizes`` cut into ``readers`` contiguous shares as even as they go."""
+    n = len(sizes)
+    return [sizes[n * k // readers:n * (k + 1) // readers] for k in range(readers)]
+
+
 class Recorded:
     """A binary file whose ``readinto`` calls are logged to ``events`` as
-    ("read", bytes) and that stops reading at byte offset ``stop``, as a file
-    cut short while it is read would."""
+    (thread, offset, ("read", bytes)) and that stops reading at byte offset
+    ``stop``, as a file cut short while it is read would."""
 
     def __init__(self, handle, events: list, stop: float = np.inf):
         self._handle, self._events, self._stop = handle, events, stop
@@ -367,22 +386,41 @@ class Recorded:
 
     def readinto(self, buffer) -> int:
         view = memoryview(buffer).cast("B")
-        room = max(0, min(view.nbytes, self._stop - self._handle.tell()))
+        offset = self._handle.tell()
+        room = max(0, min(view.nbytes, self._stop - offset))
         count = self._handle.readinto(view[:int(room)])
-        self._events.append(("read", count))
+        self._events.append((threading.current_thread(), offset, ("read", count)))
         return count
 
 
 @contextlib.contextmanager
-def recorded_reads(stop: float = np.inf):
-    """Open every file as :class:`Recorded` while the block runs; yield its events."""
+def recorded_reads(stop: float = np.inf, readers: int = 1):
+    """Load with ``readers`` usable CPUs while the block runs, every file
+    opened as :class:`Recorded`, every positional read logged and cut at
+    ``stop`` alike, and every ``np.isfinite`` call logged as (thread, None,
+    ("test", size)); yield the events."""
     events: list = []
-    opener = Path.open
+    opener, preadv, isfinite = Path.open, os.preadv, np.isfinite
 
     def recorded(self, *args, **kwargs):
         return Recorded(opener(self, *args, **kwargs), events, stop)
 
-    with mock.patch.object(Path, "open", recorded):
+    def positional(fd, buffers, offset, *args):
+        (buffer,) = buffers
+        view = memoryview(buffer).cast("B")
+        room = max(0, min(view.nbytes, stop - offset))
+        count = preadv(fd, [view[:int(room)]], offset, *args)
+        events.append((threading.current_thread(), offset, ("read", count)))
+        return count
+
+    def tested(values, *args, **kwargs):
+        events.append((threading.current_thread(), None, ("test", np.size(values))))
+        return isfinite(values, *args, **kwargs)
+
+    with mock.patch.object(Path, "open", recorded), \
+            mock.patch.object(os, "preadv", positional), \
+            mock.patch.object(np, "isfinite", tested), \
+            mock.patch.object(data_module, "_usable_cpus", lambda: readers):
         yield events
 
 
@@ -402,8 +440,9 @@ def write_smm1_blocks(path, seed: int, shape=BLOCKS_SHAPE, value_at=None) -> Dat
 
 
 class TestSmm1Blocks:
-    """Features are read in blocks of 2^16 values and each block is tested for
-    finiteness as it is read, once; every refusal keeps its message."""
+    """Features are read in blocks of 2^16 values, in one contiguous share of
+    blocks per reader, and each block is tested for finiteness as its reader
+    reads it, once; every refusal keeps its message and its order."""
 
     SIZE = int(np.prod(BLOCKS_SHAPE))
 
@@ -433,35 +472,135 @@ class TestSmm1Blocks:
         path = tmp_path / "short.smm1"
         write_smm1_blocks(path, 93)
         stop = 32 + BLOCKS_SHAPE[0] + 8 * value_index
-        with recorded_reads(stop), pytest.raises(
+        for readers in (1, 2):
+            with recorded_reads(stop, readers), pytest.raises(
+                    DataError, match=f"^{re.escape(str(path))}: file changed while it was read$"):
+                load_smm1(path)
+
+    def test_short_label_read_is_reported(self, tmp_path):
+        path = tmp_path / "short_labels.smm1"
+        write_smm1_blocks(path, 93)
+        with recorded_reads(32 + 2) as events, pytest.raises(
                 DataError, match=f"^{re.escape(str(path))}: file changed while it was read$"):
             load_smm1(path)
+        assert reader_logs(events) == [[("read", 2)]]
 
     def test_short_read_is_reported_before_a_non_finite_block(self, tmp_path):
         path = tmp_path / "short_nan.smm1"
         write_smm1_blocks(path, 94, value_at=(np.nan, 0))
-        with recorded_reads(32 + BLOCKS_SHAPE[0] + 8 * (self.SIZE - 1)), \
+        for readers in (1, 2):
+            with recorded_reads(32 + BLOCKS_SHAPE[0] + 8 * (self.SIZE - 1), readers), \
+                    pytest.raises(DataError, match="file changed while it was read"):
+                load_smm1(path)
+
+    def test_short_read_only_in_the_second_share(self, tmp_path):
+        path = tmp_path / "short_second.smm1"
+        write_smm1_blocks(path, 94, value_at=(np.nan, 0))
+        stop = 32 + BLOCKS_SHAPE[0] + 8 * (BLOCK + 100)
+        with recorded_reads(stop, readers=2) as events, \
                 pytest.raises(DataError, match="file changed while it was read"):
             load_smm1(path)
+        # The first share reads and tests its block whole; the second stops
+        # at its first, short, read.
+        assert reader_logs(events) == [
+            [("read", BLOCKS_SHAPE[0])],
+            [("read", 8 * BLOCK), ("test", BLOCK)],
+            [("read", 8 * 100)]]
+
+    @pytest.mark.parametrize("readers", [2, 3])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_feature_only_in_the_last_share(self, tmp_path, readers, value):
+        path = tmp_path / "late.smm1"
+        write_smm1_blocks(path, 98, value_at=(value, self.SIZE - 1))
+        with recorded_reads(readers=readers) as events, \
+                pytest.raises(DataError, match="dataset features must be finite$"):
+            load_smm1(path)
+        logs = reader_logs(events)
+        assert len(logs) == 1 + readers
+        assert all(count > 0 for log in logs for kind, count in log if kind == "read")
 
     def test_each_value_is_tested_once_as_its_block_is_read(self, tmp_path):
         path = tmp_path / "spy.smm1"
         data = write_smm1_blocks(path, 95)
-        isfinite = np.isfinite
-
-        def tested(values, *args, **kwargs):
-            events.append(("test", np.size(values)))
-            return isfinite(values, *args, **kwargs)
-
-        with recorded_reads() as events, calls_to(model_module, "_all_finite") as passes, \
-                mock.patch.object(np, "isfinite", tested):
-            loaded = load_smm1(path)
-        assert passes == []
         blocks = [min(BLOCK, self.SIZE - start) for start in range(0, self.SIZE, BLOCK)]
-        assert events == [("read", data.m)] + [
-            event for size in blocks for event in (("read", 8 * size), ("test", size))]
-        assert loaded.xs.tobytes() == data.xs.tobytes()
-        assert loaded.ys.tobytes() == data.ys.tobytes()
+        for readers in (1, 2, 3):
+            with recorded_reads(readers=readers) as events, \
+                    calls_to(model_module, "_all_finite") as passes:
+                loaded = load_smm1(path)
+            assert passes == []
+            # Per reader, in its order: each block's read, then its test.
+            expected = [[event for size in share for event in (("read", 8 * size),
+                                                               ("test", size))]
+                        for share in shares(blocks, readers)]
+            if readers == 1:  # on the calling thread, after the labels
+                expected[0].insert(0, ("read", data.m))
+            else:  # the calling thread reads the labels and waits
+                expected.insert(0, [("read", data.m)])
+            assert reader_logs(events) == expected, readers
+            assert loaded.xs.tobytes() == data.xs.tobytes()
+            assert loaded.ys.tobytes() == data.ys.tobytes()
+
+    @pytest.mark.parametrize("readers", [2, 3])
+    def test_shares_load_the_file_byte_for_byte(self, tmp_path, readers):
+        path = tmp_path / "shares.smm1"
+        write_smm1_blocks(path, 99)
+        with mock.patch.object(data_module, "_usable_cpus", lambda: readers):
+            loaded = load_smm1(path)
+        blob = path.read_bytes()
+        assert loaded.ys.tobytes() == blob[32:32 + BLOCKS_SHAPE[0]]
+        assert loaded.xs.tobytes() == blob[32 + BLOCKS_SHAPE[0]:]
+
+    def test_one_block_stays_on_the_calling_thread(self, tmp_path):
+        path = tmp_path / "one_block.smm1"
+        write_smm1_blocks(path, 100, shape=(2, 3, 4))
+        with recorded_reads(readers=4) as events:
+            load_smm1(path)
+        assert {thread for thread, _, _ in events} == {threading.current_thread()}
+
+    @pytest.mark.parametrize("readers", [2, 3])
+    @pytest.mark.parametrize("fault", ["short", "non_finite", "os_error"])
+    def test_no_reader_outlives_a_refusal(self, tmp_path, readers, fault):
+        path = tmp_path / "refused.smm1"
+        write_smm1_blocks(path, 101, value_at=(np.inf, self.SIZE - 1)
+                          if fault == "non_finite" else None)
+        stop = 32 + BLOCKS_SHAPE[0] + 8 * (2 * BLOCK + 1) if fault == "short" else np.inf
+        before = threading.enumerate()
+        with recorded_reads(stop, readers):
+            if fault == "os_error":
+                preadv = os.preadv
+
+                def failing(fd, buffers, offset, *args):
+                    if offset > 32 + BLOCKS_SHAPE[0]:
+                        raise OSError(5, "Input/output error")
+                    return preadv(fd, buffers, offset, *args)
+
+                with mock.patch.object(os, "preadv", failing), \
+                        pytest.raises(OSError, match="Input/output error"):
+                    load_smm1(path)
+            else:
+                with pytest.raises(DataError):
+                    load_smm1(path)
+        assert threading.enumerate() == before
+
+    def test_many_readers_under_fast_switching(self, tmp_path):
+        """More readers than CPUs, switching threads every microsecond: every
+        block lands in its place and a non-finite value in any share is found."""
+        path = tmp_path / "stress.smm1"
+        shape = (6, 128, 256)  # three blocks
+        data = write_smm1_blocks(path, 102, shape=shape)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with time_limit(60), \
+                    mock.patch.object(data_module, "_usable_cpus", lambda: 8):
+                for _ in range(10):
+                    assert load_smm1(path).xs.tobytes() == data.xs.tobytes()
+                for position in (0, BLOCK + 7, int(np.prod(shape)) - 1):
+                    write_smm1_blocks(path, 102, shape=shape, value_at=(np.nan, position))
+                    with pytest.raises(DataError, match="features must be finite"):
+                        load_smm1(path)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_loaders_make_no_second_pass(self, tmp_path):
         data = random_dataset(96, m=20, p=2, q=3)
@@ -485,6 +624,22 @@ class TestSmm1Blocks:
             assert passes == [], name
             assert not loaded.xs.flags.writeable and loaded.ys.dtype == np.int8, name
             np.testing.assert_array_equal(loaded.ys, data.ys)
+
+    def test_subsets_make_no_second_pass(self):
+        data = random_dataset(103, m=12, p=2, q=3)
+        with calls_to(model_module, "_all_finite") as passes:
+            picked = data.subset([5, 0, 5, 11])
+            train, test = split(data, 0.5, seed=3)
+            for idx, refusal in (([12], "outside"), ([1.0], "integers"), ([], "m, p, q >= 1")):
+                with pytest.raises(InvalidArgumentError, match=refusal):
+                    data.subset(idx)
+        assert passes == []
+        np.testing.assert_array_equal(picked.xs, data.xs[[5, 0, 5, 11]])
+        np.testing.assert_array_equal(picked.ys, data.ys[[5, 0, 5, 11]])
+        assert train.m + test.m == data.m
+        for part in (picked, train, test):
+            assert not part.xs.flags.writeable and not part.ys.flags.writeable
+            assert part.ys.dtype == np.int8 and part.name == data.name
 
     def test_public_constructor_and_transforms_still_test_features(self):
         data = random_dataset(97, m=4, p=2, q=2)

@@ -6,6 +6,7 @@ from hlsmm import (
     Hyperparams,
     InvalidArgumentError,
     ModelState,
+    NumericalError,
     StepPolicy,
     decision_scores,
     fit,
@@ -136,6 +137,13 @@ class TestPenalizedObjective:
         a = penalized_objective(ModelState(w=w, b=0.2, z=z), data, hp)
         b_ = penalized_objective(ModelState(w=w, b=0.2, z=z[perm]), permuted, hp)
         assert a == pytest.approx(b_, rel=1e-12)
+
+    def test_an_overflowing_objective_is_a_numerical_error(self):
+        data = random_dataset(15, m=6, p=3, q=4)
+        hp = Hyperparams(beta=0.1, sigma=1.7e308, rank=1)
+        state = ModelState(w=np.full(data.sample_shape, 1e200), b=0.0, z=np.zeros(data.m))
+        with pytest.raises(NumericalError, match="^objective became non-finite$"):
+            penalized_objective(state, data, hp)
 
 
 class TestProxHeaviside:

@@ -127,6 +127,12 @@ class TestGradH:
             assert err <= 1e-5
 
 
+    def test_an_overflowing_gradient_is_a_numerical_error(self):
+        data = random_dataset(25, m=6, p=3, q=4)
+        with pytest.raises(NumericalError, match="^non-finite gradient$"):
+            grad_h(np.ones((3, 4)), np.zeros(data.m), 0.0, data, 1.7e308)
+
+
 class TestUpdateW:
     def test_fixed_point_stays(self):
         data = random_dataset(25)
