@@ -333,57 +333,62 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_share(fd: int, flat: np.ndarray, offset: int, starts: range) -> tuple[bool, bool]:
-    """Read the blocks of ``flat`` that begin at ``starts`` from descriptor
-    ``fd``, whose features begin at byte ``offset``, testing each block for
-    finiteness right after its read.
+def _read_share(read, flat: np.ndarray, offset: int, starts: range) -> tuple[bool, bool]:
+    """Read the blocks of ``flat`` that begin at ``starts``, in order, by
+    ``read(block, position)``, which returns the bytes it read into ``block``
+    from file position ``position`` (the features begin at byte ``offset``),
+    testing each block for finiteness right after its read.
 
     Returns (complete, finite).  A short read ends the share incomplete; the
     blocks after a non-finite one are still read, not tested.
     """
-    mask = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
     finite = True
     for start in starts:
         block = flat[start:start + _FINITE_BLOCK]
-        if os.preadv(fd, [block], offset + block.itemsize * start) != block.nbytes:
+        if read(block, offset + block.itemsize * start) != block.nbytes:
             return False, finite
-        finite = finite and bool(np.isfinite(block, out=mask[:block.size]).all())
+        finite = finite and _all_finite(block)
     return True, finite
 
 
-def _read_payload(fd: int, flat: np.ndarray, offset: int) -> tuple[bool, bool]:
-    """Fill ``flat`` from ``fd`` by :func:`_read_share`, its blocks cut into
-    one contiguous share per usable CPU; return (complete, finite) of them all.
+def _read_payload(handle, flat: np.ndarray, offset: int) -> tuple[bool, bool]:
+    """Fill ``flat`` by :func:`_read_share` from ``handle``, which stands at byte
+    ``offset``, its blocks cut into one contiguous share per usable CPU;
+    return (complete, finite) of them all.
 
-    Each share has its own thread, all of them joined before this returns or
-    raises, and a single share stays on the calling thread.  The calling
-    thread only waits: where it read a share itself, right after a BLAS
-    call, the load was no faster than one reader.  The reads are
-    positional, so the readers share the descriptor and not its offset.
+    A single share, and the whole payload where Python has no ``os.preadv``
+    (Windows), is read in order through ``handle`` on the calling thread.
+    Otherwise each share has its own thread, reading with ``os.preadv`` on
+    the handle's descriptor, all of them joined before this returns or
+    raises.  The calling thread only waits: where it read a share itself,
+    right after a BLAS call, the load was no faster than one reader.  The
+    reads are positional, so the readers share the descriptor and not its
+    offset.
     """
     starts = range(0, flat.size, _FINITE_BLOCK)
-    readers = min(_usable_cpus(), len(starts))
+    readers = min(_usable_cpus(), len(starts)) if hasattr(os, "preadv") else 1
+    if readers == 1:
+        return _read_share(lambda block, _: handle.readinto(block), flat, offset, starts)
+    fd = handle.fileno()
     outcomes: list = [None] * readers
 
     def read(k: int) -> None:
         share = starts[len(starts) * k // readers:len(starts) * (k + 1) // readers]
         try:
-            outcomes[k] = _read_share(fd, flat, offset, share)
+            outcomes[k] = _read_share(lambda block, position: os.preadv(fd, [block], position),
+                                      flat, offset, share)
         except Exception as exc:  # raised again by the caller, after the join
             outcomes[k] = exc
 
-    if readers == 1:
-        read(0)
-    else:
-        threads = []
-        try:
-            for k in range(readers):
-                thread = threading.Thread(target=read, args=(k,), name=f"smm1-reader-{k}")
-                thread.start()
-                threads.append(thread)
-        finally:
-            for thread in threads:
-                thread.join()
+    threads = []
+    try:
+        for k in range(readers):
+            thread = threading.Thread(target=read, args=(k,), name=f"smm1-reader-{k}")
+            thread.start()
+            threads.append(thread)
+    finally:
+        for thread in threads:
+            thread.join()
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -398,12 +403,13 @@ def load_smm1(path) -> Dataset:
     are read next.  The features' blocks of ``_FINITE_BLOCK`` values are cut
     into contiguous shares, one per usable CPU (the process's affinity set
     where the platform has one, else ``os.cpu_count()``), each read by its
-    own thread; a payload of one block stays on the calling thread.  Each
-    share is read with positional reads (``os.preadv``) on the descriptor
-    whose size was checked, and each block is tested for finiteness right
-    after its reader reads it, while it is still in cache, so every value
-    is tested once and the design is passed over once.  Every reader is
-    joined before this returns or raises.
+    own thread with positional reads (``os.preadv``) on the descriptor whose
+    size was checked.  A payload of one share, and every payload where
+    Python has no ``os.preadv`` (Windows), is read in order through the
+    handle that read the labels, on the calling thread.  Each block is
+    tested for finiteness right after its reader reads it, while it is
+    still in cache, so every value is tested once and the design is passed
+    over once.  Every reader is joined before this returns or raises.
 
     A short read in any share is reported first, then bad labels, then a
     non-finite feature: the blocks after a non-finite one are still read,
@@ -436,7 +442,7 @@ def load_smm1(path) -> Dataset:
         xs = np.empty((m, p, q), dtype="<f8")
         complete = handle.readinto(ys) == m
         if complete:
-            complete, finite = _read_payload(handle.fileno(), xs.reshape(-1), 32 + m)
+            complete, finite = _read_payload(handle, xs.reshape(-1), 32 + m)
     if not complete:
         raise DataError(f"{path}: file changed while it was read")
     try:
@@ -469,7 +475,7 @@ def normalize_per_sample(data: Dataset) -> Dataset:
     mean, std = mean[:, None], std[:, None]
     safe = np.where(std > 0, std, 1.0)
     normalized = np.where(std > 0, (flat - mean) / safe, 0.0)
-    return data.replace_xs(normalized.reshape(data.xs.shape))
+    return Dataset(xs=normalized.reshape(data.xs.shape), ys=data.ys, name=data.name)
 
 
 def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
@@ -561,12 +567,13 @@ def add_gaussian_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     with np.errstate(over="ignore", invalid="ignore"):
         stds = data.xs.reshape(data.m, -1).std(axis=1)
-        xs = rng.standard_normal(data.xs.shape) * (level * stds)[:, None, None]
+        xs = rng.standard_normal(data.xs.shape)
+        xs *= (level * stds)[:, None, None]
         xs += data.xs
-    if not np.isfinite(xs).all():
+    if not _all_finite(xs):
         raise InvalidArgumentError(
             f"noise level {level} overflows: the noisy features are not finite")
-    return data.replace_xs(xs)
+    return Dataset._tested(xs, data.ys, data.name, finite=True)
 
 
 def add_salt_pepper_noise(data: Dataset, level: float, seed: int = 0) -> Dataset:
@@ -590,7 +597,8 @@ def add_salt_pepper_noise(data: Dataset, level: float, seed: int = 0) -> Dataset
         salt = rng.integers(0, 2, size=n_corrupt).astype(bool)
         low, high = flat[i].min(), flat[i].max()
         flat[i, positions] = np.where(salt, high, low)
-    return data.replace_xs(flat.reshape(data.xs.shape))
+    # Every value written is one of the sample's own, which were tested.
+    return Dataset._tested(flat.reshape(data.xs.shape), data.ys, data.name, finite=True)
 
 
 def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
@@ -632,6 +640,7 @@ def make_lowrank_separable(m: int = 200, p: int = 8, q: int = 6, rank: int = 2,
     else:
         raise InvalidArgumentError(f"margin {margin} kept {count} of {1000 * m} draws, "
                                    f"fewer than the {m} samples requested")
-    data = Dataset(xs=xs, ys=ys, name="synthetic-lowrank")
+    # Standard-normal draws are finite.
+    data = Dataset._tested(xs, ys, "synthetic-lowrank", finite=True)
     data.require_both_labels()
     return data, w_star, bias

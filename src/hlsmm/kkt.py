@@ -17,11 +17,11 @@ sign of the W gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalError
 from .linalg import SvdFactors, svd
 from .model import (_NON_NEGATIVE, Dataset, Hyperparams, ModelState, _adjoint,
                     _check_shapes, _checked, margin_residuals, prox_heaviside)
@@ -29,7 +29,10 @@ from .model import (_NON_NEGATIVE, Dataset, Hyperparams, ModelState, _adjoint,
 
 @dataclass(frozen=True)
 class KktReport:
-    """Residual bundle for one iterate; all residuals are non-negative."""
+    """Residual bundle for one iterate; all residuals are non-negative.
+
+    A residual that is not finite is a NumericalError naming it.
+    """
 
     lam: np.ndarray
     w_residual: float
@@ -40,17 +43,15 @@ class KktReport:
     rank_bound: int
     rank_deficient: bool
 
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name.endswith("_residual") and not np.isfinite(getattr(self, f.name)):
+                raise NumericalError(f"non-finite {f.name}")
+
     def to_dict(self) -> dict:
-        return {
-            "w_residual": self.w_residual,
-            "z_residual": self.z_residual,
-            "b_residual": self.b_residual,
-            "feasibility_residual": self.feasibility_residual,
-            "rank_at_solution": self.rank_at_solution,
-            "rank_bound": self.rank_bound,
-            "rank_deficient": self.rank_deficient,
-            "lambda": [float(v) for v in self.lam],
-        }
+        """Every field by name, in field order, the multiplier last as "lambda"."""
+        scalars = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "lam"}
+        return {**scalars, "lambda": [float(v) for v in self.lam]}
 
     def to_text(self) -> str:
         d = self.to_dict()
@@ -103,10 +104,13 @@ def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,
     One margin pass gives the multiplier and the coupling gap, and one SVD of
     W gives the rank and the normal-cone residual; the adjoint A*(lambda) is
     one more pass over the data.  ``tol`` is the zero-classification cutoff
-    for slack entries in the z-stationarity test.
+    for slack entries in the z-stationarity test.  A residual that
+    overflows is refused by the report, with numpy's warnings kept off
+    stderr.
     """
     _check_shapes(data, state.w, state.z)
-    return _report(state, margin_residuals(state.w, state.b, data), data, hp, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _report(state, margin_residuals(state.w, state.b, data), data, hp, tol)
 
 
 def completed_kkt_report(w, b: float, data: Dataset, hp: Hyperparams,
@@ -114,11 +118,15 @@ def completed_kkt_report(w, b: float, data: Dataset, hp: Hyperparams,
     """``kkt_report`` of a stored (W, b), its slack completed from the same margins v.
 
     z = prox(v, beta / (2 sigma)) is the exact z-block minimizer at tau2 = 0,
-    which coincides with the fixed point of the damped update.
+    which coincides with the fixed point of the damped update.  Margins or a
+    residual that overflow are a NumericalError, as in :func:`kkt_report`.
     """
-    v = margin_residuals(w, b, data)
-    state = ModelState(w=w, b=b, z=prox_heaviside(v, hp.beta / (2.0 * hp.sigma)))
-    return _report(state, v, data, hp, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = margin_residuals(w, b, data)
+        if not np.isfinite(v).all():
+            raise NumericalError("non-finite margins")
+        state = ModelState(w=w, b=b, z=prox_heaviside(v, hp.beta / (2.0 * hp.sigma)))
+        return _report(state, v, data, hp, tol)
 
 
 def _report(state: ModelState, v: np.ndarray, data: Dataset, hp: Hyperparams,

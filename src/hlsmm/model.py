@@ -58,9 +58,10 @@ class Dataset:
 
     @classmethod
     def _tested(cls, xs, ys, name: str, finite: bool) -> "Dataset":
-        """The dataset of features whose finiteness a loader has already tested,
-        ``finite`` being that result: every other check runs as in the
-        constructor, and no second pass over the features is made."""
+        """The dataset of features that the library built, ``finite`` being
+        their finiteness as the builder tested or knows it: every other check
+        runs as in the constructor, and no second pass over the features is
+        made.  The constructor tests the arrays that come from outside."""
         data = cls.__new__(cls)
         for key, value in (("xs", xs), ("ys", ys), ("name", name)):
             object.__setattr__(data, key, value)
@@ -118,10 +119,6 @@ class Dataset:
             raise InvalidArgumentError(
                 "training requires at least one sample of each label"
             )
-
-    def replace_xs(self, xs: np.ndarray) -> "Dataset":
-        """New dataset with transformed features and the same labels."""
-        return Dataset(xs=xs, ys=self.ys, name=self.name)
 
     def subset(self, idx) -> "Dataset":
         """The samples at integer positions ``idx`` in [0, m); a mask, a float or a

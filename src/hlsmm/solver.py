@@ -294,7 +294,8 @@ class _Lanes:
         self.g, self.h, self.sq_norm, self.gap = problem.objective(
             self.w, scores, self.z, self.b, self.sigma, self.beta)
         # Trace columns (objective, W, z and b step norms, halvings) by lane and
-        # iteration; the iteration axis doubles when full, up to maxit + 1.
+        # iteration; the iteration axis doubles when full, so it can pass
+        # maxit + 1: at maxit 1000 it grows from 512 to 1024 columns.
         self.history = np.empty((5, count, min(int(self.maxit.max()), 63) + 1))
         self.history[:, :, 0] = 0.0
         self.history[0, :, 0] = self.g

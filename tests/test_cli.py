@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import shlex
 import warnings
@@ -15,7 +16,7 @@ from hlsmm import (Hyperparams, KktReport, experiments, load_model, make_lowrank
                    model, save_model, save_smm1, solver, split)
 from hlsmm.cli import build_parser, main
 
-from conftest import calls_to
+from conftest import calls_to, random_dataset
 
 README = Path(__file__).parent.parent / "README.md"
 # The keys of kkt-check's JSON; --text prints all but "lambda".
@@ -308,6 +309,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}") and len(err.splitlines()) == 1
 
+    def test_training_data_of_one_label_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "positive.csv"
+        path.write_text("1,2,3\n1,4,5\n")
+        assert main(["train", "--data", str(path), "--rank", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: training data must contain both labels"]
+
     def test_shape_mismatch_is_data_error(self, trained, tmp_path, capsys):
         model_path, _, _, _ = trained
         other, _, _ = make_lowrank_separable(m=10, p=3, q=4, rank=2, seed=7)
@@ -394,6 +402,17 @@ class TestModelFile:
         assert "digest" in capsys.readouterr().err
 
 
+def test_train_reads_smm1_without_preadv(tmp_path, capsys, monkeypatch):
+    # 1400 samples of 8x6: two blocks of the loader's finiteness test.
+    data, _, _ = make_lowrank_separable(m=1400, seed=202)
+    path = tmp_path / "two_blocks.smm1"
+    save_smm1(data, path)
+    monkeypatch.delattr(os, "preadv")
+    assert main(["train", "--data", str(path), "--format", "smm1", "--beta", "0.1",
+                 "--sigma", "0.1", "--rank", "2", "--maxit", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] <= 3
+
+
 class TestKktCheck:
     def test_report_on_converged_fit(self, trained, capsys):
         model_path, _, data_path, _ = trained
@@ -434,6 +453,20 @@ class TestKktCheck:
         out = capsys.readouterr().out
         assert "w_residual = " in out
         assert {line.split(" = ")[0] for line in out.splitlines()} == REPORT_KEYS - {"lambda"}
+
+
+    @pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
+    def test_overflowing_residual_exits_4(self, tmp_path, capsys, text):
+        data = random_dataset(76, m=6, p=3, q=4)
+        data_path, model_path = tmp_path / "d.smm1", tmp_path / "huge.json"
+        save_smm1(data, data_path)
+        save_model(model_path, np.full((3, 4), 1e200), 0.0,
+                   Hyperparams(beta=0.1, sigma=1.0, rank=1))
+        assert main(["kkt-check", "--model", str(model_path), *(["--text"] if text else []),
+                     "--data", str(data_path), "--format", "smm1"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: non-finite w_residual\n"
 
 
 class TestExportWeights:

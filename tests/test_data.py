@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -261,6 +262,11 @@ class TestSmm1:
         path = tmp_path / "s.smm1"
         save_smm1(data, path)
         assert path.stat().st_size == 4 + 4 + 24 + 5 + 8 * 5 * 2 * 3
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.smm1"
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no such file$"):
+            load_smm1(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.smm1"
@@ -582,6 +588,38 @@ class TestSmm1Blocks:
                     load_smm1(path)
         assert threading.enumerate() == before
 
+    @pytest.mark.parametrize("value_at", [None, (np.nan, 2 * BLOCK + 3)],
+                             ids=["finite", "non_finite"])
+    def test_without_preadv_one_reader_reads_the_handle(self, tmp_path, monkeypatch,
+                                                        value_at):
+        """Where Python has no ``os.preadv`` (Windows), the calling thread reads
+        every block in order through the handle that read the labels."""
+        path = tmp_path / "no_preadv.smm1"
+        write_smm1_blocks(path, 105, value_at=value_at)
+        monkeypatch.delattr(os, "preadv")
+        before = threading.enumerate()
+        with mock.patch.object(data_module, "_usable_cpus", lambda: 3), \
+                calls_to(data_module, "_read_share") as reads:
+            if value_at is None:
+                loaded = load_smm1(path)
+            else:
+                with pytest.raises(DataError, match="dataset features must be finite$"):
+                    load_smm1(path)
+        assert threading.enumerate() == before
+        assert [list(call.args[3]) for call in reads] == [list(range(0, self.SIZE, BLOCK))]
+        if value_at is None:
+            blob = path.read_bytes()
+            assert loaded.ys.tobytes() == blob[32:32 + BLOCKS_SHAPE[0]]
+            assert loaded.xs.tobytes() == blob[32 + BLOCKS_SHAPE[0]:]
+
+    def test_usable_cpus_without_an_affinity_set(self, monkeypatch):
+        # Where the platform has no affinity set, the machine's count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert data_module._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert data_module._usable_cpus() == 1
+
     def test_many_readers_under_fast_switching(self, tmp_path):
         """More readers than CPUs, switching threads every microsecond: every
         block lands in its place and a non-finite value in any share is found."""
@@ -641,11 +679,36 @@ class TestSmm1Blocks:
             assert not part.xs.flags.writeable and not part.ys.flags.writeable
             assert part.ys.dtype == np.int8 and part.name == data.name
 
+    def test_builders_test_their_features_once(self):
+        """The values that ``np.isfinite`` sees while each builder runs: the
+        noisy features once, and nothing beyond the input of a builder whose
+        values are copies of tested ones or standard-normal draws."""
+        data = random_dataset(104, m=6, p=3, q=4)
+        builders = {
+            "gaussian": lambda: add_gaussian_noise(data, 0.5, seed=1),
+            "salt_pepper": lambda: add_salt_pepper_noise(data, 0.25, seed=1),
+            "synthetic": lambda: make_lowrank_separable(m=10, p=3, q=4, seed=2)[0],
+        }
+        isfinite = np.isfinite
+        counted = {}
+        for name, build in builders.items():
+            sizes: list = []
+
+            def tested(values, *args, **kwargs):
+                sizes.append(np.size(values))
+                return isfinite(values, *args, **kwargs)
+
+            with mock.patch.object(np, "isfinite", tested):
+                built = build()
+            counted[name] = sum(sizes)
+            assert not built.xs.flags.writeable and built.ys.dtype == np.int8, name
+        assert counted == {"gaussian": data.xs.size, "salt_pepper": 0, "synthetic": 0}
+
     def test_public_constructor_and_transforms_still_test_features(self):
         data = random_dataset(97, m=4, p=2, q=2)
         bad = data.xs.copy()
         bad[2, 1, 0] = np.inf
-        for build in (lambda: Dataset(xs=bad, ys=data.ys), lambda: data.replace_xs(bad)):
+        for build in (lambda: Dataset(xs=bad, ys=data.ys), lambda: dataclasses.replace(data, xs=bad)):
             with calls_to(model_module, "_all_finite") as passes, \
                     pytest.raises(InvalidArgumentError, match="features must be finite"):
                 build()
@@ -665,7 +728,7 @@ class TestNormalization:
 
     def test_moments_after_normalization(self):
         data = random_dataset(74, m=4, p=5, q=4)
-        scaled = data.replace_xs(data.xs * 37.5 + 11.0)
+        scaled = dataclasses.replace(data, xs=data.xs * 37.5 + 11.0)
         normalized = normalize_per_sample(scaled)
         flat = normalized.xs.reshape(4, -1)
         assert np.abs(flat.mean(axis=1)).max() <= 1e-12
@@ -710,7 +773,7 @@ class TestNormalization:
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match=re.escape(
                     "entry (1, 0) cannot be standardized: its training mean or std overflows")):
-                standardize_features(train.replace_xs(xs), test)
+                standardize_features(dataclasses.replace(train, xs=xs), test)
 
     def test_test_value_that_overflows_once_standardized_is_refused(self):
         # Training values [0, 1e-3] give the entry a std of 5e-4, and
@@ -731,7 +794,7 @@ class TestNormalization:
         train = random_dataset(82, m=6, p=2, q=3)
         xs = train.xs.copy()
         xs[:, 1, 2] = 1e-150 * np.arange(6)  # a tiny training std at entry (1, 2)
-        train = train.replace_xs(xs)
+        train = dataclasses.replace(train, xs=xs)
         fine = random_dataset(83, m=3, p=2, q=3)
         far = fine.xs.copy()
         far[2, 1, 2] = 1e300
@@ -749,7 +812,7 @@ class TestNormalization:
         xs = train.xs * scale
         xs[3] = 2.5  # a constant sample and, in standardize, constant entries
         xs[:, 0, 1] = -7.0
-        train = train.replace_xs(xs)
+        train = dataclasses.replace(train, xs=xs)
         flat = xs.reshape(12, -1)
         mean, std = flat.mean(axis=1, keepdims=True), flat.std(axis=1, keepdims=True)
         expected = np.where(std > 0, (flat - mean) / np.where(std > 0, std, 1.0), 0.0)

@@ -483,6 +483,20 @@ class TestNoiseSweep:
             noise_sweep(train, test, default_hp, "gaussian", levels, seeds)
         assert not fits
 
+    @pytest.mark.parametrize("kind, levels, seeds, message", [
+        ("speckle", [0.1], [1], "^unknown noise kind 'speckle'$"),
+        ("gaussian", [], [1], "^need at least one level and one seed$"),
+        ("salt_pepper", [0.1], [], "^need at least one level and one seed$"),
+    ], ids=["unknown-kind", "no-levels", "no-seeds"])
+    def test_unknown_kind_or_empty_list_rejected(self, synthetic, default_hp, kind, levels,
+                                                 seeds, message):
+        data, _, _ = synthetic
+        train, test = split(data, 0.7, seed=1)
+        with calls_to(experiments, "fit") as fits, \
+                pytest.raises(InvalidArgumentError, match=message):
+            noise_sweep(train, test, default_hp, kind, levels, seeds)
+        assert not fits
+
     @pytest.mark.parametrize("level", [1.5, np.nan])
     def test_salt_pepper_level_outside_zero_one_rejected(self, synthetic, default_hp,
                                                          level):
@@ -526,6 +540,16 @@ class TestSensitivityGrid:
         train, test = split(data, 0.7, seed=1)
         with pytest.raises(InvalidArgumentError, match="rank must be an integer"):
             sensitivity_grid(train, test, default_hp, [2.7], [0.1])
+
+    @pytest.mark.parametrize("r_values, beta_values", [([], [0.1]), ([2], [])],
+                             ids=["no-ranks", "no-betas"])
+    def test_empty_value_list_is_refused(self, synthetic, default_hp, r_values, beta_values):
+        data, _, _ = synthetic
+        train, test = split(data, 0.7, seed=1)
+        with calls_to(experiments, "fit") as fits, \
+                pytest.raises(InvalidArgumentError, match="^value lists must be non-empty$"):
+            sensitivity_grid(train, test, default_hp, r_values, beta_values)
+        assert not fits
 
     def test_infeasible_cell_is_nan(self, synthetic, default_hp):
         data, _, _ = synthetic  # 8x6: rank 6 infeasible
@@ -573,6 +597,11 @@ class TestExports:
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match="^weight matrix must be finite$"):
                 export_weight_heatmap(w, tmp_path / "w.csv", tmp_path / "w.pgm")
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "w.pgm").exists()
+
+    def test_weights_that_are_not_a_matrix_are_refused_before_writing(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="^weight matrix must be 2-D$"):
+            export_weight_heatmap(np.ones(4), tmp_path / "w.csv", tmp_path / "w.pgm")
         assert not (tmp_path / "w.csv").exists() and not (tmp_path / "w.pgm").exists()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 8e307])

@@ -7,7 +7,9 @@ from hlsmm import (
     Dataset,
     Hyperparams,
     InvalidArgumentError,
+    KktReport,
     ModelState,
+    NumericalError,
     completed_kkt_report,
     decision_scores,
     fit,
@@ -120,6 +122,10 @@ class TestZStationarity:
 
     def test_positive_multiplier_at_zero_slack_is_fine(self):
         assert z_stationarity(np.array([0.0]), np.array([0.8])) == 0.0
+
+    def test_lengths_that_differ_are_refused(self):
+        with pytest.raises(InvalidArgumentError, match="^z and lambda lengths differ$"):
+            z_stationarity(np.zeros(3), np.zeros(4))
 
     def test_matches_case_split_loop(self):
         gen = make_rng(56)
@@ -369,3 +375,37 @@ class TestKktReport:
         assert calls == {"margins": 1}
         assert report.lam.tobytes() == expected.lam.tobytes()
         assert report.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("report, refusal", [
+        (lambda data, w: kkt_report(ModelState(w=w, b=0.0, z=np.zeros(data.m)), data,
+                                    Hyperparams(0.1, 1.7e308, 1)), "non-finite w_residual"),
+        (lambda data, w: completed_kkt_report(w, 0.0, data, Hyperparams(0.1, 1.0, 1)),
+         "non-finite w_residual"),
+        (lambda data, w: completed_kkt_report(w * 1.7e108, 0.0, data,
+                                              Hyperparams(0.1, 1.0, 1)), "non-finite margins"),
+    ], ids=["report", "completed", "completed_margins"])
+    def test_overflowing_residual_is_refused_without_warnings(self, report, refusal):
+        # A numpy RuntimeWarning fails the test (pyproject's filterwarnings).
+        data = random_dataset(73, m=6, p=3, q=4)
+        with pytest.raises(NumericalError, match=f"^{refusal}$"):
+            report(data, np.full(data.sample_shape, 1e200))
+
+    def test_dict_and_text_follow_the_fields(self):
+        data = random_dataset(74, m=8, p=3, q=4)
+        report = completed_kkt_report(make_rng(75).standard_normal((3, 4)), 0.2, data,
+                                      Hyperparams(beta=0.3, sigma=0.4, rank=2))
+        as_dict = report.to_dict()
+        assert list(as_dict) == ["w_residual", "z_residual", "b_residual",
+                                 "feasibility_residual", "rank_at_solution", "rank_bound",
+                                 "rank_deficient", "lambda"]
+        assert as_dict["lambda"] == report.lam.tolist()
+        assert report.to_text() == "\n".join(
+            f"{key} = {getattr(report, key)}" for key in list(as_dict)[:-1])
+
+    @pytest.mark.parametrize("name", ["w_residual", "b_residual"])
+    def test_a_report_with_a_non_finite_residual_is_refused(self, name):
+        values = dict(lam=np.zeros(2), w_residual=0.0, z_residual=0.0, b_residual=0.0,
+                      feasibility_residual=0.0, rank_at_solution=1, rank_bound=1,
+                      rank_deficient=False)
+        with pytest.raises(NumericalError, match=f"non-finite {name}"):
+            KktReport(**{**values, name: np.nan})

@@ -789,6 +789,23 @@ class TestBetaRiders:
 
         assert peak_bytes(run) < 0.58 * 2**20
 
+    def test_lane_that_fails_in_its_w_block_is_not_forked(self):
+        # At sigma = 1e307 the gradient overflows at iteration 1, when the
+        # center would part the three betas.  The lane fails as one group,
+        # as each rider does alone; forked, the riders that left it would go
+        # on from its failed step and report a model.
+        data = wdbc_proxy(75, m=60)
+        configurations = [Hyperparams(beta=beta, sigma=1e307, rank=2, maxit=15)
+                          for beta in (0.1, 0.5, 2.0)]
+        with calls_to(solver._Lanes, "grow") as grows:
+            groups = list(fit_many(data, configurations))
+        assert grows == []
+        [(positions, error)] = groups
+        assert positions == [0, 1, 2]
+        assert str(error) == "non-finite gradient in W block (iteration 1)"
+        for hp in configurations:
+            assert outcome_bits(lone(data, hp)) == outcome_bits(error)
+
     @pytest.mark.parametrize("width", [1, 2, 5, 7])
     def test_forks_stay_inside_the_width(self, width):
         # Six families of three betas on 60 samples, each counted as three

@@ -250,6 +250,21 @@ class TestDomainTypes:
         with pytest.raises(InvalidArgumentError, match="m, p, q >= 1"):
             random_dataset(19, m=3).subset([])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Dataset(xs=np.zeros((3, 1, 1)), ys=np.array([1, -1])),
+         "^label count does not match sample count$"),
+        (lambda: ModelState(w=np.zeros((2, 2, 2)), b=0.0, z=np.zeros(2)),
+         "^w must be a 2-D matrix$"),
+        (lambda: ModelState(w=np.zeros((2, 2)), b=0.0, z=np.array([0.0, np.nan])),
+         "^model state must be finite$"),
+        (lambda: heaviside_count([1.0, np.inf]), "^z must be finite$"),
+        (lambda: prox_heaviside([np.nan, 0.5], 0.1), "^x must be finite$"),
+    ], ids=["label-count", "state-3d-w", "state-non-finite", "heaviside-count",
+            "prox-heaviside"])
+    def test_domain_values_are_refused(self, build, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            build()
+
     def test_dataset_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(xs=np.zeros((0, 1, 1)), ys=np.array([]))

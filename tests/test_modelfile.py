@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 import re
 
@@ -230,6 +232,17 @@ class TestLoadModel:
     def test_directory_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_model(tmp_path)
+
+    def test_payload_of_the_wrong_length_is_refused(self, model_doc):
+        # A blob of 5 values for a 2x3 matrix, whose digest matches it.
+        path, doc = model_doc
+        blob = np.arange(5, dtype="<f8").tobytes()
+        doc["w_b64"] = base64.b64encode(blob).decode("ascii")
+        doc["w_sha256"] = hashlib.sha256(blob).hexdigest()
+        write_doc(path, doc)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: weight payload "
+                                            "has 40 bytes, expected 48$"):
+            load_model(path)
 
     def test_cli_exit_code_of_infinite_hyperparameter(self, model_doc, tmp_path, capsys):
         path, doc = model_doc

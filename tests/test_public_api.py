@@ -18,7 +18,7 @@ REMOVED = [(solver, "update_w"), (solver, "update_z"), (solver, "update_b"),
            (linalg, "_ambiguous"), (hlsmm.SvdFactors, "u_gamma_perp"),
            (hlsmm.SvdFactors, "v_gamma_perp"), (kkt, "estimate_multiplier"),
            (kkt, "w_stationarity"), (linalg, "projection_ambiguous"),
-           (linalg, "AMBIGUITY_TOL_REL")]
+           (linalg, "AMBIGUITY_TOL_REL"), (hlsmm.Dataset, "replace_xs")]
 
 README = Path(__file__).parent.parent / "README.md"
 

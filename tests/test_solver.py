@@ -307,6 +307,9 @@ def test_objective_and_gradient_refuse_mismatched_state(w_shape, m_z):
         penalized_objective(state, data, Hyperparams(beta=0.1, sigma=0.1, rank=1))
     with pytest.raises(InvalidArgumentError, match="does not match"):
         grad_h(state.w, state.z, state.b, data, 0.1)
+    with pytest.raises(InvalidArgumentError,
+                       match="^init state does not match dataset shapes$"):
+        fit(data, Hyperparams(beta=0.1, sigma=0.1, rank=1), init=state)
 
 
 class TestFit:
