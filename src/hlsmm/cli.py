@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import data as datamod
 from . import experiments as exp
@@ -160,7 +161,9 @@ def _cmd_train(args) -> None:
     ds = _load_dataset(args, for_training=True)
     hp = _hyperparams(args)
     seed = _seed(args)
+    start = time.perf_counter()
     result = fit(ds, hp)
+    wall_time = time.perf_counter() - start
     train_metrics = exp.evaluate(result.model, ds)
     if args.out:
         save_model(args.out, result.model.w, result.model.b, hp,
@@ -174,7 +177,7 @@ def _cmd_train(args) -> None:
         "train_accuracy": round(train_metrics.accuracy, 2),
         "rank_bound": hp.rank,
         "bias": result.model.b,
-        "wall_time_s": round(result.wall_time, 4),
+        "wall_time_s": round(wall_time, 4),
         "model": args.out or None,
         "trace": args.trace or None,
     })

@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError
 from .linalg import SvdFactors, svd
-from .model import (_NON_NEGATIVE, Dataset, Hyperparams, ModelState, _adjoint,
-                    _check_shapes, _checked, margin_residuals, prox_heaviside)
+from .model import (_NON_NEGATIVE, Dataset, Hyperparams, ModelState, _check_shapes,
+                    _checked, _hard_threshold, margin_residuals)
+from .solver import _Problem
 
 
 @dataclass(frozen=True)
@@ -78,23 +79,31 @@ def z_stationarity(z, lam, tol: float = 0.0) -> float:
     return float(violation.max(initial=0.0))
 
 
-def _cone_residual(w: np.ndarray, lam: np.ndarray, data: Dataset, factors: SvdFactors,
-                   r: int) -> float:
+def _norm(x: np.ndarray) -> float:
+    """||x||_F, rescaled by max |x| only where the plain norm overflows, so a
+    finite norm keeps numpy's bits and only a norm beyond the float range is inf."""
+    norm = np.linalg.norm(x)
+    if np.isinf(norm):
+        scale = np.abs(x).max()
+        norm = scale * np.linalg.norm(x / scale)
+    return float(norm)
+
+
+def _cone_residual(g: np.ndarray, factors: SvdFactors, r: int) -> float:
     """Distance of G = W + A*(lambda) from the normal cone of the rank-r set at W.
 
-    G = W - X^T (y lambda) is grad h(W) at the penalty multiplier.  At
+    G is grad h(W) at the penalty multiplier, the solver's own gradient.  At
     rank(W) = r the cone holds the matrices (I - U U^T) D (I - V V^T), U and V
-    the r leading singular vectors in ``factors``, so the residual is
+    the r leading singular vectors of W in ``factors``, so the residual is
     G - (I - U U^T) G (I - V V^T) = U U^T G + (I - U U^T) G V V^T, two
     orthogonal terms.  At rank(W) < r the cone is {0}, and iterates with
     rank(W) > r are infeasible: both report ||G||_F.
     """
-    g_matrix = w - _adjoint(data.xs.reshape(data.m, -1), data.ys, lam).reshape(w.shape)
     if factors.rank != r:
-        return float(np.linalg.norm(g_matrix))
+        return _norm(g)
     u, v = factors.u[:, :r], factors.v[:, :r]
-    ug = u.T @ g_matrix
-    return float(np.hypot(np.linalg.norm(ug), np.linalg.norm(g_matrix @ v - u @ (ug @ v))))
+    ug = u.T @ g
+    return float(np.hypot(_norm(ug), _norm(g @ v - u @ (ug @ v))))
 
 
 def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,
@@ -102,11 +111,11 @@ def kkt_report(state: ModelState, data: Dataset, hp: Hyperparams,
     """Assemble all residuals for one iterate.
 
     One margin pass gives the multiplier and the coupling gap, and one SVD of
-    W gives the rank and the normal-cone residual; the adjoint A*(lambda) is
-    one more pass over the data.  ``tol`` is the zero-classification cutoff
-    for slack entries in the z-stationarity test.  A residual that
-    overflows is refused by the report, with numpy's warnings kept off
-    stderr.
+    W gives the rank and the normal-cone residual; the gradient G, which
+    reads A*(lambda), is one more pass over the data.  ``tol`` is the
+    zero-classification cutoff for slack entries in the z-stationarity test.
+    A residual that overflows is refused by the report, with numpy's
+    warnings kept off stderr.
     """
     _check_shapes(data, state.w, state.z)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,29 +127,40 @@ def completed_kkt_report(w, b: float, data: Dataset, hp: Hyperparams,
     """``kkt_report`` of a stored (W, b), its slack completed from the same margins v.
 
     z = prox(v, beta / (2 sigma)) is the exact z-block minimizer at tau2 = 0,
-    which coincides with the fixed point of the damped update.  Margins or a
-    residual that overflow are a NumericalError, as in :func:`kkt_report`.
+    which coincides with the fixed point of the damped update; it is the z
+    block's own threshold, which takes any beta / (2 sigma) in [0, inf].
+    Margins or a residual that overflow are a NumericalError, as in
+    :func:`kkt_report`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         v = margin_residuals(w, b, data)
         if not np.isfinite(v).all():
             raise NumericalError("non-finite margins")
-        state = ModelState(w=w, b=b, z=prox_heaviside(v, hp.beta / (2.0 * hp.sigma)))
+        z = _hard_threshold(v[None].copy(), hp.beta / (2.0 * hp.sigma))[0]
+        state = ModelState(w=w, b=b, z=z)
         return _report(state, v, data, hp, tol)
 
 
 def _report(state: ModelState, v: np.ndarray, data: Dataset, hp: Hyperparams,
             tol: float) -> KktReport:
-    """The KKT report of ``state`` given its margins ``v``."""
+    """The KKT report of ``state`` given its margins ``v``.
+
+    G is the gradient that the solver's next iteration takes from this gap.
+    That call flips the gap's signs in place, so the multiplier and the b and
+    feasibility residuals are taken first.
+    """
     gap = state.z - v
     lam = -2.0 * hp.sigma * gap
+    b_residual = abs(2.0 * hp.sigma * float(data.ys @ gap))
+    feasibility_residual = _norm(gap)
+    g = _Problem(data).gradient(state.w[None], gap[None], np.array([hp.sigma]))[0]
     factors = svd(state.w)
     return KktReport(
         lam=lam,
-        w_residual=_cone_residual(state.w, lam, data, factors, hp.rank),
+        w_residual=_cone_residual(g, factors, hp.rank),
         z_residual=z_stationarity(state.z, lam, tol),
-        b_residual=abs(2.0 * hp.sigma * float(data.ys @ gap)),
-        feasibility_residual=float(np.linalg.norm(gap)),
+        b_residual=b_residual,
+        feasibility_residual=feasibility_residual,
         rank_at_solution=factors.rank,
         rank_bound=hp.rank,
         rank_deficient=factors.rank < hp.rank,

@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import operator
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,17 +94,11 @@ def _small_buffer():
 
 @dataclass(frozen=True)
 class FitResult:
-    """Output of :func:`fit`: final iterate, per-iteration trace, echo of inputs.
-
-    ``wall_time`` runs from the start of the call until this lane stopped;
-    lanes of one :func:`fit_many` batch share their time, and so do the
-    riders of one lane.
-    """
+    """Output of :func:`fit`: final iterate, per-iteration trace, echo of inputs."""
 
     model: ModelState
     trace: SolverTrace
     hyperparams_echo: Hyperparams
-    wall_time: float
 
     @property
     def converged(self) -> bool:
@@ -378,8 +371,7 @@ class _Lanes:
         self._ride(riders)
         return rows
 
-    def release(self, status: np.ndarray, errors: dict, leaving: dict, k: int,
-                t_start: float):
+    def release(self, status: np.ndarray, errors: dict, leaving: dict, k: int):
         """Yield (positions, outcome) for each group of riders that leaves at
         iterate k; keep the rest.
 
@@ -411,8 +403,7 @@ class _Lanes:
             trace = SolverTrace(*floats, [int(n) for n in halvings], status=status[row])
             final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
             yield group, FitResult(model=final, trace=trace,
-                                   hyperparams_echo=self.configurations[group[0]],
-                                   wall_time=time.perf_counter() - t_start)
+                                   hyperparams_echo=self.configurations[group[0]])
         if rows:
             self.keep(rows, [staying[row] for row in rows])
 
@@ -755,8 +746,7 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
     return stop, stalled, errors, leaving
 
 
-def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
-              t_start: float):
+def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None):
     """Run one batch of lanes from ``init`` (see :meth:`_Lanes.begin`); yield
     (positions, outcome) as each group of riders stops (see :meth:`_Lanes.release`).
 
@@ -785,7 +775,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None,
             status[stop] = "converged"
             status[stop & stalled] = "stalled"
             status[list(errors)] = "failed"
-            yield from lanes.release(status, errors, leaving, k, t_start)
+            yield from lanes.release(status, errors, leaving, k)
             if not lanes.riders:
                 return
         with np.errstate(over="ignore", invalid="ignore"), _small_buffer():
@@ -836,7 +826,6 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
     policy run together, as many per batch as ``BATCH_FLOATS`` allows for
     their working set once every lane has forked by beta.
     """
-    t_start = time.perf_counter()
     configurations = list(configurations)
     by_rank: dict = {}
     for index, hp in enumerate(configurations):
@@ -869,7 +858,7 @@ def fit_many(data: Dataset, configurations, init: ModelState | None = None):
             split = []
             for riders in _batches(configurations, queue, width):
                 batch = _Lanes(configurations, riders)
-                for positions, outcome in _lockstep(problem, batch, init, t_start):
+                for positions, outcome in _lockstep(problem, batch, init):
                     if outcome is None:
                         split.append(positions)
                     else:

@@ -457,16 +457,45 @@ class TestKktCheck:
 
     @pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
     def test_overflowing_residual_exits_4(self, tmp_path, capsys, text):
+        # Features zero off row 1 and W = 1e308 on row 0: every score is 0,
+        # the completed slack equals the margins, and G = W has norm 2e308.
         data = random_dataset(76, m=6, p=3, q=4)
+        xs = np.zeros_like(data.xs)
+        xs[:, 1] = data.xs[:, 1]
+        w = np.zeros((3, 4))
+        w[0] = 1e308
         data_path, model_path = tmp_path / "d.smm1", tmp_path / "huge.json"
-        save_smm1(data, data_path)
-        save_model(model_path, np.full((3, 4), 1e200), 0.0,
-                   Hyperparams(beta=0.1, sigma=1.0, rank=1))
+        save_smm1(dataclasses.replace(data, xs=xs), data_path)
+        save_model(model_path, w, 0.0, Hyperparams(beta=0.1, sigma=1.0, rank=1))
         assert main(["kkt-check", "--model", str(model_path), *(["--text"] if text else []),
                      "--data", str(data_path), "--format", "smm1"]) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "numerical failure: non-finite w_residual\n"
+
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("beta", [1e-300, 0.1, 1e300])
+    @pytest.mark.parametrize("huge", [False, True], ids=["fitted", "1e200"])
+    def test_extreme_model_file_exits_0_or_4(self, trained, tmp_path, huge, beta, sigma):
+        # A model file may hold any finite positive beta and sigma, so
+        # beta / (2 sigma) may underflow to 0 or overflow; kkt-check is then
+        # no usage error.
+        model_path, _, data_path, _ = trained
+        fitted = load_model(model_path)
+        w = np.full_like(fitted.w, 1e200) if huge else fitted.w
+        path = tmp_path / "extreme.json"
+        save_model(path, w, 0.0 if huge else fitted.b,
+                   Hyperparams(beta=beta, sigma=sigma, rank=2))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["kkt-check", "--model", str(path),
+                         "--data", str(data_path), "--format", "smm1"])
+        assert [str(warning.message) for warning in caught] == []
+        assert code in (0, 4), err.getvalue()
+        assert len(err.getvalue().splitlines()) == (code != 0)
 
 
 class TestExportWeights:

@@ -20,7 +20,7 @@ from hlsmm import (
     svd,
     z_stationarity,
 )
-from hlsmm import kkt, model
+from hlsmm import kkt, model, solver
 from hlsmm.solver import _Problem
 
 from conftest import calls_to, make_rng, random_dataset
@@ -50,15 +50,14 @@ class TestAdjoint:
 
     def test_report_gradient_is_the_solver_gradient(self, synthetic, default_hp):
         # G = W + A*(lambda) of kkt_report is grad h(W) at the fitted point,
-        # and the solver's gradient is W + 2 sigma X^T (y gap) written out,
-        # bit for bit on every lane.
+        # bit for bit, and the solver's gradient is W + 2 sigma X^T (y gap)
+        # written out, bit for bit on every lane.
         data, _, _ = synthetic
         state = fit(data, default_hp).model
-        with calls_to(kkt, "_adjoint") as calls:
+        with calls_to(kkt, "_cone_residual") as calls:
             kkt_report(state, data, default_hp)
-        g = state.w - calls[0].result.reshape(state.w.shape)
         grad = grad_h(state.w, state.z, state.b, data, default_hp.sigma)
-        assert np.linalg.norm(g - grad) <= 1e-12 * np.linalg.norm(g)
+        assert calls[0].args[0].tobytes() == grad.tobytes()
 
         gen = make_rng(73)
         w = np.stack([state.w, gen.standard_normal(data.sample_shape), np.zeros(data.sample_shape)])
@@ -138,15 +137,32 @@ class TestZStationarity:
             assert z_stationarity(z, lam) == pytest.approx(worst)
 
 
+def beyond_float_range(data):
+    """(W, b) whose completed report has G = W with ||W|| = 2e308: the features
+    are zero off row 1 and W is 1e308 on row 0, so every score is 0."""
+    xs = np.zeros_like(data.xs)
+    xs[:, 1] = data.xs[:, 1]
+    w = np.zeros(data.sample_shape)
+    w[0] = 1e308
+    return w, 0.0, Dataset(xs=xs, ys=data.ys)
+
+
 def full_bases(w, r):
     """U_perp and V_perp: the complements of the r leading singular vectors of w."""
     u, _, vh = np.linalg.svd(w, full_matrices=True)
     return u[:, r:], vh[r:].T
 
 
+def gradient_at(w, lam, data):
+    """G = W + A*(lambda) = W - X^T (y lambda), the solver's gradient at the gap
+    -lambda with sigma = 1/2 (so 2 sigma = 1 and lambda = -2 sigma gap exactly)."""
+    gap = -np.asarray(lam, dtype=np.float64)
+    return _Problem(data).gradient(w[None], gap[None], np.array([0.5]))[0]
+
+
 def cone_residual(w, lam, data, r):
     """The W residual of a report on (W, lambda) at rank bound r."""
-    return kkt._cone_residual(w, np.asarray(lam, dtype=np.float64), data, svd(w), r)
+    return kkt._cone_residual(gradient_at(w, lam, data), svd(w), r)
 
 
 class TestWStationarity:
@@ -339,7 +355,8 @@ class TestKktReport:
         hp = Hyperparams(beta=0.3, sigma=0.4, rank=1 if w.any() else 2)
         lam = -2.0 * hp.sigma * (z - margin_residuals(w, 0.2, data))
         factors = svd(w)
-        expected = (kkt._cone_residual(w, lam, data, factors, hp.rank), factors.rank)
+        g = grad_h(w, z, 0.2, data, hp.sigma)
+        expected = (kkt._cone_residual(g, factors, hp.rank), factors.rank)
 
         calls = Counter()
 
@@ -352,8 +369,9 @@ class TestKktReport:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(model, "_margins", counted("margins", model._margins))
         monkeypatch.setattr(model, "_scores", counted("scores", model._scores))
+        monkeypatch.setattr(solver, "_adjoint", counted("adjoint", solver._adjoint))
         report = kkt_report(state, data, hp)
-        assert calls == {"svd": 1, "margins": 1, "scores": 1}
+        assert calls == {"svd": 1, "margins": 1, "scores": 1, "adjoint": 1}
         assert report.lam.tobytes() == lam.tobytes()
         assert (report.w_residual, report.rank_at_solution) == expected
 
@@ -379,7 +397,8 @@ class TestKktReport:
     @pytest.mark.parametrize("report, refusal", [
         (lambda data, w: kkt_report(ModelState(w=w, b=0.0, z=np.zeros(data.m)), data,
                                     Hyperparams(0.1, 1.7e308, 1)), "non-finite w_residual"),
-        (lambda data, w: completed_kkt_report(w, 0.0, data, Hyperparams(0.1, 1.0, 1)),
+        (lambda data, w: completed_kkt_report(*beyond_float_range(data),
+                                              Hyperparams(0.1, 1.0, 1)),
          "non-finite w_residual"),
         (lambda data, w: completed_kkt_report(w * 1.7e108, 0.0, data,
                                               Hyperparams(0.1, 1.0, 1)), "non-finite margins"),
@@ -389,6 +408,49 @@ class TestKktReport:
         data = random_dataset(73, m=6, p=3, q=4)
         with pytest.raises(NumericalError, match=f"^{refusal}$"):
             report(data, np.full(data.sample_shape, 1e200))
+
+    def test_residual_whose_squares_overflow_is_finite(self):
+        # W = 1e200 everywhere: every margin exceeds the threshold, so the
+        # completed slack equals v, G = W, and ||G|| = 1e200 sqrt(12), though
+        # its squares overflow.
+        data = random_dataset(73, m=6, p=3, q=4)
+        report = completed_kkt_report(np.full(data.sample_shape, 1e200), 0.0, data,
+                                      Hyperparams(0.1, 1.0, 1))
+        assert report.w_residual == 3.4641016151377546e+200
+        assert (report.z_residual, report.b_residual, report.feasibility_residual) == (0, 0, 0)
+
+    @pytest.mark.parametrize("beta, sigma", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_completion_takes_any_threshold(self, beta, sigma):
+        # beta / (2 sigma) underflows to 0 or overflows to inf: the slack
+        # keeps every margin, or zeroes every positive one.
+        data = random_dataset(77, m=8, p=3, q=4)
+        w = make_rng(78).standard_normal(data.sample_shape)
+        v = margin_residuals(w, 0.1, data)
+        expected = v if beta < sigma else np.where(v > 0, 0.0, v)
+        with calls_to(kkt, "_report") as calls:
+            completed_kkt_report(w, 0.1, data, Hyperparams(beta, sigma, 2))
+        assert calls[0].args[0].z.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
+    def test_cone_residual_reads_the_solver_gradient(self, synthetic, sigma):
+        # The G of both reports is grad_h at the report's (W, z, b), bit for
+        # bit, at fitted and at random states.
+        data, _, _ = synthetic
+        gen = make_rng(79)
+        hp = Hyperparams(beta=0.1, sigma=sigma, rank=2, maxit=50)
+        fitted = fit(data, hp).model
+        states = [fitted, ModelState(w=gen.standard_normal(data.sample_shape),
+                                     b=float(gen.standard_normal()),
+                                     z=gen.standard_normal(data.m))]
+        for state in states:
+            with calls_to(kkt, "_report") as reports, \
+                    calls_to(kkt, "_cone_residual") as calls:
+                kkt_report(state, data, hp)
+                completed_kkt_report(state.w, state.b, data, hp)
+            assert len(calls) == 2
+            for report, call in zip(reports, calls):
+                grad = grad_h(state.w, report.args[0].z, state.b, data, sigma)
+                assert call.args[0].tobytes() == grad.tobytes()
 
     def test_dict_and_text_follow_the_fields(self):
         data = random_dataset(74, m=8, p=3, q=4)

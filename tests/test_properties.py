@@ -39,7 +39,7 @@ from hlsmm import (
     svd,
 )
 from hlsmm import data as data_module
-from hlsmm import kkt, model
+from hlsmm import kkt
 from hlsmm.cli import main
 from hlsmm.model import _hard_threshold
 from hlsmm.solver import _b_step, _Lanes, _Problem, _small_buffer
@@ -616,9 +616,11 @@ class TestConeResidual:
         w, lam, data, r = problem
         factors = svd(w)
         assert factors.rank == r
-        g = w - model._adjoint(data.xs.reshape(data.m, -1), data.ys, lam).reshape(w.shape)
+        # G = W - X^T (y lambda), the solver's gradient at the gap -lambda
+        # with 2 sigma = 1.
+        g = _Problem(data).gradient(w[None], -lam[None], np.array([0.5]))[0]
         u, _, vh = np.linalg.svd(w, full_matrices=True)
         u_perp, v_perp = u[:, r:], vh[r:].T
         reference = np.linalg.norm(g - u_perp @ (u_perp.T @ g @ v_perp) @ v_perp.T)
-        thin = kkt._cone_residual(w, lam, data, factors, r)
+        thin = kkt._cone_residual(g, factors, r)
         assert abs(thin - reference) <= self.TOLERANCE * reference

@@ -1,5 +1,6 @@
 """The public API is ``hlsmm.__all__``: every name in it once, each resolving."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -18,7 +19,8 @@ REMOVED = [(solver, "update_w"), (solver, "update_z"), (solver, "update_b"),
            (linalg, "_ambiguous"), (hlsmm.SvdFactors, "u_gamma_perp"),
            (hlsmm.SvdFactors, "v_gamma_perp"), (kkt, "estimate_multiplier"),
            (kkt, "w_stationarity"), (linalg, "projection_ambiguous"),
-           (linalg, "AMBIGUITY_TOL_REL"), (hlsmm.Dataset, "replace_xs")]
+           (linalg, "AMBIGUITY_TOL_REL"), (hlsmm.Dataset, "replace_xs"),
+           (hlsmm.FitResult, "wall_time")]
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -33,6 +35,8 @@ def test_every_exported_name_is_unique_and_resolves():
                          ids=[name for _, name in REMOVED])
 def test_removed_name_stays_gone(owner, name):
     assert not hasattr(owner, name)
+    if dataclasses.is_dataclass(owner):
+        assert name not in {field.name for field in dataclasses.fields(owner)}
     assert name not in hlsmm.__all__
     assert not hasattr(hlsmm, name)
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from hlsmm import (
     Dataset,
@@ -19,12 +18,34 @@ from hlsmm import (
     prox_heaviside,
     svd,
 )
-from hlsmm import kkt, kkt_report, solver
+from hlsmm import kkt_report, solver
 from hlsmm.model import _check_shapes, _margins
 from hlsmm.solver import (_b_step, _Lanes, _Problem, _trajectory, _w_step, _z_center,
                           _z_step)
 
 from conftest import make_rng, peak_bytes, random_dataset
+
+
+def golden_section_minimum(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Minimizer of a unimodal ``f`` on [lo, hi] by golden-section search,
+    stopped once the bracket is narrower than ``tol``.
+
+    A tie keeps the left part, as scipy's golden search does: near the
+    minimum f is flat to rounding over about 1e-8.
+    """
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo >= tol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2.0
 
 
 def smooth_part(w, z, b, data, sigma):
@@ -278,10 +299,9 @@ class TestUpdateB:
             gap = z - margin_residuals(w, b, data)
             return hp.sigma * float(gap @ gap) + 0.5 * hp.tau3 * (b - b_prev) ** 2
 
-        oracle = minimize_scalar(objective, bracket=(-10.0, 10.0),
-                                 method="golden", options={"xtol": 1e-12})
+        oracle = golden_section_minimum(objective, -10.0, 10.0)
         state = ModelState(w=w, b=b_prev, z=z)
-        assert b_block(state, data, hp) == pytest.approx(oracle.x, abs=1e-8)
+        assert b_block(state, data, hp) == pytest.approx(oracle, abs=1e-8)
 
 
 @pytest.mark.parametrize("update", [w_block, z_block, b_block],
@@ -595,14 +615,16 @@ class TestInputsUnchanged:
 
     def test_report_keeps_the_multiplier_its_adjoint_read(self, synthetic, default_hp,
                                                           monkeypatch):
+        # The report's gradient flips the signs of the gap it reads in
+        # place; the multiplier -2 sigma gap is taken from that gap before.
         data, _, _ = synthetic
         state = fit(data, default_hp.with_(maxit=3)).model
-        cone_residual, read = kkt._cone_residual, []
+        adjoint, read = solver._adjoint, []
 
-        def recording(w, lam, *args):
-            read.append(lam.tobytes())
-            return cone_residual(w, lam, *args)
+        def recording(x, ys, c, *args, **kwargs):
+            read.append(-2.0 * default_hp.sigma * c[0])
+            return adjoint(x, ys, c, *args, **kwargs)
 
-        monkeypatch.setattr(kkt, "_cone_residual", recording)
+        monkeypatch.setattr(solver, "_adjoint", recording)
         report = kkt_report(state, data, default_hp)
-        assert read == [report.lam.tobytes()]
+        assert [lam.tobytes() for lam in read] == [report.lam.tobytes()]
