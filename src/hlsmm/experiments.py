@@ -21,8 +21,9 @@ import numpy as np
 
 from .data import add_gaussian_noise, add_salt_pepper_noise, _shuffled_classes
 from .errors import InvalidArgumentError
-from .model import (_COUNT, _FRACTION, _NON_NEGATIVE, Dataset, Hyperparams, ModelState,
-                    SolverTrace, _checked, _record, predict_batch)
+from .model import (_COUNT, _FRACTION, _HYPERPARAM_FIELDS, _HYPERPARAM_RULES,
+                    _NON_NEGATIVE, Dataset, Hyperparams, ModelState, SolverTrace,
+                    _checked, _record, predict_batch)
 from .solver import FitResult, fit, fit_many
 
 # Each noise kind's corruption and the rule of its level.
@@ -56,16 +57,17 @@ class Metrics:
 
 def evaluate(model: ModelState, test: Dataset) -> Metrics:
     """Confusion counts of the model's sign predictions over a dataset."""
-    pred = predict_batch(model.w, model.b, test)
-    actual = test.ys
-    return Metrics(
-        tp=int(np.count_nonzero((pred == 1) & (actual == 1))),
-        tn=int(np.count_nonzero((pred == -1) & (actual == -1))),
-        fp=int(np.count_nonzero((pred == 1) & (actual == -1))),
-        fn=int(np.count_nonzero((pred == -1) & (actual == 1))),
-    )
+    # Predictions and labels are +-1, so -1 is the complement of +1, and the
+    # other counts follow from the true positives by exact integer subtraction.
+    predicted = predict_batch(model.w, model.b, test) == 1
+    actual = test.ys == 1
+    tp = int(np.count_nonzero(predicted & actual))
+    positives, labelled = int(np.count_nonzero(predicted)), int(np.count_nonzero(actual))
+    return Metrics(tp=tp, tn=test.m - positives - labelled + tp,
+                   fp=positives - tp, fn=labelled - tp)
 
 
+# The first fields of Hyperparams, in field order.
 _AXES = ("beta", "sigma", "rank", "tau1", "tau2", "tau3")
 
 
@@ -111,13 +113,23 @@ class HyperparamGrid:
         ``grid_search_cv``: the CV sweep then holds no second set of records
         next to the held-out table's.  A value that ``Hyperparams`` refuses
         raises on every call and leaves nothing kept.
+
+        Each value is checked once, by ``Hyperparams``'s rules, and the records
+        are assembled from the converted values without checking them again.
+        The refusal is that of the first record in product order that holds
+        a bad value: the record of the first values, checked whole, and then
+        each axis's later values, from the last axis, which varies fastest,
+        to the first.
         """
         if self._records is None or self._records[0] is not base:
-            records = tuple(
-                replace(base, beta=beta, sigma=sigma, rank=rank,
-                        tau1=tau1, tau2=tau2, tau3=tau3)
-                for beta, sigma, rank, tau1, tau2, tau3 in itertools.product(
-                    *(getattr(self, name) for name in _AXES)))
+            first = replace(base, **{name: getattr(self, name)[0] for name in _AXES})
+            axes = [[getattr(first, name)] for name in _AXES]
+            for name, axis in zip(reversed(_AXES), reversed(axes)):
+                rule = _HYPERPARAM_RULES[name]
+                axis += [_checked(name, value, rule) for value in getattr(self, name)[1:]]
+            rest = tuple(getattr(base, name) for name in _HYPERPARAM_FIELDS[len(_AXES):])
+            records = tuple(Hyperparams._tested(*values, *rest)
+                            for values in itertools.product(*axes))
             object.__setattr__(self, "_records", (base, records))
         return self._records[1]
 
@@ -233,7 +245,7 @@ def _sweep(configurations, pairs, status: str | None = None) -> SweepResult:
         train = outcome = model = None  # the fit is over: drop the training set
         validation = make_validation()
         for w, b, indices in groups:
-            metrics = evaluate(ModelState(w=w, b=b, z=()), validation)
+            metrics = evaluate(ModelState._tested(w, b, np.empty(0)), validation)
             for index in indices:
                 pooled[index] = pooled[index] + metrics
         validation = groups = None  # before the next pair is drawn

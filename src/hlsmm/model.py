@@ -13,7 +13,7 @@ penalty; ``sigma`` weights the coupling ``z ~ v``.  The solver evaluates f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -228,6 +228,13 @@ class StepPolicy:
         _store(self, ("max_halvings",), _COUNT)
 
 
+# Each Hyperparams field that is checked, with its rule, in the order of the checks.
+_HYPERPARAM_RULES = {
+    **dict.fromkeys(("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"),
+                    _POSITIVE),
+    "rank": _RANK, "maxit": _COUNT}
+
+
 @_record
 class Hyperparams:
     """Solver hyperparameters.
@@ -249,12 +256,24 @@ class Hyperparams:
     step: StepPolicy = field(default_factory=StepPolicy)
 
     def __post_init__(self):
-        _store(self, ("beta", "sigma", "tau1", "tau2", "tau3", "tol_step", "tol_obj"))
-        _store(self, ("rank",), _RANK)
-        _store(self, ("maxit",), _COUNT)
+        for name, rule in _HYPERPARAM_RULES.items():
+            object.__setattr__(self, name, _checked(name, getattr(self, name), rule))
+
+    @classmethod
+    def _tested(cls, *values) -> "Hyperparams":
+        """The record of ``values``, one per field in field order, each a value
+        that this class's rules accepted and converted: none is checked
+        again.  The constructor checks the values that come from outside."""
+        hp = object.__new__(cls)
+        for name, value in zip(_HYPERPARAM_FIELDS, values):
+            object.__setattr__(hp, name, value)
+        return hp
 
     def with_(self, **kwargs) -> "Hyperparams":
         return replace(self, **kwargs)
+
+
+_HYPERPARAM_FIELDS = tuple(field.name for field in fields(Hyperparams))
 
 
 @dataclass(frozen=True)
@@ -276,6 +295,19 @@ class ModelState:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "b", float(self.b))
+
+    @classmethod
+    def _tested(cls, w: np.ndarray, b, z: np.ndarray, iter: int = 0) -> "ModelState":
+        """The state of iterates that the library computed and knows finite: a
+        2-D float64 ``w`` and a 1-D float64 ``z``, stored as given, and ``b``
+        as a float.  No check runs; the constructor checks the states that
+        come from outside."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "w", w)
+        object.__setattr__(state, "b", float(b))
+        object.__setattr__(state, "z", z)
+        object.__setattr__(state, "iter", iter)
+        return state
 
 
 @dataclass

@@ -196,7 +196,7 @@ class _Problem:
         xg = self.scores(grad)
         curvature = gn2 + 2.0 * sigma * _dots(xg, xg)
         fallback = (gn2 == 0.0) | ~np.isfinite(curvature) | (curvature <= 0.0)
-        if not fallback.any():
+        if not np.count_nonzero(fallback):
             return gn2 / curvature
         alpha = 1.0 / self.lipschitz(sigma)
         return np.divide(gn2, curvature, out=alpha, where=~fallback)
@@ -333,7 +333,7 @@ class _Lanes:
         lane's source row, for :meth:`grow`, or None.  Nothing grows here,
         so that the caller can drop the center first.
         """
-        if not self.beta_varies.any():
+        if not np.count_nonzero(self.beta_varies):
             return None
         top = np.fmax.reduce(center, axis=1)  # NaN entries are kept by every prox
         cut = np.sqrt(2.0 * self.gamma())
@@ -401,7 +401,8 @@ class _Lanes:
                 continue
             *floats, halvings = history[:, row, :k + 1].tolist()
             trace = SolverTrace(*floats, [int(n) for n in halvings], status=status[row])
-            final = ModelState(w=w[row].copy(), b=b[row], z=z[row].copy(), iter=k)
+            # The lane's objective is finite, so its iterates are (see _iterate).
+            final = ModelState._tested(w[row].copy(), b[row], z[row].copy(), k)
             yield group, FitResult(model=final, trace=trace,
                                    hyperparams_echo=self.configurations[group[0]])
         if rows:
@@ -485,7 +486,10 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
 
     ``grad`` is grad h at W and ``h_ref`` is h(W), both carried from the
     objective of the previous iterate (backtracking reads ``h_ref`` only).
-    Returns (new W, its scores, halvings used, stalled, errors, split).  A
+    Returns (new W, its scores, stalled, errors, split), and writes each
+    lane's step norm ||W+ - W|| and halvings used into column ``iteration``
+    of the trace: when every lane accepts one trial, the norm is the root
+    of that trial's own squared step, else it is taken from the new W.  A
     lane stalls when no step passes the decrease test within
     ``max_halvings``; it then keeps its W and computes its scores again.
     Backtracking halves only the lanes that failed the test.  ``errors`` maps
@@ -500,10 +504,11 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
     """
     count = len(w)
     finite = np.isfinite(grad).all(axis=(1, 2))
-    errors = {} if finite.all() else {
+    errors = {} if np.count_nonzero(finite) == count else {
         row: NumericalError("non-finite gradient in W block", iteration)
         for row in np.flatnonzero(~finite)}
-    halvings = np.zeros(count, dtype=np.int64)
+    step_norm, halvings = lanes.history[1, :, iteration], lanes.history[4, :, iteration]
+    halvings[:] = 0
     stalled = np.zeros(count, dtype=bool)
     split: list = []
     policy = lanes.step
@@ -513,7 +518,8 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
                  else 1.0 / (problem.lipschitz(lanes.sigma) + lanes.tau1_min))
         new_w = _project(w - alpha[:, None, None] * grad, lanes.rank,
                          np.arange(count), errors, iteration)
-        return new_w, problem.scores(new_w), halvings, stalled, errors, split
+        np.sqrt(_sq_norms(new_w - w), out=step_norm)
+        return new_w, problem.scores(new_w), stalled, errors, split
 
     alpha = (np.full(count, policy.alpha0) if policy.alpha0 is not None
              else problem.cauchy_step(grad, lanes.sigma))
@@ -557,11 +563,13 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
                 split += [index for index in lanes.riders[pending[j]]
                           if not (smooth[j] + 0.5 * lanes.configurations[index].tau1
                                   * step_sq[j] <= h[j])]
-        if pending.size == count and ok.all():  # every lane takes this trial
+        accepted = np.count_nonzero(ok)
+        if accepted == count:  # every lane takes this trial
             halvings[:] = trial
             stalled[:] = False
-            return candidate, s_candidate, halvings, stalled, errors, split
-        if ok.any():
+            np.sqrt(step_sq, out=step_norm)
+            return candidate, s_candidate, stalled, errors, split
+        if accepted:
             if new_w is None and pending.size == count:
                 new_w, new_s = candidate, s_candidate
             else:
@@ -581,7 +589,8 @@ def _w_step(problem: _Problem, lanes: _Lanes, w: np.ndarray, z: np.ndarray,
         new_w[pending] = w[pending]
         new_s[pending] = problem.scores(w[pending])
     halvings[pending] = policy.max_halvings
-    return new_w, new_s, halvings, stalled, errors, split
+    np.sqrt(_sq_norms(new_w - w), out=step_norm)
+    return new_w, new_s, stalled, errors, split
 
 
 def _z_center(problem: _Problem, lanes: _Lanes, s_new: np.ndarray, z: np.ndarray,
@@ -679,11 +688,15 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
     does at iteration 1, and products of it turn NaN) fails alone at the
     finiteness guards.  The carried gap, the previous slack and the scores
     are dropped as soon as they are used, so that a lone lane holds three
-    m-vectors in every block (see BATCH_FLOATS).
+    m-vectors in every block (see BATCH_FLOATS).  The W block writes its
+    step norms and halvings into trace column k, the checks the rest.
     """
+    if k == lanes.history.shape[2]:
+        lanes.history = np.concatenate((lanes.history, np.empty_like(lanes.history)),
+                                       axis=2)
     grad = problem.gradient(lanes.w, lanes.gap, lanes.sigma)
     lanes.gap = None
-    w, s, halvings, stalled, errors, split = _w_step(
+    w, s, stalled, errors, split = _w_step(
         problem, lanes, lanes.w, lanes.z, lanes.b, grad, lanes.h, k)
     del grad
     center = _z_center(problem, lanes, s, lanes.z, lanes.b)
@@ -694,7 +707,7 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
         # in a batch of K + f lanes.
         del center
         rows = lanes.grow(*fork)
-        w, s, halvings, stalled = w[rows], s[rows], halvings[rows], stalled[rows]
+        w, s, stalled = w[rows], s[rows], stalled[rows]
         center = _z_center(problem, lanes, s, lanes.z, lanes.b)
     z_old, lanes.z = lanes.z, _z_step(lanes, center)
     del center
@@ -705,7 +718,8 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
     g, lanes.h, sq_norm, lanes.gap = problem.objective(w, s, lanes.z, b,
                                                        lanes.sigma, lanes.beta)
     del s
-    dw = np.sqrt(_sq_norms(w - lanes.w))
+    trace = lanes.history[:, :, k]
+    dw = trace[1]
     db = np.abs(b - lanes.b)
     # The checks in the order of the one-lane scheme; a lane keeps its first
     # failure.  A non-finite entry of W, z or b carries into 1/2 ||W||^2 or,
@@ -713,7 +727,7 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
     # so the iterates are read only on the lanes whose objective is not
     # finite, and each loop runs only when some row fails its test.
     failed = ~np.isfinite(g)
-    if failed.any():
+    if np.count_nonzero(failed):
         for row in np.flatnonzero(failed):
             finite = (np.isfinite(w[row]).all() and np.isfinite(lanes.z[row]).all()
                       and np.isfinite(b[row]))
@@ -721,7 +735,7 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
                 "objective became non-finite" if finite else "iterate became non-finite", k))
     leaving = dict.fromkeys(split)
     increased = g > lanes.g + MONOTONE_SLACK
-    if increased.any():
+    if np.count_nonzero(increased):
         for row in np.flatnonzero(increased):
             errors.setdefault(row, NumericalError(
                 f"objective increased from {lanes.g[row]:.6e} to {g[row]:.6e}", k))
@@ -729,17 +743,14 @@ def _iterate(problem: _Problem, lanes: _Lanes, k: int):
     decrease = (lanes.g - g)[lanes.lane_of]
     required = 0.5 * lanes.tau_min * (dw * dw + dz * dz + db * db)[lanes.lane_of]
     short = decrease < required - DECREASE_SLACK
-    if short.any():
+    if np.count_nonzero(short):
         for j in np.flatnonzero(short):
             if lanes.lane_of[j] not in errors:
                 leaving.setdefault(lanes.positions[j], NumericalError(
                     f"sufficient decrease violated: {decrease[j]:.3e} < "
                     f"{required[j]:.3e}", k))
 
-    if k == lanes.history.shape[2]:
-        lanes.history = np.concatenate((lanes.history, np.empty_like(lanes.history)),
-                                       axis=2)
-    lanes.history[:, :, k] = (g, dw, dz, db, halvings)
+    trace[0], trace[2], trace[3] = g, dz, db
     stop = ((dw / np.maximum(1.0, np.sqrt(lanes.sq_norm)) <= lanes.tol_step)
             & (np.abs(g - lanes.g) <= lanes.tol_obj))
     lanes.w, lanes.b, lanes.g, lanes.sq_norm = w, b, g, sq_norm
@@ -767,7 +778,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None):
     ended = lanes.maxit <= k
     errors, leaving = {}, {}
     while True:
-        if errors or leaving or ended.any():
+        if errors or leaving or np.count_nonzero(ended):
             # Why each lane stops, or "" where it goes on; a later cause wins.
             # The array holds the literals, so that the traces share them.
             status = np.full(len(stop), "", dtype=object)
@@ -783,7 +794,7 @@ def _lockstep(problem: _Problem, lanes: _Lanes, init: ModelState | None):
                 k += 1
                 stop, stalled, errors, leaving = _iterate(problem, lanes, k)
                 ended = stop | (lanes.maxit <= k)
-                if errors or leaving or ended.any():
+                if errors or leaving or np.count_nonzero(ended):
                     break
 
 

@@ -82,6 +82,14 @@ class TestEvaluate:
         assert evaluate(model, data) == evaluate(model, permuted)
 
 
+def replace_built(grid, base) -> list:
+    """The grid's records as ``dataclasses.replace`` builds them, each checked
+    whole, in product order."""
+    axes = ("beta", "sigma", "rank", "tau1", "tau2", "tau3")
+    return [dataclasses.replace(base, **dict(zip(axes, values)))
+            for values in itertools.product(*(getattr(grid, axis) for axis in axes))]
+
+
 class TestGridSearch:
     def test_singleton_grid(self, synthetic, default_hp):
         data, _, _ = synthetic
@@ -156,17 +164,54 @@ class TestGridSearch:
         assert rebuilt is not first and [hp.maxit for hp in rebuilt] == [7] * 324
         assert grid.configurations(other) is rebuilt
 
+    @pytest.mark.parametrize("axes, refusal", [
+        ({}, None),
+        ({"beta": (1, np.float64(0.5), np.int64(2)), "sigma": (np.float32(0.25), 0.1),
+          "rank": (np.int64(2), 3, np.int8(1)), "tau3": (1e-3, 2)}, None),
+        ({"beta": (0.0, 0.1), "tau3": (1e-3, True)}, "beta must be positive"),
+        ({"beta": (0.1, -1.0), "rank": (True, 2)}, "rank must be an integer, got True"),
+        ({"beta": (0.1, -1.0), "tau2": (1e-3, np.inf), "sigma": (0.1, 0.0)},
+         "tau2 must be positive"),
+        ({"sigma": (0.1, "x"), "rank": (2, 2.5)}, "rank must be an integer, got 2.5"),
+        ({"tau1": (1e-3, True), "tau3": (1e-3, np.True_)}, "tau3 must be a real number"),
+        ({"tau3": (1e-3, "a", 0.0)}, "tau3 must be a real number, got 'a'"),
+        ({"rank": (np.int64(2), np.int64(-1)), "beta": (0.1, np.float64(-2.0))},
+         "rank must be a positive integer"),
+        ({"tau1": (1e-3, 10**400)}, "tau1 must be positive and finite"),
+    ], ids=["reference", "converted", "bad-first", "bad-first-rank", "bad-later",
+            "bad-later-rank", "bools", "bad-later-twice", "np-int64", "int-past-float"])
+    def test_records_and_refusals_equal_replace_built_ones(self, default_hp, axes,
+                                                           refusal):
+        # Each value is checked once and the records are built from the
+        # converted values: the same values, types and order as records that
+        # are each checked whole, and the same refusal, that of the first
+        # record in product order that holds a bad value.
+        grid = HyperparamGrid(**axes)
+        if refusal is not None:
+            with pytest.raises(InvalidArgumentError) as expected:
+                replace_built(grid, default_hp)
+            with pytest.raises(InvalidArgumentError, match=refusal) as info:
+                grid.configurations(default_hp)
+            assert str(info.value) == str(expected.value)
+            return
+        records = grid.configurations(default_hp)
+        references = replace_built(grid, default_hp)
+        assert len(records) == len(references) == grid.size
+        for record, reference in zip(records, references):
+            for field in dataclasses.fields(Hyperparams):
+                value, expected = getattr(record, field.name), getattr(reference, field.name)
+                assert value == expected and type(value) is type(expected)
+
     def test_a_refused_grid_value_is_refused_on_every_call(self, default_hp):
         # The last record is refused; nothing is kept, so the second call
-        # builds the records again and raises the same error.
+        # checks the values again and raises the same error.
         grid = HyperparamGrid(beta=(0.1,), sigma=(0.1,), rank=(2, 2.7),
                               tau1=(1e-3,), tau2=(1e-3,), tau3=(1e-3,))
         messages = []
         for _ in range(2):
-            with calls_to(experiments, "replace") as builds, \
-                    pytest.raises(InvalidArgumentError) as info:
+            with pytest.raises(InvalidArgumentError) as info:
                 grid.configurations(default_hp)
-            assert len(builds) == 2
+            assert grid._records is None
             messages.append(str(info.value))
         assert messages[0] == messages[1] and "rank must be an integer" in messages[0]
 
@@ -404,6 +449,25 @@ class TestSweepEngine:
         assert [row.ok for row in table.rows] == [True, False, True, False]
         assert "rank" in table.rows[1].error
         assert all(row.metrics.total == train.m for row in table.rows if row.ok)
+
+    def test_scoring_states_equal_checked_ones(self, synthetic, default_hp):
+        # A sweep scores each group's (w, b) as a state built without the
+        # checks, with an empty float64 slack: what the checked constructor
+        # stores for the same values.
+        data, _, _ = synthetic
+        train, validation = split(data, 0.7, seed=1)
+        with calls_to(experiments, "evaluate") as calls:
+            grid_search(train, validation, self.GRID, default_hp)
+        assert calls
+        for call in calls:
+            state = call.args[0]
+            checked = ModelState(w=state.w, b=state.b, z=())
+            assert state.w.dtype == np.float64 and state.w.shape == data.sample_shape
+            assert np.array_equal(state.w, checked.w)
+            assert state.z.dtype == checked.z.dtype == np.float64
+            assert state.z.shape == checked.z.shape == (0,)
+            assert type(state.b) is float and state.b == checked.b
+            assert state.iter == checked.iter == 0
 
     def test_sweep_records_are_slotted_and_frozen(self, synthetic, default_hp):
         # A sweep holds one Hyperparams (with its StepPolicy), SweepRow and

@@ -74,6 +74,18 @@ def wdbc_proxy(seed: int, m: int = 398) -> Dataset:
     return Dataset(xs=xs, ys=ys)
 
 
+def assert_as_checked(state: ModelState) -> None:
+    """``state`` holds what the checked constructor would store for its values."""
+    checked = ModelState(w=state.w, b=state.b, z=state.z, iter=state.iter)
+    for name in ("w", "z"):
+        value, reference = getattr(state, name), getattr(checked, name)
+        assert value.dtype == reference.dtype == np.float64
+        assert value.shape == reference.shape and np.array_equal(value, reference)
+    assert state.w.ndim == 2 and state.z.ndim == 1
+    assert type(state.b) is float and state.b == checked.b
+    assert type(state.iter) is int and state.iter == checked.iter
+
+
 @st.composite
 def lane_batches(draw):
     """A small random dataset and a shuffled list of configurations for it.
@@ -238,9 +250,25 @@ class TestLockstepLanes:
                 calls_to(solver, "_lockstep") as batches, \
                 calls_to(solver, "_w_step") as steps:
             outcomes = by_position(data, configurations)
-        assert [index for call in steps for index in call.result[5]] == [1]
+        assert [index for call in steps for index in call.result[4]] == [1]
         assert len({outcome.model.iter for outcome in outcomes.values()}) >= 3
         assert len(batches) == 2 and len(builds) == len(batches)
+
+    def test_released_states_equal_checked_ones(self, synthetic, default_hp):
+        # Every state that a batch releases is built without the checks; it
+        # equals the checked constructor's state of the same values, for each
+        # group of the reference grid (rank 10 is refused on 5x6 samples) and
+        # for a lone fit.
+        data = wdbc_proxy(17)
+        configurations = HyperparamGrid().configurations(
+            Hyperparams(beta=0.1, sigma=0.01, rank=4, maxit=30))
+        results = [outcome for _, outcome in fit_many(data, configurations)
+                   if isinstance(outcome, FitResult)]
+        assert len(results) > 1
+        for result in results:
+            assert_as_checked(result.model)
+        synthetic_data, _, _ = synthetic
+        assert_as_checked(fit(synthetic_data, default_hp).model)
 
     def test_trace_storage_follows_iterations_not_maxit(self, synthetic, default_hp):
         # maxit is an upper bound, not a size: a fit that converges early
@@ -649,7 +677,7 @@ class TestRiders:
         pair = [default_hp.with_(step=HALVING, tau1=tau1) for tau1 in (1e-4, 1e3)]
         with calls_to(solver, "_w_step") as calls:
             outcomes = by_position(data, pair)
-        assert [index for call in calls for index in call.result[5]] == [1]
+        assert [index for call in calls for index in call.result[4]] == [1]
         for index, hp in enumerate(pair):
             assert outcome_bits(outcomes[index]) == outcome_bits(lone(data, hp))
 

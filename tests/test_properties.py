@@ -9,7 +9,8 @@ equals the first row of the trace bit for bit; the b block's closed form
 agrees with an exactly rounded sum; the slack block at tau2 = 0 attains the
 truncated squared hinge min(sigma v_+^2, beta) per sample.  KKT: the
 normal-cone residual from the r leading singular vectors equals the one from
-full complement bases.
+full complement bases.  Scoring: evaluate's confusion counts equal those of
+the four masks.
 """
 
 import json
@@ -28,11 +29,13 @@ from hlsmm import (
     Hyperparams,
     StepPolicy,
     ModelState,
+    evaluate,
     fit,
     load_csv,
     load_model,
     load_smm1,
     penalized_objective,
+    predict_batch,
     prox_heaviside,
     save_model,
     save_smm1,
@@ -390,6 +393,31 @@ STEP_POLICIES = {
     "fixed": StepPolicy(kind="fixed"),
     "stalling": StepPolicy(alpha0=1e6, max_halvings=2),  # overshoots past two halvings
 }
+
+
+@st.composite
+def sign_pairs(draw):
+    """Predictions and labels: two random +-1 vectors of one length."""
+    m = draw(st.integers(1, 40))
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m)
+    return np.array(draw(signs)), np.array(draw(signs))
+
+
+class TestEvaluate:
+    @FILES
+    @given(sign_pairs())
+    def test_counts_equal_the_four_masks(self, pair):
+        # 1x1 samples equal to the predictions, scored by W = 1 and b = 0.
+        predicted, labels = pair
+        data = Dataset(xs=predicted.reshape(-1, 1, 1).astype(np.float64), ys=labels)
+        model = ModelState(w=np.ones((1, 1)), b=0.0, z=np.zeros(len(labels)))
+        np.testing.assert_array_equal(predict_batch(model.w, model.b, data), predicted)
+        metrics = evaluate(model, data)
+        counts = [int(np.count_nonzero((predicted == guess) & (labels == truth)))
+                  for guess, truth in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+        assert [metrics.tp, metrics.tn, metrics.fp, metrics.fn] == counts
+        assert all(type(count) is int
+                   for count in (metrics.tp, metrics.tn, metrics.fp, metrics.fn))
 
 
 @st.composite
